@@ -56,7 +56,6 @@ func run() error {
 		paper      = flag.Bool("paper", false, "paper-scale campaigns (1000/5000/2000 runs, 24s benchmarks)")
 		parallel   = flag.Int("parallel", 0, "concurrent runs per process (0 = GOMAXPROCS)")
 		repairCPUs = flag.Int("repair-cpus", 0, "partition non-reboot repair+audit into recovery domains over this many CPUs (0/1 = serial; implies audit)")
-		serialExec = flag.Bool("serial-repair-exec", false, "execute the partitioned repair plan on one goroutine (equivalence baseline; identical results)")
 		shards     = flag.Int("shards", 0, "split the campaign across this many worker processes (0 = in-process)")
 		shardTO    = flag.Duration("shard-timeout", 30*time.Minute, "per-shard worker deadline (with -shards)")
 		worker     = flag.Bool("shard-worker", false, "internal: run as a shard worker (spec on stdin, summary on stdout)")
@@ -88,7 +87,6 @@ func run() error {
 	withDomainFlags := func(rc core.Config) core.Config {
 		if *repairCPUs > 1 {
 			rc.RepairCPUs = *repairCPUs
-			rc.SerialRepairExec = *serialExec
 			rc.Escalation.Audit = true
 		}
 		return rc

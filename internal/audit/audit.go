@@ -22,10 +22,8 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"nilihype/internal/dom"
 	"nilihype/internal/evtchn"
 	"nilihype/internal/hv"
 	"nilihype/internal/recdomain"
@@ -90,9 +88,10 @@ type Report struct {
 	Escalations int
 	// Sacrificed lists the domain IDs failed by degradation.
 	Sacrificed []int
-	// Timing is the recovery-domain latency accounting of the
-	// partitioned walk (Options.RepairCPUs > 1); zero for the monolithic
-	// walk.
+	// Timing is the walk's recovery-domain latency accounting: the sum of
+	// every unit's cost (Serial) and what the plan charges on
+	// Options.RepairCPUs simulated lanes (Parallel; equal to Serial at one
+	// lane).
 	Timing recdomain.Timing
 }
 
@@ -119,139 +118,21 @@ type Options struct {
 	// EnhSchedRepair.
 	SkipSched bool
 
-	// RepairCPUs > 1 selects the recovery-domain-partitioned walk: the
-	// audit is decomposed into per-CPU, per-guest-domain and global
-	// units, independent units run concurrently, and Report.Timing
-	// charges each phase as the max over parallel domains plus the
-	// serialized global work on that many simulated CPUs. 0/1 keeps the
-	// historical monolithic serial walk.
+	// RepairCPUs is the number of simulated recovery CPUs (lanes) the
+	// walk's recovery-domain plan is scheduled on, and the bound on the
+	// goroutines executing its concurrent level. Report.Timing charges
+	// each concurrent level as its makespan over the lanes plus the
+	// serialized global and linkage work. 0/1 is one lane: the units run
+	// and are charged one after another in plan order.
 	RepairCPUs int
-	// SerialExec executes the partitioned walk's units sequentially
-	// while keeping the identical parallel latency model — the
-	// equivalence suite's serial baseline. Reports are bit-identical
-	// either way; only host-side goroutine use differs.
+	// SerialExec executes the units sequentially on the calling goroutine
+	// while keeping the identical latency model — the equivalence suite's
+	// serial baseline. Reports are bit-identical either way; only
+	// host-side goroutine use differs.
 	SerialExec bool
-	// FrameScanCost is the modeled cost of the partitioned walk's
-	// page-frame unit (the engine computes it from memory size and scan
-	// parallelism). Ignored by the monolithic walk, which derives the
-	// cost in the engine.
+	// FrameScanCost is the modeled cost of the page-frame unit (the
+	// engine computes it from memory size and lane count).
 	FrameScanCost time.Duration
-}
-
-// Run audits the paused hypervisor and repairs what it can. It must be
-// called while recovery holds the system paused, after the attempt's own
-// repair enhancements have run.
-func Run(h *hv.Hypervisor, opts Options) *Report {
-	if opts.RepairCPUs > 1 {
-		return runPartitioned(h, opts)
-	}
-	r := &Report{}
-	now := h.Clock.Now()
-	doms := h.Domains.Preserved()
-
-	// Domain list first: later walks want a traversable list.
-	if err := h.Domains.CheckLinks(); err != nil {
-		fixed := h.Domains.Rebuild()
-		r.add(ClassDomainList, fmt.Sprintf("relinked from %d preserved structures (%d links fixed)", len(doms), fixed), Repaired)
-	}
-
-	// Static scratch: rewrite damaged words to the boot-time pattern.
-	if damaged := h.StaticScratchDamage(); len(damaged) > 0 {
-		for _, w := range damaged {
-			r.add(ClassStaticScratch, fmt.Sprintf("scratch word %d does not match boot pattern", w), Repaired)
-		}
-		h.ReinitStaticScratch()
-	}
-
-	// Heap free list: the frame table is the reliable source; rebuild.
-	if probs := h.Heap.ValidateFreeList(); len(probs) > 0 {
-		for _, p := range probs {
-			r.add(ClassHeapFreeList, p, Repaired)
-		}
-		h.Heap.Rebuild()
-	}
-
-	// Live heap objects: damage confined to an AppVM's struct domain is
-	// degradable (re-initialize the object, sacrifice the VM); anything
-	// else — PrivVM or a non-domain object — escalates, because both
-	// mechanisms reuse live objects in place (§VII-A failure cause 3).
-	for _, o := range h.Heap.DamagedObjects() {
-		var owner *dom.Domain
-		for _, d := range doms {
-			if d.Obj == o {
-				owner = d
-				break
-			}
-		}
-		if owner != nil && !owner.IsPriv {
-			o.Repair()
-			owner.Fail("heap object corrupted; VM sacrificed by recovery audit")
-			r.Sacrificed = append(r.Sacrificed, owner.ID)
-			r.add(ClassHeapObject, fmt.Sprintf("object %q re-initialized; d%d sacrificed", o.Tag, owner.ID), Degraded)
-			continue
-		}
-		r.add(ClassHeapObject, fmt.Sprintf("object %q damaged and not confinable", o.Tag), Escalate)
-	}
-
-	// Page-frame descriptors (unless the PF-scan enhancement already ran).
-	if !opts.SkipFrames {
-		if bad := h.Frames.InconsistentFrames(); len(bad) > 0 {
-			fixed := h.Frames.ScanAndRepair()
-			r.add(ClassFrames, fmt.Sprintf("%d inconsistent descriptors rewritten", fixed), Repaired)
-		}
-	}
-
-	// Scheduler metadata (unless the sched-repair enhancement already ran).
-	if !opts.SkipSched {
-		if incs := h.Sched.CheckConsistency(); len(incs) > 0 {
-			fixed := h.Sched.RepairFromPerCPU()
-			r.add(ClassSched, fmt.Sprintf("%d inconsistencies; %d fields rewritten from per-CPU state", len(incs), fixed), Repaired)
-		}
-	}
-
-	// Lock table: every owner thread was discarded, so any held lock is a
-	// leak. The basic ladder rungs may have released these already; the
-	// audit is the backstop.
-	for _, l := range h.Locks.HeldLocks() {
-		l.ForceRelease()
-		r.add(ClassLocks, fmt.Sprintf("%s lock %q held by discarded thread", l.Kind(), l.Name()), Repaired)
-	}
-
-	// Timer heaps: deadline bounds, heap order, and soft-tick liveness.
-	if probs := h.Timers.CheckHealth(now); len(probs) > 0 {
-		fixed := h.Timers.RepairHeaps(now)
-		for _, p := range probs {
-			r.add(ClassTimers, fmt.Sprintf("%s (clamped; %d deadlines fixed)", p, fixed), Repaired)
-		}
-	}
-	if inactive := h.Timers.InactiveRecurring(); len(inactive) > 0 {
-		sort.Slice(inactive, func(i, j int) bool {
-			if inactive[i].CPU != inactive[j].CPU {
-				return inactive[i].CPU < inactive[j].CPU
-			}
-			return inactive[i].Name < inactive[j].Name
-		})
-		names := make([]string, len(inactive))
-		for i, t := range inactive {
-			names[i] = t.Name
-		}
-		h.Timers.ReactivateRecurring(now)
-		r.add(ClassTimers, fmt.Sprintf("%d recurring timers dead (%v); reactivated", len(inactive), names), Repaired)
-	}
-
-	auditIOAPIC(h, r)
-
-	auditEvtchn(h, doms, r)
-	auditGrants(h, doms, r)
-
-	degraded := len(r.Violations) - r.Repaired - r.Escalations
-	h.Tel.Inc(telemetry.CtrAuditRuns)
-	h.Tel.Add(telemetry.CtrAuditViolations, uint64(len(r.Violations)))
-	h.Tel.Add(telemetry.CtrAuditRepairs, uint64(r.Repaired))
-	h.Tel.Add(telemetry.CtrAuditDegraded, uint64(degraded))
-	h.Tel.Add(telemetry.CtrAuditEscalate, uint64(r.Escalations))
-	h.Tel.Record(0, telemetry.EvAudit, telemetry.AuditArg(len(r.Violations), r.Repaired, r.Escalations))
-	return r
 }
 
 // auditIOAPIC compares the IO-APIC redirection table against the software
@@ -268,52 +149,6 @@ func auditIOAPIC(h *hv.Hypervisor, r *Report) {
 	}
 }
 
-// auditEvtchn validates inter-domain event-channel linkage in two passes.
-// Pass 1 repairs damaged ports from the surviving half of the link: a port
-// whose peer field is garbled is found via whichever port still points at
-// it, and rewritten. The close decision waits for pass 2 — a broken port
-// may be the intact half of a pair whose other half pass 1 has yet to
-// repair, and closing it first would destroy the only reliable source.
-// Pass 2 closes ports that are still broken; losing an I/O ring channel
-// this way is fatal to the owning AppVM, which is sacrificed.
-func auditEvtchn(h *hv.Hypervisor, doms []*dom.Domain, r *Report) {
-	domByID := make(map[int]*dom.Domain, len(doms))
-	for _, d := range doms {
-		domByID[d.ID] = d
-	}
-	for _, o := range h.Broker.Owners() {
-		t := h.Broker.Table(o)
-		for p := 1; p < t.Len(); p++ {
-			port, _ := t.Port(p)
-			if port.State != evtchn.Interdomain || linkIntact(h, o, p, port) {
-				continue
-			}
-			if qd, q, ok := h.Broker.FindBacklink(o, p); ok {
-				port.RemoteDom, port.RemotePort = qd, q
-				r.add(ClassEvtchn, fmt.Sprintf("d%d port %d relinked to d%d port %d via backlink", o, p, qd, q), Repaired)
-			}
-		}
-	}
-	for _, o := range h.Broker.Owners() {
-		t := h.Broker.Table(o)
-		for p := 1; p < t.Len(); p++ {
-			port, _ := t.Port(p)
-			if port.State != evtchn.Interdomain || linkIntact(h, o, p, port) {
-				continue
-			}
-			_ = t.Close(p)
-			d := domByID[o]
-			if d != nil && !d.IsPriv && d.RingPort == p {
-				d.Fail("I/O ring event channel lost; VM sacrificed by recovery audit")
-				r.Sacrificed = append(r.Sacrificed, d.ID)
-				r.add(ClassEvtchn, fmt.Sprintf("d%d ring port %d unrecoverable; closed, d%d sacrificed", o, p, d.ID), Degraded)
-				continue
-			}
-			r.add(ClassEvtchn, fmt.Sprintf("d%d port %d unrecoverable; closed", o, p), Repaired)
-		}
-	}
-}
-
 // linkIntact reports whether an Interdomain port's peer exists and links
 // back.
 func linkIntact(h *hv.Hypervisor, owner, p int, port *evtchn.Port) bool {
@@ -326,36 +161,4 @@ func linkIntact(h *hv.Hypervisor, owner, p int, port *evtchn.Port) bool {
 		return false
 	}
 	return rp.State == evtchn.Interdomain && rp.RemoteDom == owner && rp.RemotePort == p
-}
-
-// auditGrants recomputes every grant entry's mapping count from the
-// maptrack tables (the hypervisor-side reliable source) and rewrites any
-// entry that disagrees.
-func auditGrants(h *hv.Hypervisor, doms []*dom.Domain, r *Report) {
-	type key struct{ dom, ref int }
-	expected := make(map[key]int)
-	for _, d := range doms {
-		if d.Maptrack == nil {
-			continue
-		}
-		for _, mp := range d.Maptrack.Mappings() {
-			expected[key{mp.GranterDom, mp.Ref}]++
-		}
-	}
-	for _, d := range doms {
-		if d.GrantTab == nil {
-			continue
-		}
-		for ref := 0; ref < d.GrantTab.Len(); ref++ {
-			e, err := d.GrantTab.Entry(ref)
-			if err != nil {
-				continue
-			}
-			want := expected[key{d.ID, ref}]
-			if e.MapCount != want {
-				r.add(ClassGrant, fmt.Sprintf("d%d grant ref %d map count %d, maptrack says %d; rewritten", d.ID, ref, e.MapCount, want), Repaired)
-				e.MapCount = want
-			}
-		}
-	}
 }

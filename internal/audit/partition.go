@@ -11,13 +11,11 @@ import (
 	"nilihype/internal/telemetry"
 )
 
-// Modeled per-unit costs of the partitioned walk. Together they itemize
-// the monolithic walk's flat base cost across recovery domains: the
-// global structures keep fixed costs, the per-CPU and per-guest walks
+// Modeled per-unit costs of the walk over the non-memory-sized structures:
+// the global structures have fixed costs, the per-CPU and per-guest walks
 // charge per domain, and the serialized linkage-apply step pays a fixed
-// coordination cost. The totals are deliberately close to — not exactly —
-// the monolithic auditBaseCost, since the partition does strictly more
-// bookkeeping.
+// coordination cost. The page-frame unit's cost is memory-sized and comes
+// from Options.FrameScanCost.
 const (
 	costDomainList  = 60 * time.Microsecond
 	costScratch     = 40 * time.Microsecond
@@ -35,16 +33,21 @@ const (
 // evtchnPlan is one owner's read-only scan result: the ports found broken
 // and, for those with a surviving backlink, the planned relink target.
 // Scans run concurrently across owners because they write nothing; the
-// serialized linkage-apply unit performs the writes in owner order with
-// the same intactness recheck the monolithic walk applies at visit time.
+// serialized linkage-apply unit performs the writes in owner order,
+// rechecking intactness at visit time.
 type evtchnPlan struct {
 	owner  int
 	broken []int
 	relink map[int][2]int
 }
 
-// runPartitioned is the recovery-domain audit walk selected by
-// Options.RepairCPUs > 1. The dependency graph has three levels:
+// Run audits the paused hypervisor and repairs what it can. It must be
+// called while recovery holds the system paused, after the attempt's own
+// repair enhancements have run.
+//
+// The walk is a recovery-domain plan scheduled on Options.RepairCPUs
+// simulated lanes; one lane is the serial walk. The dependency graph has
+// three levels:
 //
 //  1. global (serial): domain list, static scratch, heap free list, live
 //     heap objects, page frames, lock table — repairs later walks depend
@@ -58,9 +61,10 @@ type evtchnPlan struct {
 //     scans.
 //
 // Every unit reports into a private shard merged in plan order, so the
-// Report is bit-identical whether the domain level executes on one
-// goroutine (Options.SerialExec) or many.
-func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
+// Report's findings are identical at any lane count and whether the domain
+// level executes on one goroutine (Options.SerialExec) or many; only
+// Report.Timing varies with the lanes.
+func Run(h *hv.Hypervisor, opts Options) *Report {
 	now := h.Clock.Now()
 	doms := h.Domains.Preserved()
 	ncpu := h.Timers.NumCPUs()
@@ -96,6 +100,7 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 			h.ReinitStaticScratch()
 		}
 	})
+	// The frame table is the free list's reliable source; rebuild from it.
 	addGlobal("audit.heap-freelist", costFreeList, func(sr *Report) {
 		if probs := h.Heap.ValidateFreeList(); len(probs) > 0 {
 			for _, p := range probs {
@@ -104,6 +109,10 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 			h.Heap.Rebuild()
 		}
 	})
+	// Live heap objects: damage confined to an AppVM's struct domain is
+	// degradable (re-initialize the object, sacrifice the VM); anything
+	// else — PrivVM or a non-domain object — escalates, because both
+	// mechanisms reuse live objects in place (§VII-A failure cause 3).
 	addGlobal("audit.heap-objects", costHeapObjects, func(sr *Report) {
 		for _, o := range h.Heap.DamagedObjects() {
 			var owner *dom.Domain
@@ -131,6 +140,9 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 			}
 		})
 	}
+	// Every owner thread was discarded, so any held lock is a leak. The
+	// basic ladder rungs may have released these already; the audit is the
+	// backstop.
 	addGlobal("audit.lock-table", costLocks, func(sr *Report) {
 		for _, l := range h.Locks.HeldLocks() {
 			l.ForceRelease()
@@ -184,7 +196,7 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 		domains.Units = append(domains.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.PerGuest, ID: o},
 			Name: fmt.Sprintf("audit.evtchn.scan.d%d", o), Cost: costEvtchnScan,
-			Run:  func() { plans[i] = scanEvtchnOwner(h, o) },
+			Run: func() { plans[i] = scanEvtchnOwner(h, o) },
 		})
 	}
 	for _, d := range doms {
@@ -196,15 +208,15 @@ func runPartitioned(h *hv.Hypervisor, opts Options) *Report {
 		domains.Units = append(domains.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.PerGuest, ID: d.ID},
 			Name: fmt.Sprintf("audit.grants.d%d", d.ID), Cost: costGrantsGuest,
-			Run:  func() { auditGrantsFor(d, doms, sr) },
+			Run: func() { auditGrantsFor(d, doms, sr) },
 		})
 	}
 
 	linkage := recdomain.Level{Name: "linkage", Serial: true}
 	{
 		// The IO-APIC is shared hardware: its route check/reprogram runs at
-		// the serial linkage level, so the partitioned walk's result is
-		// bit-identical at any worker count.
+		// the serial linkage level, so the result is bit-identical at any
+		// worker count.
 		sr := shard()
 		linkage.Units = append(linkage.Units, recdomain.Unit{
 			Dom: gdom, Name: "audit.ioapic", Cost: costIOAPIC,
@@ -278,11 +290,15 @@ func scanEvtchnOwner(h *hv.Hypervisor, o int) *evtchnPlan {
 }
 
 // applyEvtchnPlans performs the writes the concurrent scans planned, in
-// owner order, rechecking intactness at visit time exactly as the
-// monolithic walk does: an earlier relink can heal a later port's pair,
-// in which case the planned write is dropped. Pass 1 relinks via the
-// scanned backlinks; pass 2 closes ports still broken and sacrifices
-// AppVMs whose I/O ring channel is lost.
+// owner order, rechecking intactness at visit time: an earlier relink can
+// heal a later port's pair, in which case the planned write is dropped.
+// Pass 1 relinks via the scanned backlinks — a port whose peer field is
+// garbled is found via whichever port still points at it. The close
+// decision waits for pass 2: a broken port may be the intact half of a
+// pair whose other half pass 1 has yet to repair, and closing it first
+// would destroy the only reliable source. Pass 2 closes ports still broken;
+// losing an I/O ring channel this way is fatal to the owning AppVM, which
+// is sacrificed.
 func applyEvtchnPlans(h *hv.Hypervisor, doms []*dom.Domain, plans []*evtchnPlan, r *Report) {
 	domByID := make(map[int]*dom.Domain, len(doms))
 	for _, d := range doms {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nilihype/internal/hv"
+	"nilihype/internal/recdomain"
 )
 
 // corruptBroadly damages one structure family per recovery-domain kind:
@@ -36,8 +37,8 @@ func corruptBroadly(t *testing.T, h *hv.Hypervisor, r *rand.Rand) {
 }
 
 // TestPartitionedSerialVsParallelExecIdentical is the package-level half
-// of the PR's equivalence guarantee: executing the partitioned walk's
-// units on one goroutine or on RepairCPUs goroutines yields byte-identical
+// of the equivalence guarantee: executing the walk's units on one
+// goroutine or on RepairCPUs goroutines yields byte-identical
 // Reports — violations in the same order with the same text, the same
 // sacrifices, and the same Timing. Run under -race this also proves the
 // concurrent level's units touch disjoint state.
@@ -63,34 +64,77 @@ func TestPartitionedSerialVsParallelExecIdentical(t *testing.T) {
 	}
 }
 
-// TestPartitionedRepairsConvergeWithMonolithic checks the two walks agree
-// on substance for identical damage: same violation classes with the same
-// verdict multisets, same sacrifices, and both leave the system clean
-// enough that a follow-up monolithic audit finds nothing.
-func TestPartitionedRepairsConvergeWithMonolithic(t *testing.T) {
-	runWith := func(opts Options) (*Report, *hv.Hypervisor) {
+// TestRepairsConvergeAcrossLanes pins the walk's substance for identical
+// broad damage at every lane count: the violation classes and verdicts
+// written out by hand below, the same sacrifice, findings bit-identical
+// across lane counts (only Timing varies), and a system left clean enough
+// that a follow-up audit finds only escalate-class leftovers.
+func TestRepairsConvergeAcrossLanes(t *testing.T) {
+	want := map[string][]Verdict{
+		ClassDomainList:    {Repaired},
+		ClassStaticScratch: {Repaired},
+		ClassHeapFreeList:  {Repaired, Repaired},
+		ClassHeapObject:    {Degraded},
+		ClassFrames:        {Repaired},
+		ClassSched:         {Repaired},
+		ClassLocks:         {Repaired},
+		ClassTimers:        {Repaired},
+		ClassEvtchn:        {Repaired},
+		ClassGrant:         {Repaired},
+	}
+	var ref *Report
+	for _, cpus := range []int{0, 1, 4} {
 		h, _ := newTarget(t)
 		corruptBroadly(t, h, rng())
-		return Run(h, opts), h
-	}
-	mono, hm := runWith(Options{})
-	part, hp := runWith(Options{RepairCPUs: 4, FrameScanCost: 700 * time.Microsecond})
-
-	if !reflect.DeepEqual(classes(mono), classes(part)) {
-		t.Fatalf("verdicts by class diverge:\nmonolithic:  %v\npartitioned: %v", classes(mono), classes(part))
-	}
-	if !reflect.DeepEqual(mono.Sacrificed, part.Sacrificed) {
-		t.Fatalf("sacrifices diverge: monolithic %v, partitioned %v", mono.Sacrificed, part.Sacrificed)
-	}
-	for name, h := range map[string]*hv.Hypervisor{"monolithic": hm, "partitioned": hp} {
-		if r := Run(h, Options{}); len(r.Violations) != len(leftoverEscalations(r)) {
-			t.Fatalf("%s walk left repairable damage: %+v", name, r.Violations)
+		r := Run(h, Options{RepairCPUs: cpus, FrameScanCost: 700 * time.Microsecond})
+		if got := classes(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cpus=%d: verdicts by class = %v, want %v", cpus, got, want)
+		}
+		if !reflect.DeepEqual(r.Sacrificed, []int{1}) {
+			t.Fatalf("cpus=%d: Sacrificed = %v, want [1]", cpus, r.Sacrificed)
+		}
+		if again := Run(h, Options{RepairCPUs: cpus}); len(again.Violations) != len(leftoverEscalations(again)) {
+			t.Fatalf("cpus=%d: walk left repairable damage: %+v", cpus, again.Violations)
+		}
+		r.Timing = recdomain.Timing{}
+		if ref == nil {
+			ref = r
+		} else if !reflect.DeepEqual(ref, r) {
+			t.Fatalf("cpus=%d: findings diverge from cpus=0:\nref: %+v\ngot: %+v", cpus, ref, r)
 		}
 	}
 }
 
-// leftoverEscalations filters a re-audit's violations down to the ones
-// neither walk claims to repair (escalation-class damage persists by
+// TestOneLaneChargesSerialSum: RepairCPUs 0 and 1 are the same one-lane
+// plan, and one lane charges exactly the sum of its units — no
+// coordination pad.
+func TestOneLaneChargesSerialSum(t *testing.T) {
+	at := func(cpus int) *Report {
+		h, _ := newTarget(t)
+		corruptBroadly(t, h, rng())
+		return Run(h, Options{RepairCPUs: cpus, FrameScanCost: 700 * time.Microsecond})
+	}
+	r0, r1 := at(0), at(1)
+	if !reflect.DeepEqual(r0, r1) {
+		t.Fatalf("RepairCPUs 0 and 1 differ:\n0: %+v\n1: %+v", r0, r1)
+	}
+	if r0.Timing.Units == 0 || r0.Timing.Parallel != r0.Timing.Serial {
+		t.Fatalf("one lane charged %v for %d units summing to %v", r0.Timing.Parallel, r0.Timing.Units, r0.Timing.Serial)
+	}
+	var sum time.Duration
+	for _, sp := range r0.Timing.Spans {
+		if sp.Lane != 0 || sp.Start != sum {
+			t.Fatalf("span %q on lane %d at %v, want lane 0 at %v (plan order, back to back)", sp.Name, sp.Lane, sp.Start, sum)
+		}
+		sum += sp.Dur
+	}
+	if sum != r0.Timing.Parallel {
+		t.Fatalf("spans sum to %v, charged %v", sum, r0.Timing.Parallel)
+	}
+}
+
+// leftoverEscalations filters a re-audit's violations down to the ones the
+// walk does not claim to repair (escalation-class damage persists by
 // design: the unowned/Priv heap object stays damaged).
 func leftoverEscalations(r *Report) []Violation {
 	var out []Violation

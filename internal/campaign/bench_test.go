@@ -7,7 +7,7 @@ import (
 )
 
 // throughputConfig is the fixed configuration the campaign-throughput
-// benchmark and cmd/hyperrecover-bench share, so BENCH_campaign.json
+// benchmark and `go run ./benchmark` (failstop_1vm) share, so their
 // numbers are comparable across PRs.
 func throughputConfig() RunConfig {
 	return ThroughputBenchConfig()
@@ -43,9 +43,10 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // always-on telemetry active: metric increments and flight-recorder
 // writes are array stores, so turning observability on must not add
 // per-event allocations. The ceiling sits ~15% above the measured steady
-// state (BENCH_campaign.json) — tight enough to catch a stray per-event
-// allocation (tens of thousands of events per run), loose enough to
-// ignore run-to-run variance in the simulation itself.
+// state (`go run ./benchmark`, failstop_1vm allocs_per_run) — tight enough
+// to catch a stray per-event allocation (tens of thousands of events per
+// run), loose enough to ignore run-to-run variance in the simulation
+// itself.
 func TestForkedRunAllocBudget(t *testing.T) {
 	rc := ThroughputBenchConfig()
 	img, err := buildImage(rc)

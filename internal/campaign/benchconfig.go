@@ -9,11 +9,12 @@ import (
 )
 
 // ThroughputBenchConfig is the fixed run configuration shared by the
-// campaign-throughput benchmark (BenchmarkCampaignThroughput) and
-// cmd/hyperrecover-bench, so the numbers recorded in BENCH_campaign.json
-// stay comparable across changes: a 1AppVM/UnixBench failstop campaign
-// under Microreset with all enhancements and logging on — the paper's
-// primary configuration, and the hottest realistic simulation path.
+// campaign-throughput benchmark (BenchmarkCampaignThroughput) and the
+// failstop workloads of `go run ./benchmark`, so the numbers that ledger
+// records stay comparable across changes: a 1AppVM/UnixBench failstop
+// campaign under Microreset with all enhancements and logging on — the
+// paper's primary configuration, and the hottest realistic simulation
+// path.
 func ThroughputBenchConfig() RunConfig {
 	return RunConfig{
 		Setup:         OneAppVM,

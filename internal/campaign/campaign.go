@@ -32,11 +32,6 @@ type Campaign struct {
 	// the worker's next run once the callback returns (copy-on-retain):
 	// retain r.Clone(), never r itself.
 	OnResult func(Result)
-	// ColdBoot forces every run to boot its own system instead of
-	// forking the per-worker pristine snapshot. The Summary is
-	// bit-identical either way (the equivalence suite asserts it); the
-	// toggle exists for that suite and for debugging snapshot issues.
-	ColdBoot bool
 }
 
 // Summary aggregates a campaign.
@@ -263,7 +258,7 @@ func (c *Campaign) Execute() Summary {
 			for seed := range seeds {
 				rc := c.Base
 				rc.Seed = seed
-				r := c.runOne(rc, images)
+				r := runOne(rc, images)
 				p.add(r)
 				if c.OnResult != nil {
 					mu.Lock()
@@ -285,11 +280,11 @@ func (c *Campaign) Execute() Summary {
 }
 
 // runOne executes one campaign run, forking from the worker's cached boot
-// image when possible. No-injection runs (pure-baseline measurements) and
-// ColdBoot campaigns take the cold path.
-func (c *Campaign) runOne(rc RunConfig, images map[imageKey]*image) Result {
+// image when possible. No-injection runs (pure-baseline measurements) take
+// the cold path.
+func runOne(rc RunConfig, images map[imageKey]*image) Result {
 	rc = rc.withDefaults()
-	if c.ColdBoot || rc.NoInjection {
+	if rc.NoInjection {
 		return Run(rc)
 	}
 	k := keyOf(rc)

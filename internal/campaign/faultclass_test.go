@@ -180,23 +180,15 @@ func TestFaultClassSummariesBitIdenticalAcrossExecution(t *testing.T) {
 		correlated,
 	}
 	for _, base := range bases {
-		var ref Summary
-		first := true
+		ref := executeCold(Campaign{Base: base, Runs: 6})
+		if len(ref.FaultClasses) == 0 {
+			t.Fatalf("%s: summary has no fault-class stats", base.FaultClass())
+		}
 		for _, par := range []int{1, 4} {
-			for _, coldBoot := range []bool{false, true} {
-				c := Campaign{Base: base, Runs: 6, Parallelism: par, ColdBoot: coldBoot}
-				s := c.Execute()
-				if first {
-					if len(s.FaultClasses) == 0 {
-						t.Fatalf("%s: summary has no fault-class stats", base.FaultClass())
-					}
-					ref, first = s, false
-					continue
-				}
-				if !reflect.DeepEqual(ref, s) {
-					t.Fatalf("%s: summary differs (par=%d coldBoot=%v):\n ref: %+v\n got: %+v",
-						base.FaultClass(), par, coldBoot, ref, s)
-				}
+			c := Campaign{Base: base, Runs: 6, Parallelism: par}
+			if s := c.Execute(); !reflect.DeepEqual(ref, s) {
+				t.Fatalf("%s: forked summary differs from cold boot (par=%d):\n ref: %+v\n got: %+v",
+					base.FaultClass(), par, ref, s)
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func TestParallelRepairCutsMicroresetLatency(t *testing.T) {
 // TestParallelRepairSummaryFields checks the new campaign accounting: the
 // partitioned runs are counted, the domain count covers the per-CPU,
 // per-guest and global domains, and the parallel charge beats the
-// serialized total. The serial path must leave all of it zero.
+// serialized total. One recovery CPU must leave all of it zero.
 func TestParallelRepairSummaryFields(t *testing.T) {
 	rc := parallelRepairCfg(inject.Failstop, ThreeAppVM)
 	c := Campaign{Base: rc, Runs: 4, Parallelism: 2, SeedBase: 5}
@@ -111,13 +111,13 @@ func TestParallelRepairSummaryFields(t *testing.T) {
 	c2 := Campaign{Base: rc, Runs: 2, Parallelism: 1, SeedBase: 5}
 	s2 := c2.Execute()
 	if s2.ParallelRepairRuns != 0 || s2.RepairDomains != 0 || s2.SerialRepairLatency != 0 {
-		t.Fatalf("serial path populated parallel accounting: %+v", s2)
+		t.Fatalf("one-lane runs populated parallel accounting: %+v", s2)
 	}
 }
 
 // TestParallelRepairOffMatchesLegacySerialPath: RepairCPUs of 0 and 1
-// must both take the historical serial path and produce bit-identical
-// Summaries — the partition is strictly opt-in.
+// are the same one-lane configuration — serial repair blocks, audit plan
+// charged as the sum of its units — and produce bit-identical Summaries.
 func TestParallelRepairOffMatchesLegacySerialPath(t *testing.T) {
 	run := func(repairCPUs int) Summary {
 		rc := fastCfg(inject.Register, core.Microreset)

@@ -36,7 +36,6 @@ type ShardSpec struct {
 	Runs        int
 	Parallelism int
 	SeedBase    uint64
-	ColdBoot    bool
 }
 
 // Campaign returns the executable campaign this spec describes.
@@ -46,7 +45,6 @@ func (sp ShardSpec) Campaign() Campaign {
 		Runs:        sp.Runs,
 		Parallelism: sp.Parallelism,
 		SeedBase:    sp.SeedBase,
-		ColdBoot:    sp.ColdBoot,
 	}
 }
 
@@ -81,7 +79,6 @@ func PlanShards(c Campaign, n int) []ShardSpec {
 			Runs:        runs,
 			Parallelism: c.Parallelism,
 			SeedBase:    c.SeedBase + uint64(start),
-			ColdBoot:    c.ColdBoot,
 		})
 		start += runs
 	}

@@ -293,7 +293,7 @@ func TestPlanShardsProperty(t *testing.T) {
 	base := fastCfg(inject.Failstop, core.Microreset)
 	for _, runs := range []int{0, 1, 2, 3, 7, 10, 16, 97} {
 		for _, n := range []int{-3, 0, 1, 2, 3, 5, 8, 31, 100} {
-			c := Campaign{Base: base, Runs: runs, Parallelism: 3, SeedBase: uint64(1000 * (runs + 1)), ColdBoot: runs%2 == 0}
+			c := Campaign{Base: base, Runs: runs, Parallelism: 3, SeedBase: uint64(1000 * (runs + 1))}
 			specs := PlanShards(c, n)
 			if runs <= 0 {
 				if specs != nil {
@@ -328,7 +328,7 @@ func TestPlanShardsProperty(t *testing.T) {
 				if sp.SeedBase != next {
 					t.Fatalf("runs=%d n=%d shard %d: SeedBase %d, want %d (gap or overlap)", runs, n, i, sp.SeedBase, next)
 				}
-				if sp.Parallelism != c.Parallelism || sp.ColdBoot != c.ColdBoot || !reflect.DeepEqual(sp.Base, c.Base) {
+				if sp.Parallelism != c.Parallelism || !reflect.DeepEqual(sp.Base, c.Base) {
 					t.Fatalf("runs=%d n=%d shard %d: campaign fields mutated", runs, n, i)
 				}
 				next += uint64(sp.Runs)

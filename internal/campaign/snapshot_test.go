@@ -70,9 +70,24 @@ func TestSnapshotForkMatchesColdBootHVM(t *testing.T) {
 	assertForkMatchesCold(t, rc, []uint64{1, 2})
 }
 
-// TestCampaignSummaryIdenticalSnapshotVsColdBoot is the tentpole's
-// correctness bar: the campaign Summary must be bit-identical with the
-// snapshot cache on and off, at any parallelism.
+// executeCold is the fork path's reference Summary: c's seeds, each
+// cold-booted through Run, aggregated the way a one-worker Execute does.
+func executeCold(c Campaign) Summary {
+	s := Summary{Config: c.Base, Runs: c.Runs,
+		FailReasons: make(map[string]int), SuccessByAttempt: make(map[int]int)}
+	p := Summary{FailReasons: make(map[string]int), SuccessByAttempt: make(map[int]int)}
+	for i := 0; i < c.Runs; i++ {
+		rc := c.Base
+		rc.Seed = c.SeedBase + uint64(i+1)
+		p.add(Run(rc))
+	}
+	s.merge(&p)
+	return s
+}
+
+// TestCampaignSummaryIdenticalSnapshotVsColdBoot is the boot-once
+// executor's correctness bar: the campaign Summary must be bit-identical
+// to the one aggregated from cold-booted runs, at any parallelism.
 func TestCampaignSummaryIdenticalSnapshotVsColdBoot(t *testing.T) {
 	oneVM := fastCfg(inject.Failstop, core.Microreset)
 	oneVM.Setup = OneAppVM
@@ -82,20 +97,12 @@ func TestCampaignSummaryIdenticalSnapshotVsColdBoot(t *testing.T) {
 		adversarialCfg(),
 	}
 	for _, base := range bases {
-		var ref Summary
-		first := true
+		ref := executeCold(Campaign{Base: base, Runs: 6})
 		for _, par := range []int{1, 4} {
-			for _, coldBoot := range []bool{false, true} {
-				c := Campaign{Base: base, Runs: 6, Parallelism: par, ColdBoot: coldBoot}
-				s := c.Execute()
-				if first {
-					ref, first = s, false
-					continue
-				}
-				if !reflect.DeepEqual(ref, s) {
-					t.Fatalf("%v %v: summary differs (par=%d coldBoot=%v):\n ref: %+v\n got: %+v",
-						base.Setup, base.Fault, par, coldBoot, ref, s)
-				}
+			c := Campaign{Base: base, Runs: 6, Parallelism: par}
+			if s := c.Execute(); !reflect.DeepEqual(ref, s) {
+				t.Fatalf("%v %v: forked summary differs from cold boot (par=%d):\n ref: %+v\n got: %+v",
+					base.Setup, base.Fault, par, ref, s)
 			}
 		}
 	}

@@ -201,7 +201,8 @@ type Config struct {
 	// independent domains concurrently, charging the latency as the max
 	// over parallel domains plus the serialized global work on that many
 	// simulated CPUs. When ScanCPUs is unset it also parallelizes the
-	// page-frame scan. 0/1 keeps the historical serial path, bit for bit.
+	// page-frame scan. 0/1 is one recovery CPU: the serial repair blocks,
+	// and the audit's plan charged as the sum of its units.
 	RepairCPUs int
 	// SerialRepairExec executes the partitioned path's units on a single
 	// host goroutine while keeping the identical latency model — the

@@ -302,6 +302,47 @@ func TestAuditRepairsStaticScratchWithoutEscalation(t *testing.T) {
 	}
 }
 
+// TestOneLaneAuditChargedAsSumOfUnits: at one recovery CPU (RepairCPUs 0
+// and 1 alike) the attempt's audit step costs exactly the sum of the audit
+// plan's unit costs — no flat base cost, no coordination pad — and does not
+// count as parallel-repair accounting. The WorstCaseLatency audit bound
+// covers it.
+func TestOneLaneAuditChargedAsSumOfUnits(t *testing.T) {
+	const frames512MB = 512 * 1024 * 1024 / 4096
+	for _, cpus := range []int{0, 1} {
+		cfg := DefaultConfig()
+		cfg.RepairCPUs = cpus
+		cfg.Escalation.Audit = true
+		r := newRig(t, cfg, 512)
+		r.clk.RunUntil(50 * time.Millisecond)
+		r.injectPanicAtBudget(t, 250)
+		r.clk.RunUntil(2 * time.Second)
+		if r.engine.Status() != StatusRecovered || len(r.engine.Attempts) != 1 {
+			t.Fatalf("cpus=%d: status %v after %d attempts (%s)", cpus, r.engine.Status(), len(r.engine.Attempts), r.engine.FailReason)
+		}
+		a := r.engine.Attempts[0]
+		var units time.Duration
+		for _, sp := range a.Audit.Timing.Spans {
+			units += sp.Dur
+		}
+		var charged time.Duration
+		for _, item := range a.Breakdown {
+			if item.Name == "Post-recovery state audit and repair" {
+				charged = item.Dur
+			}
+		}
+		if units == 0 || charged != units {
+			t.Fatalf("cpus=%d: audit step charged %v, its %d units sum to %v", cpus, charged, a.Audit.Timing.Units, units)
+		}
+		if a.Timing.Units != 0 {
+			t.Fatalf("cpus=%d: one-lane attempt reports parallel-repair timing %+v", cpus, a.Timing)
+		}
+		if wc := cfg.WorstCaseLatency(frames512MB); a.Latency > wc {
+			t.Fatalf("cpus=%d: measured %v exceeds WorstCaseLatency %v", cpus, a.Latency, wc)
+		}
+	}
+}
+
 // TestAuditEngineKeepsDeferredWorkAcrossEscalation: a deferred action that
 // trips fresh damage during the first attempt's resume re-enters recovery
 // (re-pausing the system mid-drain); the remaining deferred work must stay

@@ -29,6 +29,18 @@ func scaleByFrames(at8GB time.Duration, frames int) time.Duration {
 	return time.Duration(int64(at8GB) * int64(frames) / framesAt8GB)
 }
 
+// frameScanCost is the page-frame consistency walk's cost over frames
+// descriptors on n cores. More than one core is the §VII-B mitigation: the
+// walk is embarrassingly parallel, so sharding it gives near-linear
+// speedup plus a fixed cost for the recovery CPU coordinating the shards.
+func frameScanCost(frames, n int) time.Duration {
+	cost := scaleByFrames(pfScanCostAt8GB, frames)
+	if n > 1 {
+		cost = cost/time.Duration(n) + parallelScanCoordCost
+	}
+	return cost
+}
+
 // Step costs. The microreset costs itemize Table III's 1 ms "Others"; the
 // page-frame scan is Table III's dominant 21 ms entry (at 8 GB).
 const (
@@ -43,12 +55,11 @@ const (
 	// parallelScanCoordCost is the fixed IPI/merge overhead of sharding
 	// the page-frame scan across cores (the §VII-B mitigation).
 	parallelScanCoordCost = 400 * time.Microsecond
-	// auditBaseCost is the fixed cost of the post-recovery audit walk
-	// over the non-memory-sized structures (domain list, locks, timers,
-	// event channels, grants); the audit's descriptor walk, when the
-	// PF-scan enhancement didn't already pay for it, adds the scaled
-	// pfScanCostAt8GB on top.
-	auditBaseCost = 850 * time.Microsecond
+	// auditFixedBound upper-bounds the post-recovery audit's units over the
+	// non-memory-sized structures (domain list, locks, timers, event
+	// channels, grants, linkage apply) for WorstCaseLatency; the attempt
+	// itself is charged the audit plan's own per-unit costs.
+	auditFixedBound = 1650 * time.Microsecond
 	// reprogramIOAPICCost is the EnhReprogramIOAPIC enhancement's
 	// redirection-table rewrite (a handful of MMIO register writes).
 	reprogramIOAPICCost = 30 * time.Microsecond
@@ -88,13 +99,13 @@ func (en *Engine) charge(name string, d time.Duration) {
 	en.Breakdown = append(en.Breakdown, LatencyStep{Name: name, Dur: d})
 }
 
-// chargeParallel appends one breakdown step whose duration is a
-// recovery-domain plan's parallel makespan — the max over concurrent
-// domains plus the serialized global levels — and records every unit's
-// span in the flight recorder at its scheduled offset, so the timeline
-// export shows the per-domain phases overlapping where charge would
-// render one serialized block.
-func (en *Engine) chargeParallel(name string, tm recdomain.Timing) {
+// chargePlan appends one breakdown step whose duration is a
+// recovery-domain plan's charged makespan — the max over concurrent
+// domains plus the serialized global levels; at one lane, the sum of the
+// units — and records every unit's span in the flight recorder at its
+// scheduled offset, so the timeline export shows the per-domain phases
+// (overlapping where lanes allow) where charge would render one block.
+func (en *Engine) chargePlan(name string, tm recdomain.Timing) {
 	at := en.H.Clock.Now() + en.totalLatency()
 	for _, sp := range tm.Spans {
 		en.H.Tel.RecordAt(at+sp.Start, en.lastEvent.CPU, telemetry.EvPhase,
@@ -120,7 +131,7 @@ func (en *Engine) runRepairPlan(enh Enhancements) {
 			lv.Units = append(lv.Units, recdomain.Unit{
 				Dom:  recdomain.Domain{Kind: recdomain.PerCPU, ID: cpu},
 				Name: fmt.Sprintf("repair.irq.cpu%d", cpu), Cost: per,
-				Run:  func() { h.ClearIRQCountOn(cpu) },
+				Run: func() { h.ClearIRQCountOn(cpu) },
 			})
 		}
 	}
@@ -128,7 +139,7 @@ func (en *Engine) runRepairPlan(enh Enhancements) {
 		lv.Units = append(lv.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.Global},
 			Name: "repair.sched", Cost: schedRepairCost,
-			Run:  func() { h.Sched.RepairFromPerCPU() },
+			Run: func() { h.Sched.RepairFromPerCPU() },
 		})
 	}
 	workers := en.Cfg.RepairCPUs
@@ -136,7 +147,7 @@ func (en *Engine) runRepairPlan(enh Enhancements) {
 		workers = 1
 	}
 	tm := recdomain.Plan{Levels: []recdomain.Level{lv}}.Execute(en.Cfg.RepairCPUs, workers)
-	en.chargeParallel("Parallel domain repair", tm)
+	en.chargePlan("Parallel domain repair", tm)
 	cur := &en.Attempts[len(en.Attempts)-1]
 	cur.Timing.Merge(tm)
 }
@@ -236,14 +247,7 @@ func (c Config) WorstCaseLatency(frames int) time.Duration {
 	for i := 0; i < n; i++ {
 		total += mechanismWorstLatency(c.MechanismFor(i), frames)
 		if c.Escalation.Audit {
-			total += auditBaseCost + scaleByFrames(pfScanCostAt8GB, frames)
-			if c.RepairCPUs > 1 {
-				// The partitioned walk pays fixed per-domain and
-				// linkage-apply overheads the monolithic base cost does
-				// not; at small memory sizes they can exceed the scan
-				// savings.
-				total += 2 * parallelScanCoordCost
-			}
+			total += auditFixedBound + scaleByFrames(pfScanCostAt8GB, frames)
 		}
 	}
 	total += time.Duration(n-1) * c.Escalation.GraceWindow

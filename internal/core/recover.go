@@ -61,10 +61,15 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 
 	enh := en.Cfg.Enhancements
 	reboot := mech.Reboots()
-	// Recovery-domain-partitioned repair applies to in-place rungs only: a
-	// reboot rung re-initializes whole state families at once, so there is
-	// nothing to partition (and Table II's boot costs dwarf any overlap).
-	parallel := en.Cfg.RepairCPUs > 1 && !reboot
+	// lanes is the number of simulated recovery CPUs the rung's repair and
+	// audit plans are scheduled on. More than one applies to in-place rungs
+	// only: a reboot rung re-initializes whole state families at once, so
+	// there is nothing to partition (and Table II's boot costs dwarf any
+	// overlap).
+	lanes := 1
+	if en.Cfg.RepairCPUs > 1 && !reboot {
+		lanes = en.Cfg.RepairCPUs
+	}
 
 	// --- state repair, charged to the latency breakdown ------------------
 
@@ -99,26 +104,21 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 	if enh.Has(EnhPFScan) {
 		en.PFRepaired = h.Frames.ScanAndRepair()
 		if !reboot {
-			cost := scaleByFrames(pfScanCostAt8GB, h.Machine.PageFrames())
 			label := "Restore and check consistency of page frame entries"
 			n := en.Cfg.ScanCPUs
-			if parallel && n <= 1 {
+			if n <= 1 {
 				// Partitioned repair has the recovery CPUs idle during the
 				// scan; use them for the §VII-B sharded walk too.
-				n = en.Cfg.RepairCPUs
+				n = lanes
 			}
 			if n > 1 {
-				// §VII-B mitigation: shard the descriptor walk across
-				// cores. The recovery CPU coordinates; near-linear
-				// speedup since the walk is embarrassingly parallel.
-				cost = cost/time.Duration(n) + parallelScanCoordCost
 				label = fmt.Sprintf("%s (%d cores)", label, n)
 			}
-			en.charge(label, cost)
+			en.charge(label, frameScanCost(h.Machine.PageFrames(), n))
 		}
 	}
 
-	if parallel && (enh.Has(EnhClearIRQCount) || enh.Has(EnhSchedConsistency)) {
+	if lanes > 1 && (enh.Has(EnhClearIRQCount) || enh.Has(EnhSchedConsistency)) {
 		// The partitioned path performs the same IRQ and scheduler repairs
 		// as the serial blocks below, as one concurrent recovery-domain
 		// level charged at its makespan.
@@ -179,16 +179,13 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 		aOpts := audit.Options{
 			SkipFrames: enh.Has(EnhPFScan),
 			SkipSched:  enh.Has(EnhSchedConsistency) || reboot,
+			RepairCPUs: lanes,
+			SerialExec: en.Cfg.SerialRepairExec,
 		}
-		if parallel {
-			aOpts.RepairCPUs = en.Cfg.RepairCPUs
-			aOpts.SerialExec = en.Cfg.SerialRepairExec
-			if !aOpts.SkipFrames {
-				// The audit's descriptor walk, sharded like the PF-scan
-				// enhancement's.
-				aOpts.FrameScanCost = scaleByFrames(pfScanCostAt8GB, h.Machine.PageFrames())/
-					time.Duration(en.Cfg.RepairCPUs) + parallelScanCoordCost
-			}
+		if !aOpts.SkipFrames {
+			// The audit's descriptor walk, sharded like the PF-scan
+			// enhancement's.
+			aOpts.FrameScanCost = frameScanCost(h.Machine.PageFrames(), lanes)
 		}
 		rep := audit.Run(h, aOpts)
 		cur := &en.Attempts[len(en.Attempts)-1]
@@ -203,18 +200,14 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 			// re-injection scenario arms itself here.
 			en.OnAuditDegraded()
 		}
-		if parallel {
-			en.chargeParallel("Post-recovery state audit and repair (parallel domains)", rep.Timing)
+		label := "Post-recovery state audit and repair"
+		if lanes > 1 {
+			// Attempt.Timing is the serialized-vs-parallel comparison; a
+			// one-lane plan has nothing to compare.
+			label += " (parallel domains)"
 			cur.Timing.Merge(rep.Timing)
-		} else {
-			cost := auditBaseCost
-			if !enh.Has(EnhPFScan) {
-				// The audit's own descriptor walk; same cost model as the
-				// PF-scan enhancement.
-				cost += scaleByFrames(pfScanCostAt8GB, h.Machine.PageFrames())
-			}
-			en.charge("Post-recovery state audit and repair", cost)
 		}
+		en.chargePlan(label, rep.Timing)
 	}
 
 	if !reboot {

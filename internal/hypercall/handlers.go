@@ -720,12 +720,7 @@ func doDomctlInsert(e *Env, st *Step) error {
 		return nil
 	}
 	spec := st.C.Create
-	e.LogWrite("domctl_create: undo insert", LogCostDomctl, func() {
-		if d, err := e.Domains.ByID(spec.ID); err == nil {
-			_ = e.DestroyDomain(d.ID)
-		}
-		e.scr.created = false
-	})
+	e.logWriteRecord(LogCostDomctl, UndoRecord{Desc: "domctl_create: undo insert", Kind: UndoDomctlCreate, Env: e, Arg: spec.ID})
 	if err := e.CreateDomain(*spec); err != nil {
 		return assertf("domctl_create: %v", err)
 	}

@@ -665,13 +665,23 @@ func TestCallString(t *testing.T) {
 }
 
 func TestUndoLogRollbackOrder(t *testing.T) {
+	// Maptrack handles are handed out in increasing order, so the order in
+	// which re-map records are applied is visible in Mappings().
+	gt, mt := grant.NewTable(1, 8), grant.NewMaptrack(0)
+	d := &dom.Domain{GrantTab: gt, Maptrack: mt}
 	u := NewUndoLog()
-	var got []int
-	u.Record("a", func() { got = append(got, 1) })
-	u.Record("b", func() { got = append(got, 2) })
-	u.Record("c", func() { got = append(got, 3) })
+	for ref := 1; ref <= 3; ref++ {
+		if err := gt.Grant(ref, 100+ref, false); err != nil {
+			t.Fatal(err)
+		}
+		u.RecordData(UndoRecord{Kind: UndoMaptrackMap, Dom: d, Arg: ref})
+	}
 	if n := u.Rollback(); n != 3 {
 		t.Fatalf("Rollback = %d, want 3", n)
+	}
+	var got []int
+	for _, mp := range mt.Mappings() {
+		got = append(got, mp.Ref)
 	}
 	if len(got) != 3 || got[0] != 3 || got[2] != 1 {
 		t.Fatalf("rollback order = %v, want reverse [3 2 1]", got)

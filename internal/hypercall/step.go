@@ -249,21 +249,12 @@ func (e *Env) ResetProgramState() {
 	e.ExtraCycles = 0
 }
 
-// LogWrite records an undo action for a critical-variable write if logging
-// is enabled, charging the class-specific logging overhead. Handlers call
-// it immediately before performing the write.
-func (e *Env) LogWrite(desc string, cycles uint64, undo func()) {
-	if !e.LoggingEnabled {
-		return
-	}
-	e.Undo.Record(desc, undo)
-	e.ExtraCycles += cycles
-}
-
-// logWriteRecord is LogWrite for data-driven undo records: the hot handlers
-// use it so a critical write logs plain data instead of allocating a
-// closure capture (the campaign fast path logs tens of thousands of undo
-// records per run).
+// logWriteRecord records an undo action for a critical-variable write if
+// logging is enabled, charging the class-specific logging overhead.
+// Handlers call it immediately before performing the write. Records are
+// plain data rather than closures: the campaign fast path logs tens of
+// thousands of undo records per run, and a closure capture would allocate
+// per write.
 func (e *Env) logWriteRecord(cycles uint64, r UndoRecord) {
 	if !e.LoggingEnabled {
 		return

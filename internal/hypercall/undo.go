@@ -9,21 +9,17 @@ import (
 // UndoKind selects a data-driven undo action. The hot handlers (MMU
 // pin/unpin, memory_op, grant map/unmap, EPT populate/unmap) log one undo
 // record per critical write on the campaign fast path; closure-based
-// records would allocate a capture per write, so the common reversals are
-// encoded as plain data applied by UndoRecord.apply instead. UndoFunc
-// remains for the rare records (domctl) whose reversal is irreducibly a
-// callback.
+// records would allocate a capture per write, so every reversal is encoded
+// as plain data applied by UndoRecord.apply instead.
 type UndoKind uint8
 
 // Undo record kinds.
 const (
-	// UndoFunc runs the record's Undo closure (legacy/rare path).
-	UndoFunc UndoKind = iota
 	// UndoFrameUseDelta adds Arg to Frame.UseCount (raw counter reversal,
 	// deliberately bypassing the IncUse/DecUse assertions: rollback must
 	// restore state even when the forward path's invariants no longer
 	// hold).
-	UndoFrameUseDelta
+	UndoFrameUseDelta UndoKind = iota + 1
 	// UndoFrameRevalidate sets Frame.Validated back to true.
 	UndoFrameRevalidate
 	// UndoTotPagesDelta adds Arg to Dom.TotPages.
@@ -34,6 +30,10 @@ const (
 	// UndoMaptrackMap reverses a grant unmap: Dom.Maptrack.Map(Dom.GrantTab,
 	// Arg) with Arg holding the grant ref.
 	UndoMaptrackMap
+	// UndoDomctlCreate reverses domctl_create's insert: destroy domain Arg
+	// if it exists and clear Env's created scratch, so the retry inserts
+	// again.
+	UndoDomctlCreate
 )
 
 // UndoRecord is one logged critical-variable write. Kind selects how the
@@ -42,19 +42,15 @@ type UndoRecord struct {
 	Desc string
 	Kind UndoKind
 
-	// Undo is the UndoFunc reversal callback (nil for data-driven kinds).
-	Undo func()
-
 	Frame *mm.PageFrame
 	Dom   *dom.Domain
+	Env   *Env
 	Arg   int
 }
 
 // apply performs the reversal.
 func (r *UndoRecord) apply() {
 	switch r.Kind {
-	case UndoFunc:
-		r.Undo()
 	case UndoFrameUseDelta:
 		r.Frame.UseCount += r.Arg
 	case UndoFrameRevalidate:
@@ -65,6 +61,11 @@ func (r *UndoRecord) apply() {
 		r.Dom.Maptrack.Unmap(grant.Handle(r.Arg), r.Dom.GrantTab)
 	case UndoMaptrackMap:
 		r.Dom.Maptrack.Map(r.Dom.GrantTab, r.Arg)
+	case UndoDomctlCreate:
+		if _, err := r.Env.Domains.ByID(r.Arg); err == nil {
+			_ = r.Env.DestroyDomain(r.Arg)
+		}
+		r.Env.scr.created = false
 	}
 }
 
@@ -89,13 +90,7 @@ type UndoLog struct {
 // NewUndoLog returns an empty log.
 func NewUndoLog() *UndoLog { return &UndoLog{} }
 
-// Record appends a closure-based undo action.
-func (u *UndoLog) Record(desc string, undo func()) {
-	u.records = append(u.records, UndoRecord{Desc: desc, Kind: UndoFunc, Undo: undo})
-	u.Writes++
-}
-
-// RecordData appends a data-driven undo record.
+// RecordData appends an undo record.
 func (u *UndoLog) RecordData(r UndoRecord) {
 	u.records = append(u.records, r)
 	u.Writes++

@@ -253,31 +253,11 @@ func (s *Subsystem) PendingCount(cpu int) int { return s.heaps[cpu].Len() }
 // until repaired.
 const stallDelta = time.Hour
 
-// queuedRecurring returns the queued recurring timers in deterministic
-// (CPU, Name) order. Heap-slice layout is not deterministic across
-// identical runs (reactivation pushes in map order), so corruption and
-// audit walks must never use it for ordering.
-func (s *Subsystem) queuedRecurring() []*Timer {
-	var out []*Timer
-	for cpu := range s.heaps {
-		for _, t := range s.heaps[cpu] {
-			if t.Recurring() {
-				out = append(out, t)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CPU != out[j].CPU {
-			return out[i].CPU < out[j].CPU
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // queuedRecurringOn returns one CPU's queued recurring timers sorted by
-// name — the per-CPU slice of queuedRecurring. It reads only cpu's heap,
-// so concurrent calls for distinct CPUs are safe.
+// name. Heap-slice layout is not deterministic across identical runs
+// (reactivation pushes in map order), so corruption and audit walks must
+// never use it for ordering. It reads only cpu's heap, so concurrent calls
+// for distinct CPUs are safe.
 func (s *Subsystem) queuedRecurringOn(cpu int) []*Timer {
 	var out []*Timer
 	for _, t := range s.heaps[cpu] {
@@ -290,8 +270,15 @@ func (s *Subsystem) queuedRecurringOn(cpu int) []*Timer {
 }
 
 // CheckHealthOn audits one CPU's queued recurring timers against their
-// liveness bounds — the per-CPU recovery-domain slice of CheckHealth.
-// Read-only over cpu's heap; safe to run concurrently for distinct CPUs.
+// liveness bounds: a healthy queued recurring timer's deadline lies in
+// (now-Period, now+Period]. Deadlines beyond now+Period are stalled (the
+// timer will not fire when it should); deadlines more than a full period
+// in the past are buried (popped order is violated — the timer was due
+// long ago). One-shot timers carry guest-chosen deadlines the hypervisor
+// cannot bound, so they are not checked. Results are sorted by timer name;
+// both the count and the contents are deterministic regardless of
+// heap-slice layout. Read-only over cpu's heap; safe to run concurrently
+// for distinct CPUs.
 func (s *Subsystem) CheckHealthOn(cpu int, now time.Duration) []string {
 	var out []string
 	for _, t := range s.queuedRecurringOn(cpu) {
@@ -306,11 +293,12 @@ func (s *Subsystem) CheckHealthOn(cpu int, now time.Duration) []string {
 
 // RepairHeapOn clamps cpu's out-of-bounds recurring deadlines to one
 // period from now and restores cpu's heap property, returning the number
-// of deadlines fixed. Unlike RepairHeaps it does NOT reprogram the APIC:
-// APIC programming goes through the shared virtual clock, so the
-// partitioned audit reprograms all CPUs in a serialized apply step after
-// the concurrent per-CPU repairs join. Writes only cpu's heap and timers
-// homed on cpu; safe concurrently for distinct CPUs.
+// of deadlines fixed; the timers fire again within one period of the
+// repair. It does NOT reprogram the APIC: APIC programming goes through
+// the shared virtual clock, so the audit reprograms the touched CPUs in a
+// serialized apply step after the concurrent per-CPU repairs join. Writes
+// only cpu's heap and timers homed on cpu; safe concurrently for distinct
+// CPUs.
 func (s *Subsystem) RepairHeapOn(cpu int, now time.Duration) int {
 	fixed := 0
 	for _, t := range s.queuedRecurringOn(cpu) {
@@ -357,7 +345,11 @@ func (s *Subsystem) ReactivateRecurringOn(cpu int, now time.Duration) int {
 // silent — liveness violation) or burying it in the past without
 // re-heapifying (ordering violation). Returns a short description.
 func (s *Subsystem) CorruptRandom(rng *rand.Rand) string {
-	cands := s.queuedRecurring()
+	// Candidates in (CPU, name) order.
+	var cands []*Timer
+	for cpu := range s.heaps {
+		cands = append(cands, s.queuedRecurringOn(cpu)...)
+	}
 	if len(cands) == 0 {
 		return "no queued recurring timers"
 	}
@@ -368,47 +360,6 @@ func (s *Subsystem) CorruptRandom(rng *rand.Rand) string {
 	}
 	t.Deadline += stallDelta + time.Duration(rng.Int64N(int64(time.Hour)))
 	return fmt.Sprintf("cpu%d %s stalled", t.CPU, t.Name)
-}
-
-// CheckHealth audits queued recurring timers against their liveness bounds:
-// a healthy queued recurring timer's deadline lies in
-// (now-Period, now+Period]. Deadlines beyond now+Period are stalled
-// (the timer will not fire when it should); deadlines more than a full
-// period in the past are buried (popped order is violated — the timer was
-// due long ago). One-shot timers carry guest-chosen deadlines the
-// hypervisor cannot bound, so they are not checked. Results are sorted;
-// both the count and the contents are deterministic regardless of
-// heap-slice layout.
-func (s *Subsystem) CheckHealth(now time.Duration) []string {
-	var out []string
-	for _, t := range s.queuedRecurring() {
-		if t.Deadline > now+t.Period {
-			out = append(out, fmt.Sprintf("cpu%d %s stalled (deadline %v, now %v, period %v)", t.CPU, t.Name, t.Deadline, now, t.Period))
-		} else if t.Deadline+t.Period < now {
-			out = append(out, fmt.Sprintf("cpu%d %s overdue by more than a period (deadline %v, now %v)", t.CPU, t.Name, t.Deadline, now))
-		}
-	}
-	return out
-}
-
-// RepairHeaps clamps every out-of-bounds recurring deadline to one period
-// from now, restores the heap property on every CPU, and reprograms the
-// APICs. Returns the number of deadlines fixed. This is the audit-side
-// repair for timer-heap corruption; the timers fire again within one
-// period of the repair.
-func (s *Subsystem) RepairHeaps(now time.Duration) int {
-	fixed := 0
-	for _, t := range s.queuedRecurring() {
-		if t.Deadline > now+t.Period || t.Deadline+t.Period < now {
-			t.Deadline = now + t.Period
-			fixed++
-		}
-	}
-	for cpu := range s.heaps {
-		heap.Init(&s.heaps[cpu])
-		s.ProgramAPIC(cpu)
-	}
-	return fixed
 }
 
 // NumCPUs returns the CPU count the subsystem was built for.
