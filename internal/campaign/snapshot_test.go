@@ -7,6 +7,7 @@ import (
 	"nilihype/internal/core"
 	"nilihype/internal/guest"
 	"nilihype/internal/inject"
+	"nilihype/internal/mm"
 )
 
 // assertForkMatchesCold runs rc once cold-booted and once forked from a
@@ -68,6 +69,83 @@ func TestSnapshotForkMatchesColdBootHVM(t *testing.T) {
 	rc.Setup = OneAppVM
 	rc.HVM = true
 	assertForkMatchesCold(t, rc, []uint64{1, 2})
+}
+
+// fullWalkInconsistent is the frame-table consistency walk over every
+// descriptor, written against the by-value accessor alone: it shares no
+// code with the table's dirty set, which is what it checks.
+func fullWalkInconsistent(ft *mm.FrameTable) []int {
+	var out []int
+	for i := 0; i < ft.Len(); i++ {
+		if f := ft.At(i); f.Type == mm.FramePageTable && (f.UseCount > 0) != f.Validated {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestSnapshotForkDirtySetMatchesFullWalk holds the dirty-chunk frame
+// table to two oracles that ignore the dirty set, after every run of every
+// shape the fork-equivalence tests cover: the incremental consistency scan
+// must report exactly what a walk over all descriptors finds, and a
+// restore must leave every descriptor equal to the pristine table, not
+// just the ones in chunks the run is known to have touched. A write path
+// that forgets to mark (Frame, AssignRange, CorruptRandomDescriptor) fails
+// one or the other. The parallel-repair shape also puts the one-lane
+// marking rule under -race.
+func TestSnapshotForkDirtySetMatchesFullWalk(t *testing.T) {
+	oneVM := func(fault inject.FaultType, wl guest.Kind, hvm bool) RunConfig {
+		rc := fastCfg(fault, core.Microreset)
+		rc.Setup, rc.Workload, rc.HVM = OneAppVM, wl, hvm
+		return rc
+	}
+	shapes := []struct {
+		name string
+		rc   RunConfig
+	}{
+		{"1vm-failstop", oneVM(inject.Failstop, guest.UnixBench, false)},
+		{"1vm-register", oneVM(inject.Register, guest.NetBench, false)},
+		{"1vm-hvm", oneVM(inject.Register, guest.UnixBench, true)},
+		{"3vm-failstop", fastCfg(inject.Failstop, core.Microreset)},
+		{"3vm-register", fastCfg(inject.Register, core.Microreset)},
+		{"microreboot", fastCfg(inject.Code, core.Microreboot)},
+		{"adversarial", adversarialCfg()},
+		{"privvm-restart", ladderCfg(inject.PrivVMCrash)},
+		{"parallel-repair", parallelRepairCfg(inject.Code, ThreeAppVM)},
+	}
+	for _, shape := range shapes {
+		rc := shape.rc
+		t.Run(shape.name, func(t *testing.T) {
+			img, err := buildImage(rc)
+			if err != nil {
+				t.Fatalf("buildImage: %v", err)
+			}
+			ft := img.h.Frames
+			pristine := make([]mm.PageFrame, ft.Len())
+			for i := range pristine {
+				pristine[i] = ft.At(i)
+			}
+			// Ten seeds: the code-fault shapes first corrupt a descriptor in
+			// a chunk nothing else touched at seeds 7 and 9.
+			for seed := uint64(1); seed <= 10; seed++ {
+				rc.Seed = seed
+				img.run(rc)
+				if got, want := ft.InconsistentFrames(), fullWalkInconsistent(ft); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: dirty-chunk scan found %v, full walk %v", seed, got, want)
+				}
+				img.h.Restore(img.snap)
+				img.world.Restore(img.wsnap)
+				for i, want := range pristine {
+					if got := ft.At(i); got != want {
+						t.Fatalf("seed %d: frame %d is %+v after restore, pristine %+v", seed, i, got, want)
+					}
+				}
+				if bad := ft.InconsistentFrames(); len(bad) != 0 {
+					t.Fatalf("seed %d: restored table reports inconsistent frames %v", seed, bad)
+				}
+			}
+		})
+	}
 }
 
 // executeCold is the fork path's reference Summary: c's seeds, each
@@ -175,8 +253,8 @@ func TestRestoreIsAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkSnapshotRestore times a bare snapshot restore (dominated by the
-// page-frame table memmove).
+// BenchmarkSnapshotRestore times a bare snapshot restore. Only the first
+// iteration finds anything dirty; the rest measure the restore's floor.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	rc := ThroughputBenchConfig()
 	img, err := buildImage(rc)

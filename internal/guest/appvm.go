@@ -294,7 +294,7 @@ func (vm *AppVM) unixIteration() {
 	// straight into the (pooled) process record.
 	p := vm.procs.fork()
 	for _, f := range newPins {
-		if vm.W.H.Frames.Frame(f).Validated {
+		if vm.W.H.Frames.At(f).Validated {
 			p.PageTables = append(p.PageTables, f)
 		}
 	}
@@ -429,7 +429,7 @@ func (vm *AppVM) pickGuestFrameExcluding(exclude []int) int {
 	}
 	for tries := 0; tries < 64; tries++ {
 		f := d.MemStart + vm.rng.IntN(d.MemCount)
-		if vm.W.H.Frames.Frame(f).UseCount == 0 && !containsFrame(exclude, f) {
+		if vm.W.H.Frames.At(f).UseCount == 0 && !containsFrame(exclude, f) {
 			return f
 		}
 	}
@@ -494,7 +494,7 @@ func (vm *AppVM) hvmUnixIteration() {
 			vm.gotScratch = got
 			return
 		}
-		if vm.W.H.Frames.Frame(frame).Validated {
+		if vm.W.H.Frames.At(frame).Validated {
 			got = append(got, frame)
 		}
 	}

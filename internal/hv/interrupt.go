@@ -251,8 +251,32 @@ func (h *Hypervisor) irqFixed(cpu int) *irqFixedSteps {
 			pc.Env.Release(h.Sched.RunqueueLock(cpu))
 			return nil
 		}}
+		fx.devEnterIRQ = hypercall.Step{Name: "enter_irq", Instrs: 40, Do: fx.enterIRQ.Do}
+		fx.postBlkEvent = hypercall.Step{Name: "post_blk_event", Instrs: 60, Do: func(_ *hypercall.Env, st *hypercall.Step) error {
+			d, err := h.Domains.ByID(st.Arg)
+			if err != nil {
+				return err
+			}
+			return h.RaiseVIRQ(d, evtchn.VIRQBlock)
+		}}
+		fx.postNICEvent = hypercall.Step{Name: "post_nic_event", Instrs: 60, Do: func(_ *hypercall.Env, st *hypercall.Step) error {
+			if h.nicRxHook != nil {
+				h.nicRxHook(pc.irqPkts[st.Arg])
+			}
+			return nil
+		}}
+		fx.eoiBlock = h.eoiStep(hw.IRQBlock)
+		fx.eoiNIC = h.eoiStep(hw.IRQNIC)
 	}
 	return fx
+}
+
+// eoiStep builds the device handler's IO-APIC acknowledge step for line.
+func (h *Hypervisor) eoiStep(line hw.IRQLine) hypercall.Step {
+	return hypercall.Step{Name: "eoi", Instrs: 30, Do: func(*hypercall.Env, *hypercall.Step) error {
+		h.Machine.IOAPIC().EOI(line)
+		return nil
+	}}
 }
 
 // appendSchedSoftirq appends the scheduler softirq to a timer-IRQ program:
@@ -297,55 +321,33 @@ func (h *Hypervisor) switchRegisterContext(cpu int, prev, next *sched.VCPU) {
 // A fault between reading and the EOI leaves the line in service — the
 // reason recovery must acknowledge all pending and in-service interrupts
 // (§III-B).
+//
+// Like buildTimerIRQ it allocates nothing: the program is stamped into the
+// CPU's reusable step buffer from cached steps, and each completion or
+// packet rides on its step as data (Step.Arg).
 func (h *Hypervisor) buildDeviceIRQ(cpu int, line hw.IRQLine) hypercall.Program {
 	pc := h.percpu[cpu]
-	prog := hypercall.Program{
-		{Name: "enter_irq", Instrs: 40, Do: func(*hypercall.Env, *hypercall.Step) error {
-			pc.LocalIRQCount++
-			return nil
-		}},
-	}
+	fx := h.irqFixed(cpu)
+	prog := append(pc.irqProg[:0], fx.devEnterIRQ)
 	switch line {
 	case hw.IRQBlock:
-		comps := h.Machine.Block().DrainCompletions()
-		for _, c := range comps {
-			c := c
-			prog = append(prog, hypercall.Step{
-				Name: "post_blk_event", Instrs: 60,
-				Do: func(*hypercall.Env, *hypercall.Step) error {
-					d, err := h.Domains.ByID(c.Req.Owner)
-					if err != nil {
-						return err
-					}
-					return h.RaiseVIRQ(d, evtchn.VIRQBlock)
-				},
-			})
+		for _, c := range h.Machine.Block().DrainCompletions() {
+			st := fx.postBlkEvent
+			st.Arg = c.Req.Owner
+			prog = append(prog, st)
 		}
+		prog = append(prog, fx.eoiBlock)
 	case hw.IRQNIC:
-		pkts := h.Machine.NIC().DrainRx()
-		for _, p := range pkts {
-			p := p
-			prog = append(prog, hypercall.Step{
-				Name: "post_nic_event", Instrs: 60,
-				Do: func(*hypercall.Env, *hypercall.Step) error {
-					if h.nicRxHook != nil {
-						h.nicRxHook(p)
-					}
-					return nil
-				},
-			})
+		pc.irqPkts = h.Machine.NIC().DrainRx()
+		for i := range pc.irqPkts {
+			st := fx.postNICEvent
+			st.Arg = i
+			prog = append(prog, st)
 		}
+		prog = append(prog, fx.eoiNIC)
 	}
-	prog = append(prog,
-		hypercall.Step{Name: "eoi", Instrs: 30, Do: func(*hypercall.Env, *hypercall.Step) error {
-			h.Machine.IOAPIC().EOI(line)
-			return nil
-		}},
-		hypercall.Step{Name: "exit_irq", Instrs: 30, Do: func(*hypercall.Env, *hypercall.Step) error {
-			pc.LocalIRQCount--
-			return nil
-		}},
-	)
+	prog = append(prog, fx.exitIRQ)
+	pc.irqProg = prog
 	return prog
 }
 

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"nilihype/internal/hw"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/locking"
 )
@@ -60,17 +61,23 @@ type PerCPU struct {
 	// retry is poisoned — the undo log cannot be trusted.
 	abandonedUnmitigated bool
 
-	// irqFixedSteps caches the timer-IRQ program steps whose closures
-	// capture only per-CPU state. The handler is rebuilt on every timer
-	// tick; without the cache each rebuild re-allocates these closures.
+	// irqFixedSteps caches the timer- and device-IRQ program steps whose
+	// closures capture only per-CPU state. The handlers are rebuilt on
+	// every interrupt; without the cache each rebuild re-allocates these
+	// closures.
 	irqFixedSteps irqFixedSteps
 
-	// irqProg is the reusable step buffer the timer interrupt handler is
-	// built into on every tick (the hypercall analogue is Env's program
-	// buffer). Safe to recycle because at most one program is in flight
-	// per CPU — a busy or stuck CPU refuses further interrupts — and an
-	// interrupted IRQ program is discarded by recovery, never resumed.
+	// irqProg is the reusable step buffer the timer and device interrupt
+	// handlers are built into on every interrupt (the hypercall analogue
+	// is Env's program buffer). Safe to recycle because at most one
+	// program is in flight per CPU — a busy or stuck CPU refuses further
+	// interrupts — and an interrupted IRQ program is discarded by
+	// recovery, never resumed.
 	irqProg hypercall.Program
+
+	// irqPkts is the RX batch the NIC handler in irqProg is delivering;
+	// its post_nic_event steps index it through Step.Arg.
+	irqPkts []hw.Packet
 }
 
 // irqFixedSteps holds a CPU's cached fixed IRQ program steps (see the
@@ -82,6 +89,14 @@ type irqFixedSteps struct {
 	lockRunq      hypercall.Step
 	creditTick    hypercall.Step
 	unlockRunq    hypercall.Step
+
+	// Device-IRQ steps. The post steps are templates: buildDeviceIRQ
+	// stamps Arg per completion or packet.
+	devEnterIRQ  hypercall.Step
+	postBlkEvent hypercall.Step
+	postNICEvent hypercall.Step
+	eoiBlock     hypercall.Step
+	eoiNIC       hypercall.Step
 }
 
 // Busy reports whether the CPU is currently inside hypervisor execution.

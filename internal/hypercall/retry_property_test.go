@@ -142,8 +142,8 @@ func TestPropertyRetryAfterAnyPrefix(t *testing.T) {
 func snapshotState(fx *fixture) string {
 	var counts, validated int
 	for i := 0; i < fx.frames.Len(); i++ {
-		f := fx.frames.Frame(i)
-		counts += f.UseCount
+		f := fx.frames.At(i)
+		counts += int(f.UseCount)
 		if f.Validated {
 			validated++
 		}

@@ -53,6 +53,11 @@ type Step struct {
 	// instead of per-tick closures. Nil outside timer-IRQ programs.
 	T *xentime.Timer
 
+	// Arg is a small integer operand for device-IRQ steps, bound like C
+	// and T so their bodies are shared too: the owning domain of a block
+	// completion, or the index of a packet in the CPU's drained RX batch.
+	Arg int
+
 	// Do performs the step's state mutation against e, reading call
 	// arguments from st.C (st is the step itself). A non-nil error is a
 	// failed hypervisor assertion (panic). A *SpinError is a spin on a

@@ -52,7 +52,7 @@ type UndoRecord struct {
 func (r *UndoRecord) apply() {
 	switch r.Kind {
 	case UndoFrameUseDelta:
-		r.Frame.UseCount += r.Arg
+		r.Frame.UseCount += int32(r.Arg)
 	case UndoFrameRevalidate:
 		r.Frame.Validated = true
 	case UndoTotPagesDelta:

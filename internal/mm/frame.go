@@ -17,11 +17,12 @@ package mm
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 )
 
 // FrameType classifies a physical page frame.
-type FrameType int
+type FrameType uint8
 
 // Frame types.
 const (
@@ -53,12 +54,13 @@ const NoDomain = -1
 // PageFrame is one page frame descriptor. UseCount and Validated are the
 // two components the paper calls out as separately updated and therefore
 // vulnerable to being left inconsistent by a partially executed hypercall
-// (§VII-B).
+// (§VII-B). The fields are packed into 8 bytes: an 8 GB host has 2 M of
+// these, and every boot image holds the table twice (live + snapshot).
 type PageFrame struct {
 	Type      FrameType
-	Owner     int // owning domain, NoDomain if none
-	UseCount  int // reference/type count
 	Validated bool
+	Owner     int16 // owning domain, NoDomain if none
+	UseCount  int32 // reference/type count
 }
 
 // consistent reports whether the descriptor satisfies the invariant the
@@ -71,17 +73,55 @@ func (f *PageFrame) consistent() bool {
 	return (f.UseCount > 0) == f.Validated
 }
 
+// chunkFrames is the dirty-tracking granularity: one dirty bit covers this
+// many consecutive descriptors (512 bytes of table).
+const (
+	chunkShift  = 6
+	chunkFrames = 1 << chunkShift
+)
+
 // FrameTable is the array of page frame descriptors covering physical
-// memory.
+// memory, plus one dirty set: a bitmap with one bit per chunk of
+// chunkFrames descriptors. The invariant is
+//
+//	a clear bit means every descriptor in the chunk equals the base
+//	snapshot and is consistent.
+//
+// Restore and the consistency scans rely on it to visit only dirty chunks,
+// so their host cost follows what a run touched rather than the size of
+// memory. (The simulated cost the caller charges still follows Len(): the
+// modelled hypervisor scans every descriptor.)
+//
+// The base is the snapshot most recently captured from or restored into
+// the table; before the first Snapshot there is none and every chunk is
+// dirty. Every write goes through Frame, which marks (AssignRange and
+// CorruptRandomDescriptor included). Readers use At, which does not.
+//
+// Marking writes a bitmap word shared by 4096 frames, so unlike plain
+// descriptor writes, two goroutines mutating different frames race. The
+// rule is that only one goroutine at a time calls Frame, a method that
+// writes, Snapshot or Restore. Recovery observes it: the PF-scan enhancement runs inline on
+// the engine goroutine, and the two audit units that mutate descriptors
+// (heap-freelist, pf-descriptors) both belong to the Global recovery
+// domain, which is a single lane.
 type FrameTable struct {
 	frames []PageFrame
+	dirty  []uint64
+	base   *FrameTableSnapshot
 }
 
 // NewFrameTable builds a table of n free frames.
 func NewFrameTable(n int) *FrameTable {
-	ft := &FrameTable{frames: make([]PageFrame, n)}
+	chunks := (n + chunkFrames - 1) >> chunkShift
+	ft := &FrameTable{
+		frames: make([]PageFrame, n),
+		dirty:  make([]uint64, (chunks+63)/64),
+	}
 	for i := range ft.frames {
 		ft.frames[i] = PageFrame{Type: FrameFree, Owner: NoDomain}
+	}
+	for c := 0; c < chunks; c++ {
+		ft.markChunk(c)
 	}
 	return ft
 }
@@ -89,8 +129,31 @@ func NewFrameTable(n int) *FrameTable {
 // Len returns the number of page frames.
 func (ft *FrameTable) Len() int { return len(ft.frames) }
 
-// Frame returns descriptor i for inspection or mutation.
-func (ft *FrameTable) Frame(i int) *PageFrame { return &ft.frames[i] }
+func (ft *FrameTable) markChunk(c int) { ft.dirty[c>>6] |= 1 << (c & 63) }
+
+// Frame returns descriptor i for mutation and marks its chunk dirty:
+// handing out the pointer is the dirtying event, because callers (undo
+// records among them) keep the pointer and write through it later. The
+// pointer may be written until the next Snapshot or Restore, which reset
+// the dirty set; after that, fetch it again. Read-only callers use At.
+func (ft *FrameTable) Frame(i int) *PageFrame {
+	ft.markChunk(i >> chunkShift)
+	return &ft.frames[i]
+}
+
+// At returns a copy of descriptor i without dirtying its chunk.
+func (ft *FrameTable) At(i int) PageFrame { return ft.frames[i] }
+
+// eachDirtyChunk calls fn with the frame range [lo, hi) of every dirty
+// chunk, in ascending order.
+func (ft *FrameTable) eachDirtyChunk(fn func(lo, hi int)) {
+	for w, word := range ft.dirty {
+		for ; word != 0; word &= word - 1 {
+			lo := (w<<6 | bits.TrailingZeros64(word)) << chunkShift
+			fn(lo, min(lo+chunkFrames, len(ft.frames)))
+		}
+	}
+}
 
 // CountType returns how many frames have the given type.
 func (ft *FrameTable) CountType(t FrameType) int {
@@ -104,38 +167,41 @@ func (ft *FrameTable) CountType(t FrameType) int {
 }
 
 // InconsistentFrames returns the indices of descriptors violating the
-// validation-bit/use-counter invariant.
+// validation-bit/use-counter invariant, in ascending order. Only dirty
+// chunks can hold one.
 func (ft *FrameTable) InconsistentFrames() []int {
 	var out []int
-	for i := range ft.frames {
-		if !ft.frames[i].consistent() {
-			out = append(out, i)
+	ft.eachDirtyChunk(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if !ft.frames[i].consistent() {
+				out = append(out, i)
+			}
 		}
-	}
+	})
 	return out
 }
 
-// ScanAndRepair is the recovery-time consistency scan: it visits every
-// descriptor and repairs validation-bit/use-counter mismatches, returning
-// the number repaired. The caller charges simulated time proportional to
-// Len() (Table III: 21 ms for the 2M descriptors of an 8 GB host).
+// ScanAndRepair is the recovery-time consistency scan: it repairs every
+// validation-bit/use-counter mismatch, returning the number repaired. It
+// visits dirty chunks only (a clean chunk has nothing to repair); the
+// caller charges simulated time proportional to Len() (Table III: 21 ms
+// for the 2M descriptors of an 8 GB host). A repaired chunk was already
+// dirty, so the scan itself marks nothing.
 func (ft *FrameTable) ScanAndRepair() int {
 	repaired := 0
-	for i := range ft.frames {
-		f := &ft.frames[i]
-		if f.consistent() {
-			continue
+	ft.eachDirtyChunk(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f := &ft.frames[i]
+			if f.consistent() {
+				continue
+			}
+			// Repair direction mirrors Xen: trust the use counter when
+			// it is positive (a reference exists, so finish the
+			// validation); otherwise drop the stale validation.
+			f.Validated = f.UseCount > 0
+			repaired++
 		}
-		// Repair direction mirrors Xen: trust the use counter when it
-		// is positive (a reference exists, so finish the validation);
-		// otherwise drop the stale validation.
-		if f.UseCount > 0 {
-			f.Validated = true
-		} else {
-			f.Validated = false
-		}
-		repaired++
-	}
+	})
 	return repaired
 }
 
@@ -144,10 +210,10 @@ func (ft *FrameTable) ScanAndRepair() int {
 // index.
 func (ft *FrameTable) CorruptRandomDescriptor(rng *rand.Rand) int {
 	i := rng.IntN(len(ft.frames))
-	f := &ft.frames[i]
+	f := ft.Frame(i)
 	f.Type = FramePageTable
 	if rng.IntN(2) == 0 {
-		f.UseCount = 1 + rng.IntN(3)
+		f.UseCount = int32(1 + rng.IntN(3))
 		f.Validated = false
 	} else {
 		f.UseCount = 0

@@ -101,7 +101,7 @@ func (h *Heap) AllocatedObjects() int { return len(h.objects) }
 // a shallower entry.
 func (h *Heap) entryValid(i int) bool {
 	fi := h.free[len(h.free)-1-i]
-	if fi < 0 || fi >= h.ft.Len() || h.ft.Frame(fi).Type != FrameFree {
+	if fi < 0 || fi >= h.ft.Len() || h.ft.At(fi).Type != FrameFree {
 		return false
 	}
 	for j := 0; j < i; j++ {
@@ -191,12 +191,15 @@ func (h *Heap) Rebuild() {
 	}
 	// Walk only the heap's own range: free frames elsewhere in the
 	// machine (unallocated guest memory) are not the heap's to hand out.
+	// Reading by value keeps the untouched part of the range clean; only a
+	// leaked frame is fetched for writing.
 	for i := h.start + h.count - 1; i >= h.start; i-- {
-		f := h.ft.Frame(i)
-		if f.Type == FrameHeap && !allocated[i] {
-			f.Type = FrameFree
+		t := h.ft.At(i).Type
+		if t == FrameHeap && !allocated[i] {
+			h.ft.Frame(i).Type = FrameFree
+			t = FrameFree
 		}
-		if f.Type == FrameFree {
+		if t == FrameFree {
 			h.free = append(h.free, i)
 		}
 	}
@@ -276,12 +279,12 @@ func (h *Heap) ValidateFreeList() []string {
 			continue
 		}
 		seen[fi] = true
-		if h.ft.Frame(fi).Type != FrameFree {
-			out = append(out, fmt.Sprintf("frame %d on free list but not free (%v)", fi, h.ft.Frame(fi).Type))
+		if t := h.ft.At(fi).Type; t != FrameFree {
+			out = append(out, fmt.Sprintf("frame %d on free list but not free (%v)", fi, t))
 		}
 	}
 	for i := h.start; i < h.start+h.count; i++ {
-		if h.ft.Frame(i).Type == FrameFree && !seen[i] {
+		if h.ft.At(i).Type == FrameFree && !seen[i] {
 			out = append(out, fmt.Sprintf("free frame %d leaked off the list", i))
 		}
 	}

@@ -3,6 +3,7 @@ package mm
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrUseCountUnderflow is returned when a reference count would go
@@ -32,8 +33,11 @@ func (ft *FrameTable) AssignRange(start, count, dom int, t FrameType) error {
 		return fmt.Errorf("mm: frame range [%d,%d) out of bounds (table size %d)",
 			start, start+count, len(ft.frames))
 	}
+	if dom < NoDomain || dom > math.MaxInt16 {
+		return fmt.Errorf("mm: domain %d does not fit a frame descriptor's owner field", dom)
+	}
 	for i := start; i < start+count; i++ {
-		ft.frames[i] = PageFrame{Type: t, Owner: dom}
+		*ft.Frame(i) = PageFrame{Type: t, Owner: int16(dom)}
 	}
 	return nil
 }

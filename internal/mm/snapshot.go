@@ -2,24 +2,72 @@ package mm
 
 import "nilihype/internal/locking"
 
-// FrameTableSnapshot is a full copy of the page frame descriptor array.
-// At 1 GB (262144 descriptors) the copy is a few MB of memmove per
-// restore — far cheaper than re-running boot, and allocation-free after
-// the first capture.
+// FrameTableSnapshot is a full copy of the page frame descriptor array
+// (16 MB at 8 GB), immutable once captured. Capturing is the only O(Len())
+// step: restoring the snapshot the table's dirty set is relative to — its
+// base, see FrameTable — copies back only the chunks touched since, so a
+// campaign's run-after-run restore costs what the run dirtied (a few
+// thousand descriptors), not the size of memory, and allocates nothing.
 type FrameTableSnapshot struct {
 	frames []PageFrame
+
+	// inconsistent lists the descriptors that were inconsistent at
+	// capture. A snapshot need not be consistent, and the scans look only
+	// at dirty chunks, so Restore re-marks theirs after clearing the rest.
+	inconsistent []int
 }
 
-// Snapshot captures every descriptor.
+// Snapshot captures every descriptor and makes the capture the table's
+// base. A table that still equals its base returns that base instead of
+// copying the array again.
 func (ft *FrameTable) Snapshot() *FrameTableSnapshot {
-	s := &FrameTableSnapshot{frames: make([]PageFrame, len(ft.frames))}
+	if ft.equalsBase() {
+		return ft.base
+	}
+	s := &FrameTableSnapshot{
+		frames:       make([]PageFrame, len(ft.frames)),
+		inconsistent: ft.InconsistentFrames(),
+	}
 	copy(s.frames, ft.frames)
+	ft.rebase(s)
 	return s
 }
 
-// Restore rewrites every descriptor from the snapshot.
+// equalsBase reports whether the table has a base and every descriptor
+// equals it; only dirty chunks can differ.
+func (ft *FrameTable) equalsBase() bool {
+	if ft.base == nil {
+		return false
+	}
+	equal := true
+	ft.eachDirtyChunk(func(lo, hi int) {
+		for i := lo; i < hi && equal; i++ {
+			equal = ft.frames[i] == ft.base.frames[i]
+		}
+	})
+	return equal
+}
+
+// rebase makes s, whose contents the table now equals, the base: nothing
+// is dirty except the chunks holding s's own inconsistent descriptors.
+func (ft *FrameTable) rebase(s *FrameTableSnapshot) {
+	ft.base = s
+	clear(ft.dirty)
+	for _, i := range s.inconsistent {
+		ft.markChunk(i >> chunkShift)
+	}
+}
+
+// Restore rewinds the table to the snapshot. When s is the table's base
+// only the dirty chunks are copied back; any other snapshot is copied in
+// full and becomes the base.
 func (ft *FrameTable) Restore(s *FrameTableSnapshot) {
-	copy(ft.frames, s.frames)
+	if s != ft.base {
+		copy(ft.frames, s.frames)
+	} else {
+		ft.eachDirtyChunk(func(lo, hi int) { copy(ft.frames[lo:hi], s.frames[lo:hi]) })
+	}
+	ft.rebase(s)
 }
 
 // objectState is one live heap object's captured contents. The *Object
