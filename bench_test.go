@@ -8,7 +8,7 @@
 // as custom metrics (success_%, noVMF_%, ms, overhead_%), so the output of
 // a -bench run is the reproduced evaluation. Campaign sizes are scaled
 // down from the paper's (which used 1000-5000 runs per campaign); the
-// cmd/hyperrecover-* tools run the same experiments at any scale.
+// cmd/hyperrecover subcommands run the same experiments at any scale.
 package nilihype_test
 
 import (

@@ -119,17 +119,13 @@ type Options struct {
 	SkipSched bool
 
 	// RepairCPUs is the number of simulated recovery CPUs (lanes) the
-	// walk's recovery-domain plan is scheduled on, and the bound on the
-	// goroutines executing its concurrent level. Report.Timing charges
+	// walk's recovery-domain plan is scheduled on, and — capped by the
+	// host's GOMAXPROCS — the bound on the goroutines executing its
+	// concurrent level. Report.Timing charges
 	// each concurrent level as its makespan over the lanes plus the
 	// serialized global and linkage work. 0/1 is one lane: the units run
 	// and are charged one after another in plan order.
 	RepairCPUs int
-	// SerialExec executes the units sequentially on the calling goroutine
-	// while keeping the identical latency model — the equivalence suite's
-	// serial baseline. Reports are bit-identical either way; only
-	// host-side goroutine use differs.
-	SerialExec bool
 	// FrameScanCost is the modeled cost of the page-frame unit (the
 	// engine computes it from memory size and lane count).
 	FrameScanCost time.Duration

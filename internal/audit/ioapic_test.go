@@ -2,6 +2,7 @@ package audit
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -38,30 +39,27 @@ func TestIOAPICRouteDamageRepaired(t *testing.T) {
 
 // TestIOAPICRepairIdenticalAcrossLanes: the walk repairs the same damage
 // with the same findings at any lane and worker count, and the parallel
-// execution is bit-identical to its serial baseline (the IO-APIC unit runs
-// at the serial linkage level).
+// execution (GOMAXPROCS 4) is bit-identical to its one-goroutine baseline
+// (GOMAXPROCS 1) — the IO-APIC unit runs at the serial linkage level.
 func TestIOAPICRepairIdenticalAcrossLanes(t *testing.T) {
-	build := func(repairCPUs int, serialExec bool) *Report {
+	build := func(repairCPUs, procs int) *Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		h, _ := newTarget(t)
 		io := h.Machine.IOAPIC()
 		io.CorruptRoute(hw.IRQBlock, hw.CorruptVector)
-		r := Run(h, Options{
-			RepairCPUs:    repairCPUs,
-			SerialExec:    serialExec,
-			FrameScanCost: 700 * time.Microsecond,
-		})
+		r := Run(h, Options{RepairCPUs: repairCPUs, FrameScanCost: 700 * time.Microsecond})
 		if io.RouteDamage() != 0 {
-			t.Fatalf("cpus=%d serial=%v: damage left behind", repairCPUs, serialExec)
+			t.Fatalf("cpus=%d procs=%d: damage left behind", repairCPUs, procs)
 		}
 		return r
 	}
-	ref := build(4, true)
+	ref := build(4, 1)
 	if vs := classes(ref)[ClassIOAPIC]; len(vs) != 1 || vs[0] != Repaired {
 		t.Fatalf("ioapic verdicts = %v, want one Repaired", vs)
 	}
 	for _, cpus := range []int{1, 2, 4, 8} {
 		for i := 0; i < 3; i++ {
-			got := build(cpus, false)
+			got := build(cpus, 4)
 			got.Timing = ref.Timing // timing varies with lane count by design
 			if !reflect.DeepEqual(ref, got) {
 				t.Fatalf("cpus=%d run %d diverged:\nwant %+v\ngot  %+v", cpus, i, ref, got)

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"nilihype/internal/dom"
@@ -62,7 +63,7 @@ type evtchnPlan struct {
 //
 // Every unit reports into a private shard merged in plan order, so the
 // Report's findings are identical at any lane count and whether the domain
-// level executes on one goroutine (Options.SerialExec) or many; only
+// level executes on one goroutine (GOMAXPROCS 1) or many; only
 // Report.Timing varies with the lanes.
 func Run(h *hv.Hypervisor, opts Options) *Report {
 	now := h.Clock.Now()
@@ -238,12 +239,8 @@ func Run(h *hv.Hypervisor, opts Options) *Report {
 		})
 	}
 
-	workers := opts.RepairCPUs
-	if opts.SerialExec {
-		workers = 1
-	}
 	plan := recdomain.Plan{Levels: []recdomain.Level{global, domains, linkage}}
-	tm := plan.Execute(opts.RepairCPUs, workers)
+	tm := plan.Execute(opts.RepairCPUs, min(opts.RepairCPUs, runtime.GOMAXPROCS(0)))
 
 	r := &Report{Timing: tm}
 	for _, s := range shards {

@@ -3,6 +3,7 @@ package audit
 import (
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -38,23 +39,20 @@ func corruptBroadly(t *testing.T, h *hv.Hypervisor, r *rand.Rand) {
 
 // TestPartitionedSerialVsParallelExecIdentical is the package-level half
 // of the equivalence guarantee: executing the walk's units on one
-// goroutine or on RepairCPUs goroutines yields byte-identical
-// Reports — violations in the same order with the same text, the same
-// sacrifices, and the same Timing. Run under -race this also proves the
-// concurrent level's units touch disjoint state.
+// goroutine (GOMAXPROCS 1) or on RepairCPUs goroutines (GOMAXPROCS 4)
+// yields byte-identical Reports — violations in the same order with the
+// same text, the same sacrifices, and the same Timing. Run under -race
+// this also proves the concurrent level's units touch disjoint state.
 func TestPartitionedSerialVsParallelExecIdentical(t *testing.T) {
-	build := func(serialExec bool) *Report {
+	build := func(procs int) *Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		h, _ := newTarget(t)
 		corruptBroadly(t, h, rng())
-		return Run(h, Options{
-			RepairCPUs:    4,
-			SerialExec:    serialExec,
-			FrameScanCost: 700 * time.Microsecond,
-		})
+		return Run(h, Options{RepairCPUs: 4, FrameScanCost: 700 * time.Microsecond})
 	}
-	serial := build(true)
+	serial := build(1)
 	for i := 0; i < 5; i++ {
-		parallel := build(false)
+		parallel := build(4)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("parallel execution %d diverged from serial:\nserial:   %+v\nparallel: %+v", i, serial, parallel)
 		}

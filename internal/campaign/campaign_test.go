@@ -266,6 +266,21 @@ func TestClassifyFailure(t *testing.T) {
 	}
 }
 
+func TestParseSetupRoundTrip(t *testing.T) {
+	for s := OneAppVM; s <= ThreeAppVM; s++ {
+		for _, name := range []string{s.String(), strings.ToLower(s.String()), strings.ToUpper(s.String())} {
+			if got, err := ParseSetup(name); err != nil || got != s {
+				t.Errorf("ParseSetup(%q) = %v, %v; want %v", name, got, err, s)
+			}
+		}
+	}
+	for _, name := range []string{"", "5appvm", "setup(1)"} {
+		if got, err := ParseSetup(name); err == nil {
+			t.Errorf("ParseSetup(%q) = %v, want an error", name, got)
+		}
+	}
+}
+
 func TestOverheadConfigStrings(t *testing.T) {
 	if OverheadBlk.String() != "BlkBench" || Overhead3AppVM.String() != "3AppVM" ||
 		OverheadConfig(9).String() != "overhead(9)" {
@@ -440,24 +455,24 @@ func TestPostRecoveryInvariantSoak(t *testing.T) {
 	}
 }
 
+// TestRunTraceTimeline: a run whose recovery fails carries the
+// flight-recorder tail, and the tail still holds the recovery story —
+// the failstop panic and the per-CPU discards (seed 19 trips a
+// post-recovery assertion under this configuration).
 func TestRunTraceTimeline(t *testing.T) {
 	cfg := fastCfg(inject.Failstop, core.Microreset)
-	cfg.TraceCapacity = 512
+	cfg.Seed = 19
 	r := Run(cfg)
-	if len(r.Trace) == 0 {
-		t.Fatal("no trace recorded")
+	if !r.WentWrong() || len(r.Flight) == 0 {
+		t.Fatalf("seed %d: wrong=%v with %d flight lines, want a wrong run with a tail", cfg.Seed, r.WentWrong(), len(r.Flight))
 	}
 	var hasPanic, hasDiscard bool
-	for _, line := range r.Trace {
-		if strings.Contains(line, "panic") {
-			hasPanic = true
-		}
-		if strings.Contains(line, "discard") {
-			hasDiscard = true
-		}
+	for _, line := range r.Flight {
+		hasPanic = hasPanic || strings.Contains(line, "panic")
+		hasDiscard = hasDiscard || strings.Contains(line, "discard")
 	}
 	if !hasPanic || !hasDiscard {
-		t.Fatalf("timeline missing recovery events: %v", r.Trace)
+		t.Fatalf("timeline missing recovery events: %v", r.Flight)
 	}
 }
 
@@ -565,7 +580,7 @@ func TestCampaignSurfacesAdversarialOutcomes(t *testing.T) {
 	}
 }
 
-// TestAuditOnNeverWorseThanOff is the miniature of the hyperrecover-audit
+// TestAuditOnNeverWorseThanOff is the miniature of the hyperrecover audit
 // comparison: with everything else identical (same seeds, same fault mix),
 // enabling the audit gate must not lower the recovery success count, and
 // audit-off campaigns must report zero audit activity.

@@ -19,10 +19,9 @@ import (
 func TestOnResultCloneSurvivesRecycling(t *testing.T) {
 	rc := fastCfg(inject.Code, core.Microreset)
 	rc.Recovery.Escalation.Audit = true
-	rc.TraceCapacity = 256 // keep Trace non-empty so aliasing has somewhere to show
 	var raw, clones []Result
 	var snaps [][]byte
-	c := Campaign{Base: rc, Runs: 4, Parallelism: 1, SeedBase: 11,
+	c := Campaign{Base: rc, Runs: 4, Parallelism: 1, SeedBase: 53, // seed 56 goes wrong: a Flight tail to alias
 		OnResult: func(r Result) {
 			snap, err := json.Marshal(r)
 			if err != nil {
@@ -43,8 +42,8 @@ func TestOnResultCloneSurvivesRecycling(t *testing.T) {
 		for j := range raw[i].VMs {
 			raw[i].VMs[j] = VMResult{Reason: "scribbled"}
 		}
-		for j := range raw[i].Trace {
-			raw[i].Trace[j] = "scribbled"
+		for j := range raw[i].Flight {
+			raw[i].Flight[j] = "scribbled"
 		}
 		for j := range raw[i].Phases {
 			raw[i].Phases[j] = core.LatencyStep{Name: "scribbled"}
@@ -54,7 +53,7 @@ func TestOnResultCloneSurvivesRecycling(t *testing.T) {
 		}
 	}
 
-	sawTrace := false
+	sawFlight := false
 	for i, cl := range clones {
 		got, err := json.Marshal(cl)
 		if err != nil {
@@ -63,12 +62,12 @@ func TestOnResultCloneSurvivesRecycling(t *testing.T) {
 		if string(got) != string(snaps[i]) {
 			t.Errorf("clone %d no longer matches its callback-time snapshot:\nwant %s\ngot  %s", i, snaps[i], got)
 		}
-		sawTrace = sawTrace || len(cl.Trace) > 0
+		sawFlight = sawFlight || len(cl.Flight) > 0
 		if len(cl.VMs) == 0 {
 			t.Errorf("clone %d has no VM results; the aliasing check needs populated slices", i)
 		}
 	}
-	if !sawTrace {
-		t.Error("no clone carried a trace; the aliasing check needs populated slices")
+	if !sawFlight {
+		t.Error("no clone carried a flight tail; the aliasing check needs a wrong run among the seeds")
 	}
 }

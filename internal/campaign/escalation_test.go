@@ -182,7 +182,7 @@ func TestMixedFaultCampaignMergesShards(t *testing.T) {
 	base := fastCfg(inject.Failstop, core.Microreset)
 	base.Recovery = core.HybridConfig()
 	faults := []inject.FaultType{inject.Failstop, inject.Register}
-	s := MixedFaultCampaign(base, faults, 3, 2)
+	s := MixedFaultCampaign(Campaign{Base: base, Runs: 3, Parallelism: 2}, faults)
 	if s.Runs != len(faults)*3 {
 		t.Fatalf("Runs = %d, want %d", s.Runs, len(faults)*3)
 	}

@@ -94,8 +94,7 @@ func causeFromReason(reason string) string {
 // however the run was computed (forked or cold, any parallelism, any
 // shard). Clean runs return "".
 func classifyRootCause(r Result) string {
-	wrong := r.Detected && (!r.Success || r.Escalated || len(r.SacrificedVMs) > 0)
-	if !wrong {
+	if !r.WentWrong() {
 		return ""
 	}
 

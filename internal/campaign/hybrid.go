@@ -4,20 +4,19 @@ import (
 	"nilihype/internal/inject"
 )
 
-// MixedFaultCampaign runs one campaign per fault type over the same seed
-// set and merges the shards into a single summary — the workload for the
-// hybrid-escalation experiment, which compares mechanisms across the
-// paper's full fault mix rather than a single fault type. Each fault type
-// uses seeds SeedBase+1..SeedBase+runsPerFault, so two mechanisms given
-// the same base configuration face identical fault scenarios.
-func MixedFaultCampaign(base RunConfig, faults []inject.FaultType, runsPerFault, parallelism int) Summary {
-	total := Summary{Config: base, FailReasons: make(map[string]int), SuccessByAttempt: make(map[int]int)}
+// MixedFaultCampaign runs the template campaign once per fault type over
+// the same seed set and merges the shards into a single summary — the
+// workload for the hybrid-escalation experiment, which compares mechanisms
+// across the paper's full fault mix rather than a single fault type. Each
+// fault type uses seeds SeedBase+1..SeedBase+Runs, so two mechanisms given
+// the same template face identical fault scenarios.
+func MixedFaultCampaign(tmpl Campaign, faults []inject.FaultType) Summary {
+	total := Summary{FailReasons: make(map[string]int), SuccessByAttempt: make(map[int]int)}
 	for _, f := range faults {
-		rc := base
-		rc.Fault = f
-		c := Campaign{Base: rc, Runs: runsPerFault, Parallelism: parallelism}
+		c := tmpl
+		c.Base.Fault = f
 		total.Merge(c.Execute())
 	}
-	total.Config = base
+	total.Config = tmpl.Base
 	return total
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -21,22 +22,19 @@ func parallelRepairCfg(fault inject.FaultType, setup Setup) RunConfig {
 	return rc
 }
 
-// TestParallelRepairSerialVsParallelExecBitIdentical is the PR's
-// equivalence guarantee at campaign level: for every fault class and
-// setup, executing the partitioned repair's units serially
-// (SerialRepairExec) or concurrently — and at campaign parallelism 1 or 4
-// — produces bit-identical Results for every seed and a bit-identical
-// Summary. The exec strategy is configuration, not outcome, so it is the
-// one Summary.Config field normalized before comparison. CI runs this
-// suite under -race with GOMAXPROCS > 1.
+// TestParallelRepairSerialVsParallelExecBitIdentical is the equivalence
+// guarantee at campaign level: for every fault class and setup, executing
+// the partitioned repair's units on one host goroutine (GOMAXPROCS 1) or
+// concurrently (GOMAXPROCS 4) — and at campaign parallelism 1 or 4 —
+// produces bit-identical Results for every seed and a bit-identical
+// Summary. CI runs this suite under -race.
 func TestParallelRepairSerialVsParallelExecBitIdentical(t *testing.T) {
-	collect := func(rc RunConfig, serialExec, par int) (Summary, []Result) {
-		rc.Recovery.SerialRepairExec = serialExec == 1
+	collect := func(rc RunConfig, procs, par int) (Summary, []Result) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var results []Result
 		c := Campaign{Base: rc, Runs: 4, Parallelism: par, SeedBase: 3,
 			OnResult: func(r Result) { results = append(results, r.Clone()) }}
 		s := c.Execute()
-		s.Config.Recovery.SerialRepairExec = false
 		// Parallel campaigns deliver results in completion order; seeds are
 		// the stable identity.
 		sort.Slice(results, func(i, j int) bool { return results[i].Seed < results[j].Seed })
@@ -47,7 +45,7 @@ func TestParallelRepairSerialVsParallelExecBitIdentical(t *testing.T) {
 			rc := parallelRepairCfg(fault, setup)
 			wantS, wantR := collect(rc, 1, 1)
 			for _, par := range []int{1, 4} {
-				gotS, gotR := collect(rc, 0, par)
+				gotS, gotR := collect(rc, 4, par)
 				if !reflect.DeepEqual(wantS, gotS) {
 					t.Fatalf("%v/%v par=%d: Summary diverges between serial and parallel repair execution:\n serial:   %+v\n parallel: %+v",
 						fault, setup, par, wantS, gotS)

@@ -7,6 +7,7 @@ package campaign
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"nilihype/internal/core"
@@ -35,16 +36,25 @@ const (
 	ThreeAppVM
 )
 
+// setupNames is the one name table for setups.
+var setupNames = [...]string{OneAppVM: "1AppVM", ThreeAppVM: "3AppVM"}
+
 // String returns the setup name.
 func (s Setup) String() string {
-	switch s {
-	case OneAppVM:
-		return "1AppVM"
-	case ThreeAppVM:
-		return "3AppVM"
-	default:
+	if s <= 0 || int(s) >= len(setupNames) {
 		return fmt.Sprintf("setup(%d)", int(s))
 	}
+	return setupNames[s]
+}
+
+// ParseSetup resolves a setup from its name, ignoring case.
+func ParseSetup(name string) (Setup, error) {
+	for s := OneAppVM; int(s) < len(setupNames); s++ {
+		if strings.EqualFold(name, setupNames[s]) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown setup %q", name)
 }
 
 // RunConfig parameterizes a single fault-injection run.
@@ -103,11 +113,6 @@ type RunConfig struct {
 	// records breaches in Result.InvariantViolations.
 	CheckInvariants bool
 
-	// TraceCapacity, when positive, records up to that many hypervisor
-	// trace events (dispatches, panics, discards, retries) into
-	// Result.Trace — a per-run timeline for debugging and demos.
-	TraceCapacity int
-
 	// FlightRecorderCapacity overrides the always-on telemetry flight
 	// ring size (0 = hv.DefaultFlightRecorderCapacity). The capacity
 	// shapes the boot image, so runs differing in it fork from separate
@@ -163,33 +168,14 @@ func (rc RunConfig) FaultClass() string {
 	if rc.NoInjection {
 		return "none"
 	}
-	name := faultClassName(rc.Fault)
+	name := rc.Fault.Key()
 	if rc.FaultDuringRecovery && rc.DuringFault != 0 && rc.DuringFault != rc.Fault {
-		name += "+during-" + faultClassName(rc.DuringFault)
+		name += "+during-" + rc.DuringFault.Key()
 	}
 	if rc.CorrelatedReinjection {
 		name = "correlated-" + name
 	}
 	return name
-}
-
-func faultClassName(f inject.FaultType) string {
-	switch f {
-	case inject.Failstop:
-		return "failstop"
-	case inject.Register:
-		return "register"
-	case inject.Code:
-		return "code"
-	case inject.PrivVMCrash:
-		return "privvm-crash"
-	case inject.PrivVMHang:
-		return "privvm-hang"
-	case inject.DeviceIOAPIC:
-		return "ioapic"
-	default:
-		return "other"
-	}
 }
 
 // isPrivVMFault reports whether f targets the PrivVM (detected by the
@@ -339,9 +325,6 @@ type Result struct {
 	// found when RunConfig.CheckInvariants is set (empty = clean).
 	InvariantViolations []string
 
-	// Trace is the recorded event timeline (RunConfig.TraceCapacity > 0).
-	Trace []string
-
 	// Phases flattens the recovery attempts' non-group latency steps, in
 	// execution order — the per-phase samples the campaign summary
 	// histograms aggregate.
@@ -381,6 +364,13 @@ type Result struct {
 	SLO *traffic.SLO
 }
 
+// WentWrong reports whether the run's recovery story went sideways: it
+// failed, escalated, or held only by sacrificing AppVMs. These are the
+// runs that carry Flight, Journal and a RootCause.
+func (r *Result) WentWrong() bool {
+	return r.Detected && (!r.Success || r.Escalated || len(r.SacrificedVMs) > 0)
+}
+
 // Clone returns a deep copy whose slices alias nothing: the copy to keep
 // when retaining a Result past an OnResult callback (the executor recycles
 // the original's backing arrays into the next run).
@@ -388,7 +378,6 @@ func (r Result) Clone() Result {
 	r.VMs = append([]VMResult(nil), r.VMs...)
 	r.SacrificedVMs = append([]int(nil), r.SacrificedVMs...)
 	r.InvariantViolations = append([]string(nil), r.InvariantViolations...)
-	r.Trace = append([]string(nil), r.Trace...)
 	r.Phases = append([]core.LatencyStep(nil), r.Phases...)
 	r.Flight = append([]string(nil), r.Flight...)
 	r.Journal = append([]journal.Entry(nil), r.Journal...)
@@ -411,7 +400,6 @@ func (r *Result) reset(seed uint64) {
 		NewVMOK:       true,
 		VMs:           r.VMs[:0],
 		SacrificedVMs: r.SacrificedVMs[:0],
-		Trace:         r.Trace[:0],
 		Phases:        r.Phases[:0],
 	}
 }
@@ -426,9 +414,6 @@ func (r Result) normalized() Result {
 	}
 	if len(r.SacrificedVMs) == 0 {
 		r.SacrificedVMs = nil
-	}
-	if len(r.Trace) == 0 {
-		r.Trace = nil
 	}
 	if len(r.Phases) == 0 {
 		r.Phases = nil
@@ -451,7 +436,7 @@ func Run(rc RunConfig) Result {
 
 // run executes one fault-injection run on the image: restore the pristine
 // snapshot (unless this is the first use of a fresh boot), re-arm all
-// per-run state (RNG streams, engine, detector, workload seeds, tracer,
+// per-run state (RNG streams, engine, detector, workload seeds,
 // injector), run to completion and classify.
 func (img *image) run(rc RunConfig) Result {
 	rc = rc.withDefaults()
@@ -483,21 +468,6 @@ func (img *image) run(rc RunConfig) Result {
 	// guest world re-arms its management service (housekeeping tick,
 	// domctl capability) against the fresh domain.
 	engine.OnPrivVMRestart = world.ResumePrivVM
-
-	var recorder *hv.TraceRecorder
-	if rc.TraceCapacity > 0 {
-		recorder = hv.NewTraceRecorder(rc.TraceCapacity)
-		// Per-request dispatch/complete events arrive at hundreds per
-		// virtual millisecond and would evict the recovery story; record
-		// the fault- and recovery-relevant kinds.
-		h.SetTracer(func(e hv.TraceEvent) {
-			switch e.Kind {
-			case hv.TraceDispatch, hv.TraceComplete:
-				return
-			}
-			recorder.Record(e)
-		})
-	}
 
 	// Benchmarks: seed each pre-created VM in creation order (consuming
 	// the world stream exactly like the legacy boot-per-run path), then
@@ -669,11 +639,6 @@ func (img *image) run(rc RunConfig) Result {
 	if rc.CheckInvariants && res.Detected && res.Recovered && res.FailReason == "" {
 		res.InvariantViolations = auditInvariants(h)
 	}
-	if recorder != nil {
-		recorder.Do(func(e hv.TraceEvent) {
-			res.Trace = append(res.Trace, e.String())
-		})
-	}
 
 	switch {
 	case !res.Detected:
@@ -722,7 +687,7 @@ func (img *image) run(rc RunConfig) Result {
 	h.Tel.SetGauge(telemetry.GaugeHypervisorCycles, int64(h.Machine.HypervisorCycles()))
 	res.MaxAttempts = rc.Recovery.MaxAttempts()
 	h.Jrn.Disposition(clk.Now(), engine.Status().String(), res.FailReason)
-	if res.Detected && (!res.Success || res.Escalated || len(res.SacrificedVMs) > 0) {
+	if res.WentWrong() {
 		res.Flight = h.Tel.FlightTail(flightTailLen)
 		res.Journal = h.Jrn.Export()
 		if injector != nil {

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"nilihype/internal/audit"
@@ -54,20 +55,35 @@ const (
 	PrivVMRestart
 )
 
+// mechanismNames is the one name table for mechanisms: name is String()
+// (the system the paper calls it), alias the technique's spelling.
+// ParseMechanism matches both.
+var mechanismNames = [...]struct{ name, alias string }{
+	Microreset:        {"NiLiHype", "microreset"},
+	Microreboot:       {"ReHype", "microreboot"},
+	CheckpointRestore: {"ReHype-CP", "checkpoint"},
+	PrivVMRestart:     {"PrivVM-Restart", "privvm-restart"},
+}
+
+func (m Mechanism) known() bool { return m > 0 && int(m) < len(mechanismNames) }
+
 // String returns the mechanism's system name.
 func (m Mechanism) String() string {
-	switch m {
-	case Microreset:
-		return "NiLiHype"
-	case Microreboot:
-		return "ReHype"
-	case CheckpointRestore:
-		return "ReHype-CP"
-	case PrivVMRestart:
-		return "PrivVM-Restart"
-	default:
+	if !m.known() {
 		return fmt.Sprintf("mechanism(%d)", int(m))
 	}
+	return mechanismNames[m].name
+}
+
+// ParseMechanism resolves a mechanism from its name or alias, ignoring
+// case.
+func ParseMechanism(s string) (Mechanism, error) {
+	for m := Microreset; m.known(); m++ {
+		if n := mechanismNames[m]; strings.EqualFold(s, n.name) || strings.EqualFold(s, n.alias) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mechanism %q", s)
 }
 
 // Reboots reports whether the mechanism installs a fresh hypervisor image
@@ -204,12 +220,6 @@ type Config struct {
 	// page-frame scan. 0/1 is one recovery CPU: the serial repair blocks,
 	// and the audit's plan charged as the sum of its units.
 	RepairCPUs int
-	// SerialRepairExec executes the partitioned path's units on a single
-	// host goroutine while keeping the identical latency model — the
-	// equivalence suite's serial baseline. Results and Summaries are
-	// bit-identical with or without it; no effect when RepairCPUs <= 1.
-	SerialRepairExec bool
-
 	// Escalation enables multi-attempt recovery (zero value = one shot).
 	Escalation EscalationPolicy
 }
@@ -295,6 +305,32 @@ func HybridConfig() Config {
 			GraceWindow: DefaultGraceWindow,
 		},
 	}
+}
+
+// Preset is an escalating configuration a command line can ask for by
+// name.
+type Preset struct {
+	Name, Alias string
+	Config      func() Config
+}
+
+// LadderPresets lists the presets shortest ladder first — the columns of
+// the fault-class recovery matrix.
+var LadderPresets = [...]Preset{
+	{"hybrid", "hybrid", HybridConfig},
+	{"full-ladder", "full", FullLadderConfig},
+}
+
+// ParseConfig resolves a recovery configuration by name, ignoring case: a
+// ladder preset, or a single mechanism with every enhancement on.
+func ParseConfig(s string) (Config, error) {
+	for _, p := range LadderPresets {
+		if strings.EqualFold(s, p.Name) || strings.EqualFold(s, p.Alias) {
+			return p.Config(), nil
+		}
+	}
+	m, err := ParseMechanism(s)
+	return Config{Mechanism: m, Enhancements: AllEnhancements}, err
 }
 
 // Status describes the engine's terminal state for one run.

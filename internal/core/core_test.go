@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -81,6 +82,48 @@ func TestMechanismAndStatusStrings(t *testing.T) {
 		if tt.s.String() != tt.want {
 			t.Fatalf("%v != %v", tt.s, tt.want)
 		}
+	}
+}
+
+// TestParseMechanismAndConfigRoundTrip: parse and print read one table,
+// so every mechanism parses back from its String(), every ladder preset
+// from its Name, and every spelling a command line ever accepted (the
+// technique names, "checkpoint", postmortem's "full") still resolves.
+func TestParseMechanismAndConfigRoundTrip(t *testing.T) {
+	for m := Microreset; m <= PrivVMRestart; m++ {
+		if got, err := ParseMechanism(m.String()); err != nil || got != m {
+			t.Errorf("ParseMechanism(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+		want := Config{Mechanism: m, Enhancements: AllEnhancements}
+		if got, err := ParseConfig(m.String()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseConfig(%q) = %+v, %v; want the one-shot config", m.String(), got, err)
+		}
+	}
+	for s, want := range map[string]Mechanism{
+		"nilihype": Microreset, "MICRORESET": Microreset, "rehype": Microreboot, "microreboot": Microreboot,
+		"checkpoint": CheckpointRestore, "rehype-cp": CheckpointRestore, "privvm-restart": PrivVMRestart,
+	} {
+		if got, err := ParseMechanism(s); err != nil || got != want {
+			t.Errorf("ParseMechanism(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, p := range LadderPresets {
+		for _, s := range []string{p.Name, p.Alias, strings.ToUpper(p.Name)} {
+			if got, err := ParseConfig(s); err != nil || !reflect.DeepEqual(got, p.Config()) {
+				t.Errorf("ParseConfig(%q) = %+v, %v; want preset %s", s, got, err, p.Name)
+			}
+		}
+	}
+	if got, _ := ParseConfig("full"); got.MaxAttempts() != 3 {
+		t.Errorf("ParseConfig(full) has %d attempts, want the three-rung ladder", got.MaxAttempts())
+	}
+	for _, s := range []string{"", "bogus", "both", "mechanism(1)"} {
+		if _, err := ParseConfig(s); err == nil {
+			t.Errorf("ParseConfig(%q) accepted junk", s)
+		}
+	}
+	if _, err := ParseMechanism("hybrid"); err == nil {
+		t.Error("ParseMechanism accepted a ladder preset; only ParseConfig may")
 	}
 }
 

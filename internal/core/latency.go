@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -142,11 +143,8 @@ func (en *Engine) runRepairPlan(enh Enhancements) {
 			Run: func() { h.Sched.RepairFromPerCPU() },
 		})
 	}
-	workers := en.Cfg.RepairCPUs
-	if en.Cfg.SerialRepairExec {
-		workers = 1
-	}
-	tm := recdomain.Plan{Levels: []recdomain.Level{lv}}.Execute(en.Cfg.RepairCPUs, workers)
+	lanes := en.Cfg.RepairCPUs
+	tm := recdomain.Plan{Levels: []recdomain.Level{lv}}.Execute(lanes, min(lanes, runtime.GOMAXPROCS(0)))
 	en.chargePlan("Parallel domain repair", tm)
 	cur := &en.Attempts[len(en.Attempts)-1]
 	cur.Timing.Merge(tm)

@@ -180,7 +180,6 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 			SkipFrames: enh.Has(EnhPFScan),
 			SkipSched:  enh.Has(EnhSchedConsistency) || reboot,
 			RepairCPUs: lanes,
-			SerialExec: en.Cfg.SerialRepairExec,
 		}
 		if !aOpts.SkipFrames {
 			// The audit's descriptor walk, sharded like the PF-scan

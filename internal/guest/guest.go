@@ -12,6 +12,7 @@ package guest
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"nilihype/internal/evtchn"
@@ -31,18 +32,25 @@ const (
 	NetBench
 )
 
+// kindNames is the one name table for benchmarks.
+var kindNames = [...]string{BlkBench: "BlkBench", UnixBench: "UnixBench", NetBench: "NetBench"}
+
 // String returns the benchmark name.
 func (k Kind) String() string {
-	switch k {
-	case BlkBench:
-		return "BlkBench"
-	case UnixBench:
-		return "UnixBench"
-	case NetBench:
-		return "NetBench"
-	default:
+	if k <= 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
+	return kindNames[k]
+}
+
+// ParseKind resolves a benchmark from its name, ignoring case.
+func ParseKind(name string) (Kind, error) {
+	for k := BlkBench; int(k) < len(kindNames); k++ {
+		if strings.EqualFold(name, kindNames[k]) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown workload %q", name)
 }
 
 // Config describes one AppVM and its benchmark.

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -33,6 +34,21 @@ func TestKindString(t *testing.T) {
 	if BlkBench.String() != "BlkBench" || UnixBench.String() != "UnixBench" ||
 		NetBench.String() != "NetBench" || Kind(8).String() != "kind(8)" {
 		t.Fatal("kind names wrong")
+	}
+}
+
+func TestParseKindRoundTrip(t *testing.T) {
+	for k := BlkBench; k <= NetBench; k++ {
+		for _, s := range []string{k.String(), strings.ToLower(k.String())} {
+			if got, err := ParseKind(s); err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, k)
+			}
+		}
+	}
+	for _, s := range []string{"", "webbench", "kind(1)"} {
+		if got, err := ParseKind(s); err == nil {
+			t.Errorf("ParseKind(%q) = %v, want an error", s, got)
+		}
 	}
 }
 

@@ -107,7 +107,6 @@ func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) {
 	pc.CurrentProg = prog
 	pc.CurrentStep = 0
 	pc.abandonedUnmitigated = false
-	h.traceCall(cpu, TraceDispatch, call)
 	h.runProgram(cpu)
 }
 
@@ -243,7 +242,6 @@ func (h *Hypervisor) completeCall(cpu int) {
 			h.Tel.Counters[telemetry.CtrMgmtCompletions]++
 		}
 		h.Tel.Record(cpu, telemetry.EvComplete, uint64(call.Op))
-		h.traceCall(cpu, TraceComplete, call)
 		if h.callDoneHook != nil {
 			h.callDoneHook(call, nil)
 		}
@@ -262,7 +260,6 @@ func (h *Hypervisor) spin(cpu int, l *locking.Lock) {
 	h.Stats.Spins++
 	h.Tel.Counters[telemetry.CtrSpins]++
 	h.Tel.Record(cpu, telemetry.EvSpin, h.Tel.Intern(l.Name()))
-	h.trace(cpu, TraceSpin, l.Name())
 }
 
 // wedge marks cpu as executing garbage (wild jump): no progress, no
@@ -273,7 +270,6 @@ func (h *Hypervisor) wedge(cpu int) {
 	h.Machine.CPU(cpu).IntrDisabled = true
 	h.Tel.Counters[telemetry.CtrWedges]++
 	h.Tel.Record(cpu, telemetry.EvWedge, 0)
-	h.trace(cpu, TraceWedge, "no further progress")
 }
 
 // Panic models a hypervisor panic: a fatal exception or failed assertion.
@@ -289,7 +285,6 @@ func (h *Hypervisor) Panic(cpu int, reason string) {
 	h.Tel.Counters[telemetry.CtrPanics]++
 	h.Tel.Record(cpu, telemetry.EvPanic, h.Tel.Intern(reason))
 	h.Cons.Write(fmt.Sprintf("(XEN) cpu%d panic: %s", cpu, reason))
-	h.trace(cpu, TracePanic, reason)
 	if h.panicHook != nil {
 		h.panicHook(cpu, reason)
 		return

@@ -146,9 +146,6 @@ type Hypervisor struct {
 	// SetSchedFluxProb).
 	schedFluxProb float64
 
-	// tracer, when non-nil, receives hypervisor trace events.
-	tracer func(TraceEvent)
-
 	// paused is set while recovery is in progress: guest activity defers
 	// and device interrupts stay pending.
 	paused      bool

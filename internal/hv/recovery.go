@@ -117,13 +117,6 @@ func (h *Hypervisor) DiscardThread(cpu int) *PendingCall {
 	h.Machine.CPU(cpu).IntrDisabled = true // held until resume
 	h.Tel.Counters[telemetry.CtrDiscards]++
 	h.Tel.Record(cpu, telemetry.EvDiscard, uint64(cpu))
-	if h.tracer != nil { // lazy: the concat below must not run untraced
-		if pending != nil {
-			h.trace(cpu, TraceDiscard, "pending "+pending.Call.String())
-		} else if pc.WasBusyAtDiscard {
-			h.trace(cpu, TraceDiscard, "interrupt context")
-		}
-	}
 	return pending
 }
 
@@ -264,7 +257,6 @@ func (h *Hypervisor) RetryPendingCalls(pending []*PendingCall) {
 		cpu := p.CPU
 		h.Tel.Counters[telemetry.CtrRetries]++
 		h.Tel.Record(cpu, telemetry.EvRetry, uint64(call.Op))
-		h.traceCall(cpu, TraceRetry, call)
 		h.WhenRunnable(func() { h.Dispatch(cpu, call) })
 	}
 }
@@ -278,7 +270,6 @@ func (h *Hypervisor) DropPendingCalls(pending []*PendingCall) {
 		h.Stats.DroppedCalls++
 		h.Tel.Counters[telemetry.CtrDrops]++
 		h.Tel.Record(p.CPU, telemetry.EvDrop, uint64(p.Call.Op))
-		h.traceCall(p.CPU, TraceDrop, p.Call)
 		if d, err := h.Domains.ByID(p.Call.Dom); err == nil {
 			d.Fail(fmt.Sprintf("hypercall %v lost (no retry)", p.Call.Op))
 		}

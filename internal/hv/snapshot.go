@@ -81,7 +81,6 @@ type Snapshot struct {
 	eventHook    func(domID, port int)
 	nicRxHook    func(hw.Packet)
 	pauseHook    func()
-	tracer       func(TraceEvent)
 
 	recoveryEpoch  uint64
 	schedFluxProb  float64
@@ -135,7 +134,6 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 		eventHook:    h.eventHook,
 		nicRxHook:    h.nicRxHook,
 		pauseHook:    h.pauseHook,
-		tracer:       h.tracer,
 
 		recoveryEpoch:  h.recoveryEpoch,
 		schedFluxProb:  h.schedFluxProb,
@@ -221,7 +219,6 @@ func (h *Hypervisor) Restore(s *Snapshot) {
 	h.eventHook = s.eventHook
 	h.nicRxHook = s.nicRxHook
 	h.pauseHook = s.pauseHook
-	h.tracer = s.tracer
 
 	h.recoveryEpoch = s.recoveryEpoch
 	h.schedFluxProb = s.schedFluxProb

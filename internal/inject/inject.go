@@ -30,6 +30,7 @@ package inject
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"time"
 
 	"nilihype/internal/dom"
@@ -60,24 +61,47 @@ const (
 	DeviceIOAPIC
 )
 
+// faultNames is the one name table for fault types: name is String(), key
+// the lowercase command-line and fault-class spelling, alias what else a
+// command line may say. ParseFaultType matches all three.
+var faultNames = [...]struct{ name, key, alias string }{
+	Failstop:     {name: "Failstop", key: "failstop"},
+	Register:     {name: "Register", key: "register"},
+	Code:         {name: "Code", key: "code"},
+	PrivVMCrash:  {name: "PrivVM-Crash", key: "privvm-crash"},
+	PrivVMHang:   {name: "PrivVM-Hang", key: "privvm-hang"},
+	DeviceIOAPIC: {name: "IO-APIC", key: "ioapic", alias: "device"},
+}
+
+func (f FaultType) known() bool { return f > 0 && int(f) < len(faultNames) }
+
 // String returns the fault type name.
 func (f FaultType) String() string {
-	switch f {
-	case Failstop:
-		return "Failstop"
-	case Register:
-		return "Register"
-	case Code:
-		return "Code"
-	case PrivVMCrash:
-		return "PrivVM-Crash"
-	case PrivVMHang:
-		return "PrivVM-Hang"
-	case DeviceIOAPIC:
-		return "IO-APIC"
-	default:
+	if !f.known() {
 		return fmt.Sprintf("fault(%d)", int(f))
 	}
+	return faultNames[f].name
+}
+
+// Key returns the lowercase spelling used on command lines and as the
+// fault-class name ("other" for an unknown type).
+func (f FaultType) Key() string {
+	if !f.known() {
+		return "other"
+	}
+	return faultNames[f].key
+}
+
+// ParseFaultType resolves a fault type from its name, key or alias,
+// ignoring case.
+func ParseFaultType(s string) (FaultType, error) {
+	for f := Failstop; f.known(); f++ {
+		n := faultNames[f]
+		if strings.EqualFold(s, n.name) || strings.EqualFold(s, n.key) || (n.alias != "" && strings.EqualFold(s, n.alias)) {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown fault type %q", s)
 }
 
 // GuestCorrupter lets the injector damage guest-visible data (the SDC

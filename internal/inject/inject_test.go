@@ -55,6 +55,33 @@ func TestFaultTypeAndEffectStrings(t *testing.T) {
 	}
 }
 
+// TestParseFaultTypeRoundTrip: parse and print read one table, so every
+// fault type parses back from its String() and its Key(), and every
+// spelling a command line ever accepted still resolves.
+func TestParseFaultTypeRoundTrip(t *testing.T) {
+	for f := Failstop; f <= DeviceIOAPIC; f++ {
+		for _, s := range []string{f.String(), f.Key(), strings.ToUpper(f.Key())} {
+			if got, err := ParseFaultType(s); err != nil || got != f {
+				t.Errorf("ParseFaultType(%q) = %v, %v; want %v", s, got, err, f)
+			}
+		}
+	}
+	for s, want := range map[string]FaultType{"device": DeviceIOAPIC, "ioapic": DeviceIOAPIC,
+		"privvm-crash": PrivVMCrash, "privvm-hang": PrivVMHang, "Register": Register} {
+		if got, err := ParseFaultType(s); err != nil || got != want {
+			t.Errorf("ParseFaultType(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"", "alpha", "cosmic", "fault(1)", "other"} {
+		if got, err := ParseFaultType(s); err == nil {
+			t.Errorf("ParseFaultType(%q) = %v, want an error", s, got)
+		}
+	}
+	if FaultType(0).Key() != "other" || FaultType(9).Key() != "other" {
+		t.Error("unknown fault types must key as \"other\"")
+	}
+}
+
 func TestFailstopAlwaysDetectedImmediately(t *testing.T) {
 	h, clk := newTarget(t, 1)
 	var panics []string

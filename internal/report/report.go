@@ -1,5 +1,5 @@
 // Package report renders experiment results as text, Markdown, CSV or
-// JSON tables, so the cmd/hyperrecover-* tools can feed plots and
+// JSON tables, so the cmd/hyperrecover subcommands can feed plots and
 // documents directly.
 package report
 
