@@ -4,6 +4,10 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"nilihype/internal/core"
+	"nilihype/internal/guest"
+	"nilihype/internal/inject"
 )
 
 // throughputConfig is the fixed configuration the campaign-throughput
@@ -39,35 +43,62 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	b.ReportMetric(float64(ms2.TotalAlloc-ms1.TotalAlloc)/total/1024, "KB/run")
 }
 
-// TestForkedRunAllocBudget guards the per-run allocation budget with the
-// always-on telemetry active: metric increments and flight-recorder
-// writes are array stores, so turning observability on must not add
-// per-event allocations. The ceiling sits ~15% above the measured steady
-// state (`go run ./benchmark`, failstop_1vm allocs_per_run) — tight enough
-// to catch a stray per-event allocation (tens of thousands of events per
-// run), loose enough to ignore run-to-run variance in the simulation
-// itself.
+// TestForkedRunAllocBudget guards the per-run allocation budget of each
+// campaign shape the benchmark measures, with the always-on telemetry and
+// journal active. The steady state of a run — every layer a hypercall, a
+// packet, a block request or an interrupt passes through — runs on
+// recycled storage; what is left is per-run setup (RNGs, the engine, the
+// injector) and what a run that went wrong records about it (panic and
+// detection strings, the recovery plan, forensics). Ceilings sit ~25 %
+// above the means measured under the race detector (54, 56 and 271; a
+// plain build reads 48, 51 and 257, and `go run ./benchmark` reports that
+// figure plus the amortised image build as allocs_per_run): tight enough
+// that one stray allocation per packet or per interrupt (thousands per
+// run) trips them at once.
 func TestForkedRunAllocBudget(t *testing.T) {
-	rc := ThroughputBenchConfig()
-	img, err := buildImage(rc)
-	if err != nil {
-		t.Fatalf("buildImage: %v", err)
+	netbench := ThroughputBenchConfig()
+	netbench.Workload = guest.NetBench
+	netbench.MemoryMB = 1024
+	netbench.BenchDuration = time.Second
+	ladder := core.FullLadderConfig()
+	ladder.RepairCPUs = 8
+	shapes := []struct {
+		name   string
+		rc     RunConfig
+		seeds  int // wrong runs allocate forensics, so the mean is over many seeds
+		budget float64
+	}{
+		{"1AppVM UnixBench failstop", ThroughputBenchConfig(), 20, 70},
+		{"1AppVM NetBench failstop", netbench, 20, 70},
+		{"3AppVM code faults, full ladder, 8 repair CPUs", RunConfig{
+			Setup: ThreeAppVM, Fault: inject.Code, Recovery: ladder,
+			Logging: true, BenchDuration: 3 * time.Second, MemoryMB: 1024,
+		}, 60, 340},
 	}
-	seed := uint64(0)
-	allocs := testing.AllocsPerRun(5, func() {
-		seed++
-		rc.Seed = seed
-		img.run(rc)
-	})
-	// Measured steady state is ~252 allocs/run (scheduler switch records
-	// dominate; everything else — guest workloads, IRQ/softirq programs,
-	// undo records, Results — runs on recycled storage), rising to ~306
-	// under the race detector's instrumentation. The ceiling clears both
-	// with ~30% headroom; the sub-10k-allocs/run goal has more than an
-	// order of magnitude of slack before this trips.
-	const budget = 400
-	if allocs > budget {
-		t.Fatalf("forked run allocates %.0f objects, budget %d", allocs, budget)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			rc := sh.rc
+			img, err := buildImage(rc)
+			if err != nil {
+				t.Fatalf("buildImage: %v", err)
+			}
+			seed := uint64(0)
+			run := func() {
+				seed++
+				rc.Seed = seed
+				img.run(rc)
+			}
+			// Pools and scratch buffers reach their steady size.
+			for i := 0; i < 5; i++ {
+				run()
+			}
+			seed = 0
+			allocs := testing.AllocsPerRun(sh.seeds, run)
+			t.Logf("%.0f allocs/run over %d seeds (budget %.0f)", allocs, sh.seeds, sh.budget)
+			if allocs > sh.budget {
+				t.Fatalf("forked run allocates %.0f objects, budget %.0f", allocs, sh.budget)
+			}
+		})
 	}
 }
 

@@ -137,24 +137,46 @@ func (t *Table) Close(p int) error {
 	return nil
 }
 
-// PendingPorts returns the pending, unmasked ports in order.
+// deliverable reports whether port p is pending and unmasked.
+func (t *Table) deliverable(p int) bool { return t.ports[p].Pending && !t.ports[p].Masked }
+
+// PendingPorts returns the pending, unmasked ports in order. It allocates
+// the list; the send and upcall paths use LastPending and ClearPending.
 func (t *Table) PendingPorts() []int {
 	var out []int
 	for p := 1; p < len(t.ports); p++ {
-		if t.ports[p].Pending && !t.ports[p].Masked {
+		if t.deliverable(p) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// TakePending clears and returns the pending, unmasked ports (the guest's
+// LastPending returns the highest pending, unmasked port, or 0 (the
+// reserved port) when there is none.
+func (t *Table) LastPending() int {
+	for p := len(t.ports) - 1; p >= 1; p-- {
+		if t.deliverable(p) {
+			return p
+		}
+	}
+	return 0
+}
+
+// ClearPending clears every pending, unmasked port in place (the guest's
 // upcall handler consuming its pending bitmap).
+func (t *Table) ClearPending() {
+	for p := 1; p < len(t.ports); p++ {
+		if t.deliverable(p) {
+			t.ports[p].Pending = false
+		}
+	}
+}
+
+// TakePending is ClearPending that also returns the ports it cleared.
 func (t *Table) TakePending() []int {
 	out := t.PendingPorts()
-	for _, p := range out {
-		t.ports[p].Pending = false
-	}
+	t.ClearPending()
 	return out
 }
 

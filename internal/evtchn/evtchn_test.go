@@ -232,3 +232,48 @@ func TestPropertyPendingConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropertyLastPendingMatchesEnumeration: over random pending/masked
+// patterns, LastPending is the last element of the PendingPorts
+// enumeration (0 when it is empty), and ClearPending clears exactly the
+// ports PendingPorts listed — masked pending ports keep their bit.
+func TestPropertyLastPendingMatchesEnumeration(t *testing.T) {
+	f := func(pending, masked uint64, size uint8) bool {
+		tab := NewTable(1, 1+int(size%64))
+		for p := 0; p < tab.Len(); p++ {
+			tab.ports[p].Pending = pending>>p&1 != 0
+			tab.ports[p].Masked = masked>>p&1 != 0
+		}
+		// The expectation comes from the bit patterns themselves.
+		want := 0
+		for p := 1; p < tab.Len(); p++ {
+			if (pending&^masked)>>p&1 != 0 {
+				want = p
+			}
+		}
+		listed := tab.PendingPorts()
+		if len(listed) == 0 && want != 0 || len(listed) > 0 && listed[len(listed)-1] != want {
+			return false
+		}
+		if tab.LastPending() != want {
+			return false
+		}
+		tab.ClearPending()
+		if tab.LastPending() != 0 || len(tab.PendingPorts()) != 0 {
+			return false
+		}
+		for p := 1; p < tab.Len(); p++ {
+			maskedPending := pending>>p&1 != 0 && masked>>p&1 != 0
+			if tab.ports[p].Pending != maskedPending {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if tab := NewTable(1, 8); tab.LastPending() != 0 {
+		t.Fatal("LastPending on an empty table is not 0")
+	}
+}

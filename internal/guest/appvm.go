@@ -270,7 +270,7 @@ func (vm *AppVM) unixIteration() {
 	// fork: pin the new process's page tables in one batched hypercall.
 	// The frame picks must be distinct within the batch: the counts only
 	// change when the batch executes.
-	batch := w.getCall()
+	batch := w.getBatch()
 	batch.Op, batch.Dom = hypercall.OpMulticall, domID
 	n := 2 + vm.rng.IntN(4)
 	newPins := vm.pinScratch[:0]

@@ -85,8 +85,10 @@ type World struct {
 
 	rng *prng.Stream
 
-	// callFree recycles completed hypercall records (see pool.go).
-	callFree []*hypercall.Call
+	// callFree and batchFree recycle completed hypercall and multicall
+	// records (see pool.go).
+	callFree  []*hypercall.Call
+	batchFree []*hypercall.Call
 
 	// privTickFn/privTickBodyFn are the PrivVM housekeeping callbacks
 	// cached as method values: the tick fires every 5 ms of virtual time,
@@ -250,7 +252,7 @@ func (w *World) onEvent(domID, port int) {
 	if err != nil {
 		return
 	}
-	d.Events.TakePending()
+	d.Events.ClearPending()
 	if p.State == evtchn.VIRQBound && p.VIRQ == evtchn.VIRQBlock {
 		vm.onBlockComplete()
 	}

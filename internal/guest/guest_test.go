@@ -11,7 +11,7 @@ import (
 	"nilihype/internal/simclock"
 )
 
-func newWorld(t *testing.T) (*World, *hv.Hypervisor, *simclock.Clock) {
+func newWorld(t testing.TB) (*World, *hv.Hypervisor, *simclock.Clock) {
 	t.Helper()
 	clk := simclock.New()
 	h, err := hv.New(clk, hv.Config{

@@ -19,6 +19,9 @@ type NetSender struct {
 	startAt time.Duration
 	stopAt  time.Duration
 	seq     uint64
+	// sendFn is s.send as a method value, taken once: the send chain
+	// reschedules itself every period.
+	sendFn func()
 
 	// Sent/Received count packets and replies.
 	Sent     uint64
@@ -36,6 +39,7 @@ type window struct{ start, end time.Duration }
 
 func newNetSender(w *World) *NetSender {
 	s := &NetSender{w: w, period: time.Millisecond, intervalLen: time.Second}
+	s.sendFn = s.send
 	w.H.Machine.NIC().SetTxSink(s.onReply)
 	return s
 }
@@ -52,19 +56,23 @@ func (s *NetSender) Start(flow int, duration time.Duration) {
 }
 
 func (s *NetSender) scheduleSend() {
-	s.w.H.Clock.After(s.period, "netbench-send", func() {
-		now := s.w.H.Clock.Now()
-		if now >= s.stopAt {
-			return
-		}
-		if failed, _ := s.w.H.Failed(); failed {
-			return
-		}
-		s.seq++
-		s.Sent++
-		s.w.H.Machine.NIC().Inject(hw.Packet{Flow: s.flow, Seq: s.seq, SentAt: now})
-		s.scheduleSend()
-	})
+	s.w.H.Clock.After(s.period, "netbench-send", s.sendFn)
+}
+
+// send injects one packet and schedules the next, until the run's end or
+// the hypervisor's failure.
+func (s *NetSender) send() {
+	now := s.w.H.Clock.Now()
+	if now >= s.stopAt {
+		return
+	}
+	if failed, _ := s.w.H.Failed(); failed {
+		return
+	}
+	s.seq++
+	s.Sent++
+	s.w.H.Machine.NIC().Inject(hw.Packet{Flow: s.flow, Seq: s.seq, SentAt: now})
+	s.scheduleSend()
 }
 
 // onReply records one reply from the receiver.

@@ -14,12 +14,21 @@ import "nilihype/internal/hypercall"
 // needs no locking.
 
 // getCall returns a zeroed call record, reusing a recycled one when
-// available. A recycled multicall's Batch keeps its capacity.
-func (w *World) getCall() *hypercall.Call {
-	if n := len(w.callFree); n > 0 {
-		c := w.callFree[n-1]
-		w.callFree[n-1] = nil
-		w.callFree = w.callFree[:n-1]
+// available.
+func (w *World) getCall() *hypercall.Call { return popCall(&w.callFree) }
+
+// getBatch returns a zeroed multicall record. Batches recycle through a
+// list of their own so that the record handed out is one whose Batch slice
+// already has capacity: on the shared list, one retained (not Done) batch
+// shifts the LIFO order and a component record gets re-grown as the batch.
+func (w *World) getBatch() *hypercall.Call { return popCall(&w.batchFree) }
+
+func popCall(free *[]*hypercall.Call) *hypercall.Call {
+	f := *free
+	if n := len(f); n > 0 {
+		c := f[n-1]
+		f[n-1] = nil
+		*free = f[:n-1]
 		return c
 	}
 	return &hypercall.Call{}
@@ -47,7 +56,7 @@ func (w *World) putBatch(b *hypercall.Call) {
 		b.Batch[i] = nil
 	}
 	resetCall(b)
-	w.callFree = append(w.callFree, b)
+	w.batchFree = append(w.batchFree, b)
 }
 
 // resetCall zeroes a call, keeping its Batch capacity.

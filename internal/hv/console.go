@@ -1,12 +1,14 @@
 package hv
 
+import "fmt"
+
 // Console is the hypervisor console: a bounded ring of messages guarded
 // by the static console lock (the structure console_io writes under). The
 // PrivVM drains it during normal operation; recovery diagnostics land
 // here too, which is why a held console lock after a failed recovery is
 // so deadly — even the panic path wants it.
 type Console struct {
-	ring  []string
+	ring  []consLine
 	cap   int
 	start int
 
@@ -14,6 +16,24 @@ type Console struct {
 	// overwrites (oldest-first overwrite, as in Xen's conring).
 	Written uint64
 	Dropped uint64
+}
+
+// consLine is one buffered message. A guest's console_io line is kept as
+// the (domain, call sequence) pair it is made of and rendered only when
+// read: the PrivVM's console daemon discards the ring unread on every
+// housekeeping tick, so formatting at write time was work thrown away.
+type consLine struct {
+	text  string // a rendered message (Write)
+	guest bool   // a guest line: rendered from dom and seq
+	dom   int
+	seq   uint64
+}
+
+func (l consLine) String() string {
+	if l.guest {
+		return fmt.Sprintf("d%d: console output (call %d)", l.dom, l.seq)
+	}
+	return l.text
 }
 
 // NewConsole builds a console ring with the given capacity.
@@ -27,13 +47,21 @@ func NewConsole(capacity int) *Console {
 // Write appends a message, overwriting the oldest once full. Callers must
 // hold the console lock (hypercall handlers acquire it; the model does not
 // enforce it here because panic paths write lock-free by design).
-func (c *Console) Write(msg string) {
+func (c *Console) Write(msg string) { c.write(consLine{text: msg}) }
+
+// WriteGuest appends domain dom's console_io output for call seq, under
+// the same rules as Write.
+func (c *Console) WriteGuest(dom int, seq uint64) {
+	c.write(consLine{guest: true, dom: dom, seq: seq})
+}
+
+func (c *Console) write(l consLine) {
 	c.Written++
 	if len(c.ring) < c.cap {
-		c.ring = append(c.ring, msg)
+		c.ring = append(c.ring, l)
 		return
 	}
-	c.ring[c.start] = msg
+	c.ring[c.start] = l
 	c.start = (c.start + 1) % c.cap
 	c.Dropped++
 }
@@ -42,8 +70,12 @@ func (c *Console) Write(msg string) {
 // PrivVM's console daemon).
 func (c *Console) Drain() []string {
 	out := make([]string, 0, len(c.ring))
-	out = append(out, c.ring[c.start:]...)
-	out = append(out, c.ring[:c.start]...)
+	for _, l := range c.ring[c.start:] {
+		out = append(out, l.String())
+	}
+	for _, l := range c.ring[:c.start] {
+		out = append(out, l.String())
+	}
 	c.ring = c.ring[:0]
 	c.start = 0
 	return out
@@ -53,9 +85,7 @@ func (c *Console) Drain() []string {
 // consumers that ignore the output (the PrivVM's console daemon on the
 // campaign hot path), so draining never allocates.
 func (c *Console) Discard() {
-	for i := range c.ring {
-		c.ring[i] = ""
-	}
+	clear(c.ring)
 	c.ring = c.ring[:0]
 	c.start = 0
 }

@@ -69,3 +69,34 @@ func TestPanicLogsToConsole(t *testing.T) {
 		t.Fatalf("panic not logged: %v", msgs)
 	}
 }
+
+// TestConsoleGuestLinesRenderOnRead: guest lines are stored unrendered and
+// keep their place among rendered ones, through overwrite and Discard.
+func TestConsoleGuestLinesRenderOnRead(t *testing.T) {
+	c := NewConsole(3)
+	c.Write("boot")
+	c.WriteGuest(4, 17)
+	c.Write("(XEN) cpu1 panic: x")
+	c.WriteGuest(2, 18) // overwrites "boot"
+	got := c.Drain()
+	want := []string{"d4: console output (call 17)", "(XEN) cpu1 panic: x", "d2: console output (call 18)"}
+	if len(got) != len(want) {
+		t.Fatalf("Drain = %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Drain = %q, want %q", got, want)
+		}
+	}
+	if c.Written != 4 || c.Dropped != 1 {
+		t.Fatalf("written=%d dropped=%d, want 4/1", c.Written, c.Dropped)
+	}
+	c.WriteGuest(1, 1)
+	c.Discard()
+	if c.Len() != 0 || len(c.Drain()) != 0 {
+		t.Fatal("Discard left messages behind")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { c.WriteGuest(1, 2); c.Discard() }); allocs != 0 {
+		t.Fatalf("write+discard of a guest line allocates %.0f objects, want 0", allocs)
+	}
+}

@@ -79,3 +79,41 @@ func TestTraceDropAndSpinEvents(t *testing.T) {
 		t.Fatalf("%d drop events, want 1", n)
 	}
 }
+
+// TestIRQEnterNamesSurviveTelemetryRestore: the interrupt path keeps the
+// interned ids of its activity names instead of looking them up per
+// interrupt. A restore truncates the intern table back to the snapshot, so
+// a kept id may afterwards be unassigned — or assigned to another string.
+// Every EvIRQEnter must still decode to the activity that ran.
+func TestIRQEnterNamesSurviveTelemetryRestore(t *testing.T) {
+	h, clk := newBooted(t)
+	snap := h.Snapshot()
+	irqNames := func() map[string]int {
+		got := make(map[string]int)
+		for _, e := range flight(h, telemetry.EvIRQEnter) {
+			got[h.Tel.Str(e.Arg)]++
+		}
+		return got
+	}
+
+	clk.RunUntil(clk.Now() + 3*schedTickPeriod)
+	first := irqNames()
+	if len(first) != 1 || first["timer"] == 0 {
+		t.Fatalf("first run's IRQ activities = %v, want only timer", first)
+	}
+	timerID := h.Tel.Intern("timer")
+
+	h.Restore(snap)
+	if got := h.Tel.Str(timerID); got != "" {
+		t.Fatalf("restore kept %q at the truncated id; the test needs it gone", got)
+	}
+	// Another string takes the id the first run gave "timer".
+	if id := h.Tel.Intern("squatter"); id != timerID {
+		t.Fatalf("squatter interned at %d, want the freed id %d", id, timerID)
+	}
+	clk.RunUntil(clk.Now() + 3*schedTickPeriod)
+	second := irqNames()
+	if len(second) != 1 || second["timer"] != first["timer"] {
+		t.Fatalf("after restore IRQ activities = %v, want %v", second, first)
+	}
+}

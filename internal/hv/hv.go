@@ -114,9 +114,9 @@ type Hypervisor struct {
 	// nextGuestFrame is the bump allocator for guest memory regions.
 	nextGuestFrame int
 
-	// schedTicks marks the standing per-CPU scheduler-tick timers, whose
-	// expiry expands into preemption steps inside the timer IRQ program.
-	schedTicks map[*xentime.Timer]bool
+	// irqActivityIDs caches the interned telemetry ids of the interrupt
+	// kinds' names (see irqActivityID).
+	irqActivityIDs [numIRQKinds]uint64
 
 	// crossCPUWaits tracks in-flight synchronous cross-CPU operations
 	// (remote TLB-flush IPIs). See §III-C: with single-thread discard, a
@@ -217,7 +217,6 @@ func New(clock *simclock.Clock, cfg Config) (*Hypervisor, error) {
 		Domains:        dom.NewList(),
 		RNG:            rngStream.Rand,
 		rngStream:      rngStream,
-		schedTicks:     make(map[*xentime.Timer]bool),
 		nextGuestFrame: cfg.HeapFrames,
 	}
 	flightCap := cfg.FlightRecorderCapacity
@@ -271,7 +270,7 @@ func New(clock *simclock.Clock, cfg Config) (*Hypervisor, error) {
 				h.eventHook(domID, port)
 			}
 		}
-		pc.Env.ConsoleWrite = h.Cons.Write
+		pc.Env.ConsoleEmit = h.Cons.WriteGuest
 		pc.Env.SwitchContext = h.switchRegisterContext
 		h.percpu = append(h.percpu, pc)
 	}
@@ -295,9 +294,8 @@ func (h *Hypervisor) Boot() error {
 	h.Machine.IOAPIC().RecordBootRoutes()
 
 	for cpu := 0; cpu < h.Machine.NumCPUs(); cpu++ {
-		t := h.Timers.AddTimer(cpu, fmt.Sprintf("sched_tick.cpu%d", cpu),
+		h.percpu[cpu].schedTick = h.Timers.AddTimer(cpu, fmt.Sprintf("sched_tick.cpu%d", cpu),
 			h.Clock.Now()+schedTickPeriod, schedTickPeriod, nil)
-		h.schedTicks[t] = true
 		h.Timers.ProgramAPIC(cpu)
 	}
 	// Global time-calibration event (Xen's recurring time sync).

@@ -21,7 +21,7 @@ func testConfig() Config {
 	}
 }
 
-func newBooted(t *testing.T) (*Hypervisor, *simclock.Clock) {
+func newBooted(t testing.TB) (*Hypervisor, *simclock.Clock) {
 	t.Helper()
 	clk := simclock.New()
 	h, err := New(clk, testConfig())
@@ -35,7 +35,7 @@ func newBooted(t *testing.T) (*Hypervisor, *simclock.Clock) {
 }
 
 // addAppVM creates a 16MB app domain pinned to cpu.
-func addAppVM(t *testing.T, h *Hypervisor, id, cpu int) {
+func addAppVM(t testing.TB, h *Hypervisor, id, cpu int) {
 	t.Helper()
 	if err := h.CreateDomain(id, "app", 4096, cpu, false); err != nil {
 		t.Fatal(err)

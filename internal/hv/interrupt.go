@@ -37,17 +37,17 @@ func (h *Hypervisor) DeliverInterrupt(cpu int, vec hw.Vector) bool {
 	case hw.VecTimer:
 		h.Stats.TimerIRQs++
 		h.Tel.Counters[telemetry.CtrTimerIRQs]++
-		h.startIRQProgram(cpu, "timer", h.buildTimerIRQ(cpu))
+		h.startIRQProgram(cpu, irqTimer, h.buildTimerIRQ(cpu))
 	case hw.VecBlock:
 		h.Stats.DeviceIRQs++
 		h.Tel.Counters[telemetry.CtrDeviceIRQs]++
-		h.startIRQProgram(cpu, "block", h.buildDeviceIRQ(cpu, hw.IRQBlock))
+		h.startIRQProgram(cpu, irqBlock, h.buildDeviceIRQ(cpu, hw.IRQBlock))
 	case hw.VecNIC:
 		h.Stats.DeviceIRQs++
 		h.Tel.Counters[telemetry.CtrDeviceIRQs]++
-		h.startIRQProgram(cpu, "nic", h.buildDeviceIRQ(cpu, hw.IRQNIC))
+		h.startIRQProgram(cpu, irqNIC, h.buildDeviceIRQ(cpu, hw.IRQNIC))
 	case hw.VecIPI:
-		h.startIRQProgram(cpu, "ipi", h.buildIPIProgram(cpu))
+		h.startIRQProgram(cpu, irqIPI, h.buildIPIProgram(cpu))
 	default:
 		return false
 	}
@@ -77,14 +77,43 @@ func (h *Hypervisor) handleNMI(cpu int) {
 
 const nmiHandlerInstrs = 120
 
+// irqKind indexes the interrupt handler programs. A kind's name is both
+// PerCPU.IRQActivity and the EvIRQEnter flight event's interned argument.
+type irqKind int
+
+const (
+	irqTimer irqKind = iota
+	irqBlock
+	irqNIC
+	irqIPI
+	numIRQKinds
+)
+
+var irqKindNames = [numIRQKinds]string{"timer", "block", "nic", "ipi"}
+
+// irqActivityID returns the telemetry string id of k's name. Interning is
+// a string-map lookup and this runs on every interrupt, so the id is kept
+// and only checked against the table: a telemetry restore truncates the
+// strings interned since its snapshot, and the next run must then intern
+// the name again, in its own first-use order.
+func (h *Hypervisor) irqActivityID(k irqKind) uint64 {
+	name := irqKindNames[k]
+	if id := h.irqActivityIDs[k]; id != 0 && h.Tel.Str(id) == name {
+		return id
+	}
+	id := h.Tel.Intern(name)
+	h.irqActivityIDs[k] = id
+	return id
+}
+
 // startIRQProgram begins executing an interrupt handler program on cpu.
-func (h *Hypervisor) startIRQProgram(cpu int, activity string, prog hypercall.Program) {
+func (h *Hypervisor) startIRQProgram(cpu int, kind irqKind, prog hypercall.Program) {
 	pc := h.percpu[cpu]
 	pc.Env.Call = nil
 	pc.Env.ResetProgramState()
 	pc.InIRQProgram = true
-	pc.IRQActivity = activity
-	h.Tel.Record(cpu, telemetry.EvIRQEnter, h.Tel.Intern(activity))
+	pc.IRQActivity = irqKindNames[kind]
+	h.Tel.Record(cpu, telemetry.EvIRQEnter, h.irqActivityID(kind))
 	pc.CurrentProg = prog
 	pc.CurrentStep = 0
 	h.runProgram(cpu)
@@ -194,7 +223,7 @@ func (h *Hypervisor) buildTimerIRQ(cpu int) hypercall.Program {
 	prog := append(pc.irqProg[:0], fx.enterIRQ, stepScanTimerHeap)
 	runSched := false
 	for _, t := range due {
-		if h.schedTicks[t] {
+		if t == pc.schedTick {
 			runSched = true
 			prog = append(prog, hypercall.Step{Name: t.RearmLabel(), Instrs: 30, T: t, Do: doIRQRearmTimer})
 			continue

@@ -4,6 +4,7 @@ import (
 	"nilihype/internal/hw"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/locking"
+	"nilihype/internal/xentime"
 )
 
 // PerCPU is the hypervisor's per-CPU private area — the analogue of Xen's
@@ -60,6 +61,11 @@ type PerCPU struct {
 	// was interrupted inside an unmitigated window (§IV residual): its
 	// retry is poisoned — the undo log cannot be trusted.
 	abandonedUnmitigated bool
+
+	// schedTick is this CPU's standing scheduler-tick timer (boot-time
+	// wiring), whose expiry expands into preemption steps inside the
+	// timer IRQ program.
+	schedTick *xentime.Timer
 
 	// irqFixedSteps caches the timer- and device-IRQ program steps whose
 	// closures capture only per-CPU state. The handlers are rebuilt on

@@ -35,7 +35,7 @@ type percpuSaved struct {
 
 // consSaved is the captured console ring.
 type consSaved struct {
-	ring    []string
+	ring    []consLine
 	start   int
 	written uint64
 	dropped uint64
@@ -65,7 +65,6 @@ type Snapshot struct {
 	cons   consSaved
 
 	nextGuestFrame int
-	schedTicks     []*xentime.Timer
 	crossCPUWaits  []CrossCPUWait
 
 	injectArmed  bool
@@ -112,7 +111,7 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 
 		percpu: make([]percpuSaved, len(h.percpu)),
 		cons: consSaved{
-			ring:    append([]string(nil), h.Cons.ring...),
+			ring:    append([]consLine(nil), h.Cons.ring...),
 			start:   h.Cons.start,
 			written: h.Cons.Written,
 			dropped: h.Cons.Dropped,
@@ -144,12 +143,6 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 		stats:          h.Stats,
 		tel:            h.Tel.Snapshot(),
 		jrn:            h.Jrn.Snapshot(),
-	}
-	// Deterministic order for the standing-tick set is not needed (it is
-	// restored into a map), but capture through the timer subsystem's
-	// registered set would drag in inactive timers; iterate the map.
-	for t := range h.schedTicks {
-		s.schedTicks = append(s.schedTicks, t)
 	}
 	for i, pc := range h.percpu {
 		s.percpu[i] = percpuSaved{
@@ -198,13 +191,6 @@ func (h *Hypervisor) Restore(s *Snapshot) {
 
 	h.nextGuestFrame = s.nextGuestFrame
 	h.crossCPUWaits = append(h.crossCPUWaits[:0], s.crossCPUWaits...)
-
-	for t := range h.schedTicks {
-		delete(h.schedTicks, t)
-	}
-	for _, t := range s.schedTicks {
-		h.schedTicks[t] = true
-	}
 
 	h.injectArmed = s.injectArmed
 	h.injectBudget = s.injectBudget

@@ -3,7 +3,21 @@ package hw
 import (
 	"fmt"
 	"time"
+
+	"nilihype/internal/simclock"
 )
+
+// popFront removes and returns q's first element in place. Device queues
+// are a handful of entries deep, so the copy-down is cheap, and unlike
+// q = q[1:] it keeps the backing array's start fixed: later appends reuse
+// the same storage instead of reallocating every cap(q) pushes.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	n := copy(s, s[1:])
+	*q = s[:n]
+	return v
+}
 
 // BlockRequest is one I/O request submitted to the block device.
 type BlockRequest struct {
@@ -30,13 +44,28 @@ type BlockCompletion struct {
 // BlockDevice models a single-queue disk: requests are serviced in FIFO
 // order, each taking the configured service time (plus a per-sector
 // component), and completion raises IRQBlock through the IO-APIC.
+//
+// The steady state allocates nothing: one request is ever in service, so
+// it lives in cur and its completion event carries the one cached
+// callback instead of a closure over the request.
 type BlockDevice struct {
 	machine *Machine
 	svc     time.Duration
 
-	queue     []BlockRequest
-	busy      bool
+	queue []BlockRequest // waiting requests, FIFO
+	cur   BlockRequest   // the request in service, valid while busy
+	busy  bool
+	// completed is the completion ring; spare is the buffer the last
+	// DrainCompletions handed out, swapped back in at the next drain
+	// (same ownership rule as NIC.DrainRx).
 	completed []BlockCompletion
+	spare     []BlockCompletion
+
+	// completeFn is b.complete as a method value, taken once.
+	completeFn simclock.Func
+	// tags holds each owner's completion-event tag, formatted on the
+	// owner's first request.
+	tags map[int]string
 
 	// Stats
 	Submitted uint64
@@ -44,7 +73,9 @@ type BlockDevice struct {
 }
 
 func newBlockDevice(m *Machine, svc time.Duration) *BlockDevice {
-	return &BlockDevice{machine: m, svc: svc}
+	b := &BlockDevice{machine: m, svc: svc, tags: make(map[int]string)}
+	b.completeFn = b.complete
+	return b
 }
 
 // Submit enqueues a request. The device starts servicing immediately if
@@ -63,22 +94,33 @@ func (b *BlockDevice) startNext() {
 		return
 	}
 	b.busy = true
-	req := b.queue[0]
-	b.queue = b.queue[1:]
-	cost := b.svc + time.Duration(req.Sectors)*500*time.Nanosecond
-	b.machine.Clock.After(cost, fmt.Sprintf("blk-complete dom%d", req.Owner), func() {
-		b.Completed++
-		b.completed = append(b.completed, BlockCompletion{Req: req, OK: true})
-		b.machine.ioapic.Raise(IRQBlock)
-		b.startNext()
-	})
+	b.cur = popFront(&b.queue)
+	tag, ok := b.tags[b.cur.Owner]
+	if !ok {
+		tag = fmt.Sprintf("blk-complete dom%d", b.cur.Owner)
+		b.tags[b.cur.Owner] = tag
+	}
+	cost := b.svc + time.Duration(b.cur.Sectors)*500*time.Nanosecond
+	b.machine.Clock.After(cost, tag, b.completeFn)
 }
 
-// DrainCompletions returns and clears the completion ring. The hypervisor's
-// block interrupt handler calls this.
+// complete finishes the request in service and starts the next one.
+func (b *BlockDevice) complete() {
+	b.Completed++
+	b.completed = append(b.completed, BlockCompletion{Req: b.cur, OK: true})
+	b.machine.ioapic.Raise(IRQBlock)
+	b.startNext()
+}
+
+// DrainCompletions returns and clears the completion ring (nil when it is
+// empty). The hypervisor's block interrupt handler calls this; the
+// returned batch is valid until the drain after next.
 func (b *BlockDevice) DrainCompletions() []BlockCompletion {
+	if len(b.completed) == 0 {
+		return nil
+	}
 	out := b.completed
-	b.completed = nil
+	b.completed, b.spare = b.spare[:0], out
 	return out
 }
 
@@ -106,12 +148,30 @@ const RxRingSlots = 64
 // sender host) arrive via Inject and raise IRQNIC after the delivery
 // latency; outbound packets are handed to the registered transmit sink
 // after the same latency.
+//
+// Packets in flight wait in two FIFOs on the NIC rather than in a closure
+// per packet. The wire latency is a constant and the clock fires
+// same-instant events in scheduling order, so packets leave each wire in
+// the order they entered it: every wire event pops the head of its FIFO.
 type NIC struct {
 	machine *Machine
 	lat     time.Duration
 
-	rxRing []Packet
-	txSink func(Packet)
+	rxWire []Packet // injected, not yet arrived
+	txWire []Packet // transmitted, not yet at the sink
+	// rxArriveFn/txArriveFn are the wire-event callbacks as method
+	// values, taken once.
+	rxArriveFn simclock.Func
+	txArriveFn simclock.Func
+
+	// rxRing holds arrived, undrained packets. rxSpare is the buffer the
+	// last DrainRx handed out: the drained batch belongs to the draining
+	// CPU's in-flight IRQ program (hv's pc.irqPkts) until that program
+	// completes or recovery discards it, and IRQNIC stays in service for
+	// exactly that long, so the buffer is free again by the next drain.
+	rxRing  []Packet
+	rxSpare []Packet
+	txSink  func(Packet)
 
 	// Stats
 	RxCount   uint64
@@ -120,7 +180,10 @@ type NIC struct {
 }
 
 func newNIC(m *Machine, lat time.Duration) *NIC {
-	return &NIC{machine: m, lat: lat}
+	n := &NIC{machine: m, lat: lat}
+	n.rxArriveFn = n.rxArrive
+	n.txArriveFn = n.txArrive
+	return n
 }
 
 // SetTxSink registers the callback that receives transmitted packets (the
@@ -130,21 +193,31 @@ func (n *NIC) SetTxSink(sink func(Packet)) { n.txSink = sink }
 // Inject delivers pkt from the wire: after the NIC latency it lands in the
 // RX ring and IRQNIC is raised.
 func (n *NIC) Inject(pkt Packet) {
-	n.machine.Clock.After(n.lat, "nic-rx", func() {
-		if len(n.rxRing) >= RxRingSlots {
-			n.RxDropped++
-			return
-		}
-		n.RxCount++
-		n.rxRing = append(n.rxRing, pkt)
-		n.machine.ioapic.Raise(IRQNIC)
-	})
+	n.rxWire = append(n.rxWire, pkt)
+	n.machine.Clock.After(n.lat, "nic-rx", n.rxArriveFn)
 }
 
-// DrainRx returns and clears the RX ring.
+// rxArrive lands the oldest packet on the RX wire in the ring, or drops it
+// when the ring is full.
+func (n *NIC) rxArrive() {
+	pkt := popFront(&n.rxWire)
+	if len(n.rxRing) >= RxRingSlots {
+		n.RxDropped++
+		return
+	}
+	n.RxCount++
+	n.rxRing = append(n.rxRing, pkt)
+	n.machine.ioapic.Raise(IRQNIC)
+}
+
+// DrainRx returns and clears the RX ring (nil when it is empty). The
+// returned batch is valid until the drain after next; see rxSpare.
 func (n *NIC) DrainRx() []Packet {
+	if len(n.rxRing) == 0 {
+		return nil
+	}
 	out := n.rxRing
-	n.rxRing = nil
+	n.rxRing, n.rxSpare = n.rxSpare[:0], out
 	return out
 }
 
@@ -155,8 +228,12 @@ func (n *NIC) Transmit(pkt Packet) {
 	if n.txSink == nil {
 		return
 	}
-	n.machine.Clock.After(n.lat, "nic-tx", func() { n.txSink(pkt) })
+	n.txWire = append(n.txWire, pkt)
+	n.machine.Clock.After(n.lat, "nic-tx", n.txArriveFn)
 }
+
+// txArrive hands the oldest packet on the TX wire to the sink.
+func (n *NIC) txArrive() { n.txSink(popFront(&n.txWire)) }
 
 // RxDepth returns the number of undrained RX packets.
 func (n *NIC) RxDepth() int { return len(n.rxRing) }

@@ -29,7 +29,9 @@ type cpuState struct {
 
 // Snapshot is a captured machine state (everything mutable below the
 // hypervisor: register files, interrupt state, device queues, counters).
-// It pairs with a simclock.Snapshot taken at the same instant.
+// It pairs with a simclock.Snapshot taken at the same instant: the clock
+// snapshot holds the pending wire and completion events, this one the
+// packets and the request those events will pop (blkCur, rxWire, txWire).
 type Snapshot struct {
 	cpus  []cpuState
 	lines [numIRQLines + 1]lineState
@@ -37,11 +39,14 @@ type Snapshot struct {
 	redirWrites uint64
 
 	blkQueue     []BlockRequest
+	blkCur       BlockRequest
 	blkBusy      bool
 	blkCompleted []BlockCompletion
 	blkSubmitted uint64
 	blkDone      uint64
 
+	rxWire    []Packet
+	txWire    []Packet
 	rxRing    []Packet
 	rxCount   uint64
 	rxDropped uint64
@@ -56,11 +61,14 @@ func (m *Machine) Snapshot() *Snapshot {
 		redirWrites: m.ioapic.RedirWrites,
 
 		blkQueue:     append([]BlockRequest(nil), m.block.queue...),
+		blkCur:       m.block.cur,
 		blkBusy:      m.block.busy,
 		blkCompleted: append([]BlockCompletion(nil), m.block.completed...),
 		blkSubmitted: m.block.Submitted,
 		blkDone:      m.block.Completed,
 
+		rxWire:    append([]Packet(nil), m.nic.rxWire...),
+		txWire:    append([]Packet(nil), m.nic.txWire...),
 		rxRing:    append([]Packet(nil), m.nic.rxRing...),
 		rxCount:   m.nic.RxCount,
 		rxDropped: m.nic.RxDropped,
@@ -110,11 +118,14 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.ioapic.RedirWrites = s.redirWrites
 
 	m.block.queue = append(m.block.queue[:0], s.blkQueue...)
+	m.block.cur = s.blkCur
 	m.block.busy = s.blkBusy
 	m.block.completed = append(m.block.completed[:0], s.blkCompleted...)
 	m.block.Submitted = s.blkSubmitted
 	m.block.Completed = s.blkDone
 
+	m.nic.rxWire = append(m.nic.rxWire[:0], s.rxWire...)
+	m.nic.txWire = append(m.nic.txWire[:0], s.txWire...)
 	m.nic.rxRing = append(m.nic.rxRing[:0], s.rxRing...)
 	m.nic.RxCount = s.rxCount
 	m.nic.RxDropped = s.rxDropped

@@ -416,8 +416,8 @@ func doEvtSetPending(e *Env, st *Step) error {
 	if err != nil {
 		return err
 	}
-	if ports := dm.Events.PendingPorts(); len(ports) > 0 {
-		e.scr.notifiedPort = ports[len(ports)-1]
+	if last := dm.Events.LastPending(); last > 0 {
+		e.scr.notifiedPort = last
 	}
 	return nil
 }
@@ -597,8 +597,8 @@ func doUnlockConsole(e *Env, st *Step) error {
 }
 
 func doConsoleEmit(e *Env, st *Step) error {
-	if e.ConsoleWrite != nil {
-		e.ConsoleWrite(fmt.Sprintf("d%d: console output (call %d)", st.C.Dom, st.C.Seq))
+	if e.ConsoleEmit != nil {
+		e.ConsoleEmit(st.C.Dom, st.C.Seq)
 	}
 	return nil
 }

@@ -126,9 +126,9 @@ type Env struct {
 	// be nil in unit tests).
 	Notify func(domID, port int)
 
-	// ConsoleWrite appends to the hypervisor console ring (may be nil in
-	// unit tests).
-	ConsoleWrite func(msg string)
+	// ConsoleEmit appends domain dom's console_io output for call seq to
+	// the hypervisor console ring (may be nil in unit tests).
+	ConsoleEmit func(dom int, seq uint64)
 
 	// SwitchContext saves/loads vCPU register contexts on a context
 	// switch (bound to the hypervisor's hardware access; may be nil in

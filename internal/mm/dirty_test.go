@@ -24,14 +24,24 @@ func naiveInconsistent(frames []PageFrame) []int {
 	return out
 }
 
+// flat reads the whole table out through At, one descriptor at a time.
+func (ft *FrameTable) flat() []PageFrame {
+	out := make([]PageFrame, ft.Len())
+	for i := range out {
+		out[i] = ft.At(i)
+	}
+	return out
+}
+
 // firstDifference compares the table with want descriptor by descriptor
 // and returns the first index that differs, or -1.
 func (ft *FrameTable) firstDifference(want []PageFrame) int {
-	if len(ft.frames) != len(want) {
-		return min(len(ft.frames), len(want))
+	got := ft.flat()
+	if len(got) != len(want) {
+		return min(len(got), len(want))
 	}
 	for i := range want {
-		if ft.frames[i] != want[i] {
+		if got[i] != want[i] {
 			return i
 		}
 	}
@@ -66,11 +76,11 @@ func TestSnapshotOfUnchangedTableReturnsBase(t *testing.T) {
 func TestRestoreFromEitherSnapshot(t *testing.T) {
 	ft := NewFrameTable(3*chunkFrames + 7)
 	a := ft.Snapshot()
-	wantA := slices.Clone(ft.frames)
+	wantA := ft.flat()
 	ft.Frame(1).PinAsPageTable()
 	ft.Frame(3 * chunkFrames).PinAsPageTable()
 	b := ft.Snapshot()
-	wantB := slices.Clone(ft.frames)
+	wantB := ft.flat()
 	ft.Frame(chunkFrames + 1).PinAsPageTable()
 
 	for i, s := range []*FrameTableSnapshot{a, b, b, a, a, b} {
@@ -80,9 +90,53 @@ func TestRestoreFromEitherSnapshot(t *testing.T) {
 		}
 		ft.Restore(s)
 		if d := ft.firstDifference(want); d >= 0 {
-			t.Fatalf("restore %d: frame %d = %+v, want %+v", i, d, ft.frames[d], want[d])
+			t.Fatalf("restore %d: frame %d = %+v, want %+v", i, d, ft.At(d), want[d])
 		}
 		ft.Frame(2*chunkFrames + i).IncUse()
+	}
+}
+
+// TestTableSpanningSegments: descriptors either side of a storage-segment
+// boundary and in the short last segment are separate descriptors, scan in
+// ascending order, and snapshot and restore like any other.
+func TestTableSpanningSegments(t *testing.T) {
+	n := segFrames + chunkFrames + 7
+	ft := NewFrameTable(n)
+	if err := ft.AssignRange(segFrames-3, 6, 2, FrameGuest); err != nil {
+		t.Fatal(err)
+	}
+	base := ft.Snapshot()
+	want := ft.flat()
+	if ft.CountType(FrameGuest) != 6 || ft.CountType(FrameFree) != n-6 {
+		t.Fatalf("CountType: %d guest, %d free", ft.CountType(FrameGuest), ft.CountType(FrameFree))
+	}
+
+	touched := []int{0, segFrames - 1, segFrames, n - 1}
+	for _, i := range touched {
+		f := ft.Frame(i)
+		f.Type, f.UseCount = FramePageTable, 1 // reference taken, not yet validated
+	}
+	if got := ft.InconsistentFrames(); !slices.Equal(got, touched) {
+		t.Fatalf("InconsistentFrames = %v, want %v", got, touched)
+	}
+	if got := ft.At(segFrames - 2); got != want[segFrames-2] {
+		t.Fatalf("frame %d changed to %+v by writes to its neighbours", segFrames-2, got)
+	}
+	changed := ft.Snapshot()
+	if changed == base {
+		t.Fatal("snapshot of a changed table returned the stale base")
+	}
+	if repaired := ft.ScanAndRepair(); repaired != len(touched) {
+		t.Fatalf("ScanAndRepair = %d, want %d", repaired, len(touched))
+	}
+
+	ft.Restore(base)
+	if d := ft.firstDifference(want); d >= 0 {
+		t.Fatalf("after restore: frame %d = %+v, want %+v", d, ft.At(d), want[d])
+	}
+	ft.Restore(changed)
+	if got := ft.InconsistentFrames(); !slices.Equal(got, touched) {
+		t.Fatalf("after restoring the other snapshot: InconsistentFrames = %v, want %v", got, touched)
 	}
 }
 
@@ -158,7 +212,7 @@ func newDirtyModel(t *testing.T, n, heapFrames int) *dirtyModel {
 		t:      t,
 		ft:     ft,
 		heap:   NewHeap(ft, locking.NewRegistry(), 0, heapFrames),
-		frames: slices.Clone(ft.frames),
+		frames: ft.flat(),
 		rng:    rand.New(rand.NewPCG(7, uint64(n))),
 		twin:   rand.New(rand.NewPCG(7, uint64(n))),
 	}
@@ -168,7 +222,7 @@ func newDirtyModel(t *testing.T, n, heapFrames int) *dirtyModel {
 func (m *dirtyModel) check(op string) {
 	m.t.Helper()
 	if d := m.ft.firstDifference(m.frames); d >= 0 {
-		m.t.Fatalf("after %s: frame %d = %+v, model has %+v", op, d, m.ft.frames[d], m.frames[d])
+		m.t.Fatalf("after %s: frame %d = %+v, model has %+v", op, d, m.ft.At(d), m.frames[d])
 	}
 	if got, want := m.ft.InconsistentFrames(), naiveInconsistent(m.frames); !slices.Equal(got, want) {
 		m.t.Fatalf("after %s: InconsistentFrames = %v, full walk finds %v", op, got, want)

@@ -80,6 +80,50 @@ const (
 	chunkFrames = 1 << chunkShift
 )
 
+// frameStore holds n descriptors as segments of segFrames, the last one
+// shorter, rather than as one array. At 8 GB one array is 16 MB, every boot
+// image holds two (live + snapshot), and a process that builds image after
+// image (a campaign per configuration, a benchmark's set-up repetitions)
+// frees and reallocates them each time. A collected 16 MB block can be
+// reused only while nothing at all has been allocated inside it: let the Go
+// heap place one small span there first, which depends on goroutine
+// scheduling, and the process maps a fresh 16 MB instead, so the peak RSS
+// of one command differed by that much from one execution to the next
+// (40 or 52 MB on the 8 GB benchmark workload). With segments the same
+// accident costs one segment.
+//
+// A segment is 2 MB: the whole table of a 1 GB host, whose allocation
+// pattern is therefore what it was. Smaller segments were measured (1 MB,
+// 64 KB) and spread the 1 GB workloads' peak RSS wider, not narrower.
+type frameStore [][]PageFrame
+
+const (
+	segShift  = 18
+	segFrames = 1 << segShift
+)
+
+func newFrameStore(n int) frameStore {
+	s := make(frameStore, (n+segFrames-1)>>segShift)
+	for k := range s {
+		s[k] = make([]PageFrame, min(segFrames, n-k<<segShift))
+	}
+	return s
+}
+
+func (s frameStore) at(i int) *PageFrame { return &s[i>>segShift][i&(segFrames-1)] }
+
+// span returns descriptors [lo, hi), which must lie in one segment; a
+// dirty chunk always does, since segFrames is a multiple of chunkFrames.
+func (s frameStore) span(lo, hi int) []PageFrame {
+	return s[lo>>segShift][lo&(segFrames-1) : (hi-1)&(segFrames-1)+1]
+}
+
+func (s frameStore) copyFrom(o frameStore) {
+	for k := range s {
+		copy(s[k], o[k])
+	}
+}
+
 // FrameTable is the array of page frame descriptors covering physical
 // memory, plus one dirty set: a bitmap with one bit per chunk of
 // chunkFrames descriptors. The invariant is
@@ -105,7 +149,8 @@ const (
 // (heap-freelist, pf-descriptors) both belong to the Global recovery
 // domain, which is a single lane.
 type FrameTable struct {
-	frames []PageFrame
+	n      int
+	frames frameStore
 	dirty  []uint64
 	base   *FrameTableSnapshot
 }
@@ -114,11 +159,14 @@ type FrameTable struct {
 func NewFrameTable(n int) *FrameTable {
 	chunks := (n + chunkFrames - 1) >> chunkShift
 	ft := &FrameTable{
-		frames: make([]PageFrame, n),
+		n:      n,
+		frames: newFrameStore(n),
 		dirty:  make([]uint64, (chunks+63)/64),
 	}
-	for i := range ft.frames {
-		ft.frames[i] = PageFrame{Type: FrameFree, Owner: NoDomain}
+	for _, seg := range ft.frames {
+		for i := range seg {
+			seg[i] = PageFrame{Type: FrameFree, Owner: NoDomain}
+		}
 	}
 	for c := 0; c < chunks; c++ {
 		ft.markChunk(c)
@@ -127,7 +175,7 @@ func NewFrameTable(n int) *FrameTable {
 }
 
 // Len returns the number of page frames.
-func (ft *FrameTable) Len() int { return len(ft.frames) }
+func (ft *FrameTable) Len() int { return ft.n }
 
 func (ft *FrameTable) markChunk(c int) { ft.dirty[c>>6] |= 1 << (c & 63) }
 
@@ -138,11 +186,11 @@ func (ft *FrameTable) markChunk(c int) { ft.dirty[c>>6] |= 1 << (c & 63) }
 // the dirty set; after that, fetch it again. Read-only callers use At.
 func (ft *FrameTable) Frame(i int) *PageFrame {
 	ft.markChunk(i >> chunkShift)
-	return &ft.frames[i]
+	return ft.frames.at(i)
 }
 
 // At returns a copy of descriptor i without dirtying its chunk.
-func (ft *FrameTable) At(i int) PageFrame { return ft.frames[i] }
+func (ft *FrameTable) At(i int) PageFrame { return *ft.frames.at(i) }
 
 // eachDirtyChunk calls fn with the frame range [lo, hi) of every dirty
 // chunk, in ascending order.
@@ -150,7 +198,7 @@ func (ft *FrameTable) eachDirtyChunk(fn func(lo, hi int)) {
 	for w, word := range ft.dirty {
 		for ; word != 0; word &= word - 1 {
 			lo := (w<<6 | bits.TrailingZeros64(word)) << chunkShift
-			fn(lo, min(lo+chunkFrames, len(ft.frames)))
+			fn(lo, min(lo+chunkFrames, ft.n))
 		}
 	}
 }
@@ -158,9 +206,11 @@ func (ft *FrameTable) eachDirtyChunk(fn func(lo, hi int)) {
 // CountType returns how many frames have the given type.
 func (ft *FrameTable) CountType(t FrameType) int {
 	n := 0
-	for i := range ft.frames {
-		if ft.frames[i].Type == t {
-			n++
+	for _, seg := range ft.frames {
+		for i := range seg {
+			if seg[i].Type == t {
+				n++
+			}
 		}
 	}
 	return n
@@ -172,9 +222,9 @@ func (ft *FrameTable) CountType(t FrameType) int {
 func (ft *FrameTable) InconsistentFrames() []int {
 	var out []int
 	ft.eachDirtyChunk(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !ft.frames[i].consistent() {
-				out = append(out, i)
+		for i, f := range ft.frames.span(lo, hi) {
+			if !f.consistent() {
+				out = append(out, lo+i)
 			}
 		}
 	})
@@ -190,8 +240,9 @@ func (ft *FrameTable) InconsistentFrames() []int {
 func (ft *FrameTable) ScanAndRepair() int {
 	repaired := 0
 	ft.eachDirtyChunk(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f := &ft.frames[i]
+		chunk := ft.frames.span(lo, hi)
+		for i := range chunk {
+			f := &chunk[i]
 			if f.consistent() {
 				continue
 			}
@@ -209,7 +260,7 @@ func (ft *FrameTable) ScanAndRepair() int {
 // modeling error propagation into the frame table. It returns the frame
 // index.
 func (ft *FrameTable) CorruptRandomDescriptor(rng *rand.Rand) int {
-	i := rng.IntN(len(ft.frames))
+	i := rng.IntN(ft.n)
 	f := ft.Frame(i)
 	f.Type = FramePageTable
 	if rng.IntN(2) == 0 {

@@ -3,6 +3,7 @@ package mm
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"nilihype/internal/locking"
 )
@@ -72,6 +73,12 @@ type Heap struct {
 	free    []int // free frame indices (LIFO free list)
 	objects map[uint64]*Object
 	nextID  uint64
+
+	// seen and seenOutside are ValidateFreeList's scratch: one bit per
+	// frame of the heap's own range, and the (rare) list entries that
+	// name a frame outside it.
+	seen        []uint64
+	seenOutside []int
 }
 
 // NewHeap builds a heap owning the frames [start, start+count) of ft.
@@ -82,6 +89,7 @@ func NewHeap(ft *FrameTable, locks *locking.Registry, start, count int) *Heap {
 		start:   start,
 		count:   count,
 		objects: make(map[uint64]*Object),
+		seen:    make([]uint64, (count+63)/64),
 	}
 	// LIFO order: push high frames first so low frames allocate first.
 	for i := start + count - 1; i >= start; i-- {
@@ -264,31 +272,47 @@ func (h *Heap) CorruptFreeList(rng *rand.Rand) string {
 // ValidateFreeList performs the full free-list audit walk: every entry must
 // be an in-range free frame, no frame may appear twice, and every free
 // frame in the heap's range must be on the list (no leaks). It returns one
-// description per violation, empty when the list is intact.
+// description per violation, empty when the list is intact; a walk that
+// finds nothing allocates nothing.
 func (h *Heap) ValidateFreeList() []string {
 	var out []string
-	seen := make(map[int]bool, len(h.free))
+	clear(h.seen)
+	h.seenOutside = h.seenOutside[:0]
 	for i := len(h.free) - 1; i >= 0; i-- {
 		fi := h.free[i]
 		if fi < 0 || fi >= h.ft.Len() {
 			out = append(out, fmt.Sprintf("entry %d out of range (%d)", i, fi))
 			continue
 		}
-		if seen[fi] {
+		if h.markSeen(fi) {
 			out = append(out, fmt.Sprintf("frame %d on free list twice", fi))
 			continue
 		}
-		seen[fi] = true
 		if t := h.ft.At(fi).Type; t != FrameFree {
 			out = append(out, fmt.Sprintf("frame %d on free list but not free (%v)", fi, t))
 		}
 	}
-	for i := h.start; i < h.start+h.count; i++ {
-		if h.ft.At(i).Type == FrameFree && !seen[i] {
-			out = append(out, fmt.Sprintf("free frame %d leaked off the list", i))
+	for i := 0; i < h.count; i++ {
+		if h.ft.At(h.start+i).Type == FrameFree && h.seen[i>>6]&(1<<(i&63)) == 0 {
+			out = append(out, fmt.Sprintf("free frame %d leaked off the list", h.start+i))
 		}
 	}
 	return out
+}
+
+// markSeen records that the current ValidateFreeList walk met frame fi and
+// reports whether it had met it before.
+func (h *Heap) markSeen(fi int) bool {
+	if i := fi - h.start; i >= 0 && i < h.count {
+		dup := h.seen[i>>6]&(1<<(i&63)) != 0
+		h.seen[i>>6] |= 1 << (i & 63)
+		return dup
+	}
+	if slices.Contains(h.seenOutside, fi) {
+		return true
+	}
+	h.seenOutside = append(h.seenOutside, fi)
+	return false
 }
 
 // CorruptRandomObject flips a canary bit in a random live object (picked in

@@ -29,9 +29,9 @@ func (f *PageFrame) DecUse() error {
 // AssignRange hands frames [start, start+count) to domain dom with the
 // given type. Boot uses it to carve guest memory out of the machine.
 func (ft *FrameTable) AssignRange(start, count, dom int, t FrameType) error {
-	if start < 0 || start+count > len(ft.frames) {
+	if start < 0 || start+count > ft.n {
 		return fmt.Errorf("mm: frame range [%d,%d) out of bounds (table size %d)",
-			start, start+count, len(ft.frames))
+			start, start+count, ft.n)
 	}
 	if dom < NoDomain || dom > math.MaxInt16 {
 		return fmt.Errorf("mm: domain %d does not fit a frame descriptor's owner field", dom)

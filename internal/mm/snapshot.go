@@ -1,6 +1,10 @@
 package mm
 
-import "nilihype/internal/locking"
+import (
+	"slices"
+
+	"nilihype/internal/locking"
+)
 
 // FrameTableSnapshot is a full copy of the page frame descriptor array
 // (16 MB at 8 GB), immutable once captured. Capturing is the only O(Len())
@@ -9,7 +13,7 @@ import "nilihype/internal/locking"
 // campaign's run-after-run restore costs what the run dirtied (a few
 // thousand descriptors), not the size of memory, and allocates nothing.
 type FrameTableSnapshot struct {
-	frames []PageFrame
+	frames frameStore
 
 	// inconsistent lists the descriptors that were inconsistent at
 	// capture. A snapshot need not be consistent, and the scans look only
@@ -25,10 +29,10 @@ func (ft *FrameTable) Snapshot() *FrameTableSnapshot {
 		return ft.base
 	}
 	s := &FrameTableSnapshot{
-		frames:       make([]PageFrame, len(ft.frames)),
+		frames:       newFrameStore(ft.n),
 		inconsistent: ft.InconsistentFrames(),
 	}
-	copy(s.frames, ft.frames)
+	s.frames.copyFrom(ft.frames)
 	ft.rebase(s)
 	return s
 }
@@ -41,9 +45,7 @@ func (ft *FrameTable) equalsBase() bool {
 	}
 	equal := true
 	ft.eachDirtyChunk(func(lo, hi int) {
-		for i := lo; i < hi && equal; i++ {
-			equal = ft.frames[i] == ft.base.frames[i]
-		}
+		equal = equal && slices.Equal(ft.frames.span(lo, hi), ft.base.frames.span(lo, hi))
 	})
 	return equal
 }
@@ -63,9 +65,9 @@ func (ft *FrameTable) rebase(s *FrameTableSnapshot) {
 // full and becomes the base.
 func (ft *FrameTable) Restore(s *FrameTableSnapshot) {
 	if s != ft.base {
-		copy(ft.frames, s.frames)
+		ft.frames.copyFrom(s.frames)
 	} else {
-		ft.eachDirtyChunk(func(lo, hi int) { copy(ft.frames[lo:hi], s.frames[lo:hi]) })
+		ft.eachDirtyChunk(func(lo, hi int) { copy(ft.frames.span(lo, hi), s.frames.span(lo, hi)) })
 	}
 	ft.rebase(s)
 }

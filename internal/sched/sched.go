@@ -92,6 +92,10 @@ type percpu struct {
 	curr *VCPU // per-CPU copy: vCPU currently on this CPU (nil = idle)
 	runq []*VCPU
 	lock *locking.Lock
+	// op is the storage BeginSwitch hands out: one switch is in flight
+	// per CPU (its steps run under the runqueue lock), so the record is
+	// reused rather than allocated per switch.
+	op SwitchOp
 }
 
 // Scheduler is the credit scheduler across all physical CPUs.
@@ -228,7 +232,8 @@ type SwitchOp struct {
 // BeginSwitch starts a context switch on cpu: it picks the next vCPU from
 // the runqueue (round-robin with credit decay). The caller must hold the
 // runqueue lock. Returns nil if the runqueue is empty and no current vCPU
-// needs requeueing (CPU stays idle or keeps running prev).
+// needs requeueing (CPU stays idle or keeps running prev). The returned
+// record is the CPU's own and is valid until the next BeginSwitch on cpu.
 func (s *Scheduler) BeginSwitch(cpu int) *SwitchOp {
 	pc := &s.cpus[cpu]
 	if len(pc.runq) == 0 {
@@ -236,7 +241,8 @@ func (s *Scheduler) BeginSwitch(cpu int) *SwitchOp {
 	}
 	s.tel.Inc(telemetry.CtrSchedSwitches)
 	next := pc.runq[0]
-	return &SwitchOp{s: s, cpu: cpu, prev: pc.curr, next: next}
+	pc.op = SwitchOp{s: s, cpu: cpu, prev: pc.curr, next: next}
+	return &pc.op
 }
 
 // StepDequeueNext removes the chosen vCPU from the runqueue (step 1).
