@@ -1,14 +1,9 @@
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
 	"time"
 
 	"nilihype/internal/campaign"
@@ -29,13 +24,7 @@ Examples:
 	hyperrecover campaign -mechanism rehype -fault code -runs 400
 	hyperrecover campaign -all -runs 300          # full Figure 2 grid
 	hyperrecover campaign -all -paper             # paper-scale campaign sizes
-	hyperrecover campaign -runs 2000 -shards 8    # 8 worker processes
-
-With -shards N the campaign is split into N contiguous seed-range shards,
-each executed by a worker subprocess (this binary re-execed as
-"hyperrecover shard-worker"), and the shard summaries are merged —
-bit-identical to the single-process result, but scaling across cores
-without sharing a Go runtime.
+	hyperrecover campaign -runs 2000 -parallel 8  # 8 concurrent runs
 `
 
 func campaignCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
@@ -46,13 +35,9 @@ func campaignCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		hvm    = fs.Bool("hvm", false, "run AppVMs under full hardware virtualization (§VI-A)")
 		all    = fs.Bool("all", false, "run the full Figure 2 grid (both mechanisms, all fault types)")
 		matrix = fs.Bool("fault-matrix", false, "run the E12 per-fault-class recovery matrix (all classes × hybrid vs full ladder)")
-		shards int
-		shardT = 30 * time.Minute
 	)
-	intVar(fs, &shards, "shards", 0, 1024, "split the campaign across this many worker processes (0 = in-process)")
-	durVar(fs, &shardT, "shard-timeout", time.Second, 24*time.Hour, "per-shard worker deadline (with -shards)")
 
-	return func(stdout, stderr io.Writer) error {
+	return func(stdout, _ io.Writer) error {
 		tmpl, err := rf.campaign()
 		if err != nil {
 			return err
@@ -66,36 +51,31 @@ func campaignCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 			return nil
 		}
 
-		execOne := func(m core.Mechanism, ft inject.FaultType) error {
+		// The Figure 2 grid sets each row's mechanism as the one-shot
+		// config's only rung; a ladder preset has no such rung to set.
+		if *all && len(tmpl.Base.Recovery.Escalation.Ladder) > 0 {
+			return fmt.Errorf("-all runs the one-shot mechanisms of Figure 2, not the ladder preset %q", rf.mechanism)
+		}
+		execOne := func(m core.Mechanism, ft inject.FaultType) {
 			c := tmpl
-			c.Base.Fault = ft
-			// A ladder preset names a whole escalating config; a single
-			// mechanism is the one-shot config's only rung.
-			if len(c.Base.Recovery.Escalation.Ladder) == 0 {
-				c.Base.Recovery.Mechanism = m
-			}
+			c.Base.Fault, c.Base.Recovery.Mechanism = ft, m
 			if n, ok := paperRuns[ft]; ok && rf.paper {
 				c.Runs = n
 			}
-			if shards > 0 {
-				return execSharded(stdout, stderr, c, shards, shardT)
-			}
 			fmt.Fprint(stdout, c.Execute().Format())
 			fmt.Fprintln(stdout)
-			return nil
 		}
 
 		if *all {
 			for _, m := range []core.Mechanism{core.Microreset, core.Microreboot} {
 				for _, ft := range paperFaults {
-					if err := execOne(m, ft); err != nil {
-						return err
-					}
+					execOne(m, ft)
 				}
 			}
 			return nil
 		}
-		return execOne(tmpl.Base.Recovery.Mechanism, tmpl.Base.Fault)
+		execOne(tmpl.Base.Recovery.Mechanism, tmpl.Base.Fault)
+		return nil
 	}
 }
 
@@ -142,61 +122,4 @@ func printFaultMatrix(w io.Writer, tmpl campaign.Campaign) {
 	} else {
 		fmt.Fprintln(w, " (no gain from PrivVM-restart rung at this n)")
 	}
-}
-
-// execSharded runs the campaign across n worker subprocesses and prints
-// the merged report plus the aggregate-throughput line.
-func execSharded(stdout, stderr io.Writer, c campaign.Campaign, n int, timeout time.Duration) error {
-	start := time.Now()
-	sum, statuses, err := campaign.ExecuteSharded(c, n, campaign.ShardOptions{
-		Spawn:   spawnShard,
-		Timeout: timeout,
-		OnShardDone: func(st campaign.ShardStatus) {
-			if st.Err != "" {
-				fmt.Fprintf(stderr, "shard %d: FAILED after %d attempt(s): %s\n", st.Index, st.Attempts, st.Err)
-				return
-			}
-			note := ""
-			if st.Attempts > 1 {
-				note = fmt.Sprintf(" (after %d attempts)", st.Attempts)
-			}
-			fmt.Fprintf(stderr, "shard %d: done, %d runs%s\n", st.Index, st.Runs, note)
-		},
-	})
-	wall := time.Since(start)
-	fmt.Fprint(stdout, sum.Format())
-	fmt.Fprintf(stdout, "  sharded: %d shard(s), %d runs in %v wall (%.2f runs/sec aggregate)\n\n",
-		len(statuses), sum.Runs, wall.Round(time.Millisecond), float64(sum.Runs)/wall.Seconds())
-	return err
-}
-
-// spawnShard launches one shard worker: this binary re-execed as
-// `hyperrecover shard-worker`, the spec on stdin, the summary envelope on
-// stdout, stderr passed through. ctx expiry (the per-shard deadline) kills
-// the worker.
-func spawnShard(ctx context.Context, spec campaign.ShardSpec) (campaign.Summary, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return campaign.Summary{}, fmt.Errorf("shard %d: locate executable: %w", spec.Index, err)
-	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return campaign.Summary{}, fmt.Errorf("shard %d: encode spec: %w", spec.Index, err)
-	}
-	cmd := exec.CommandContext(ctx, exe, "shard-worker")
-	cmd.Stdin = bytes.NewReader(specJSON)
-	cmd.Stderr = os.Stderr
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	if err := cmd.Run(); err != nil {
-		if ctx.Err() != nil {
-			return campaign.Summary{}, fmt.Errorf("shard %d: worker killed at deadline: %v", spec.Index, ctx.Err())
-		}
-		return campaign.Summary{}, fmt.Errorf("shard %d: worker: %w", spec.Index, err)
-	}
-	return campaign.DecodeShardSummary(&out, spec.Index)
-}
-
-func shardWorkerCmd(*flag.FlagSet) func(stdout, stderr io.Writer) error {
-	return func(stdout, _ io.Writer) error { return campaign.RunShardWorker(os.Stdin, stdout) }
 }

@@ -43,7 +43,6 @@ var commands = []command{
 	{"postmortem", "automatic failure forensics on every run that went wrong", postmortemHelp, postmortemCmd},
 	{"report", "the full evaluation in one run, or the fault-class matrix as JSON", reportHelp, reportCmd},
 	{"loc", "implementation complexity by the paper's CLOC methodology (Table IV)", locHelp, locCmd},
-	{"shard-worker", "internal: one campaign shard (spec on stdin, summary on stdout)", "", shardWorkerCmd},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

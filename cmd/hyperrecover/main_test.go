@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -16,23 +15,12 @@ import (
 	"nilihype/internal/inject"
 )
 
-// TestMain lets `campaign -shards N` re-exec the test binary as its shard
-// worker, the way it re-execs the real one.
-func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == "shard-worker" {
-		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-	}
-	os.Exit(m.Run())
-}
-
 // hyperrecover runs one command line in-process.
 func hyperrecover(args ...string) (stdout, stderr string, code int) {
 	var out, errb bytes.Buffer
 	code = run(args, &out, &errb)
 	return out.String(), errb.String(), code
 }
-
-var shardedLine = regexp.MustCompile(`(?m)^  sharded: .*\n`)
 
 // TestGoldenStdout pins every subcommand's stdout at the CI smoke sizes.
 // The golden files were captured from the eleven single-purpose binaries
@@ -42,7 +30,6 @@ var shardedLine = regexp.MustCompile(`(?m)^  sharded: .*\n`)
 func TestGoldenStdout(t *testing.T) {
 	for _, tt := range []struct{ golden, args string }{
 		{"campaign", "campaign -runs 24 -duration 2s"},
-		{"campaign", "campaign -runs 24 -duration 2s -shards 2"},
 		{"campaign-matrix", "campaign -fault-matrix -runs 6 -duration 2s"},
 		{"ladder", "ladder -runs 6 -duration 2s"},
 		{"latency", "latency"},
@@ -66,9 +53,6 @@ func TestGoldenStdout(t *testing.T) {
 			if code != 0 {
 				t.Fatalf("exit %d: %s", code, stderr)
 			}
-			// The sharded run appends one wall-clock line; the rest must be
-			// the in-process report, byte for byte.
-			got = shardedLine.ReplaceAllString(got, "")
 			if got != string(want) {
 				t.Errorf("stdout differs from testdata/%s.golden\n--- got ---\n%s--- want ---\n%s", tt.golden, got, want)
 			}
@@ -82,10 +66,11 @@ func TestGoldenStdout(t *testing.T) {
 func TestHostileFlagValues(t *testing.T) {
 	for _, args := range []string{
 		"campaign -runs -5", "campaign -runs 0", "campaign -duration -2s", "campaign -duration 0",
-		"campaign -parallel -1", "campaign -shards -2", "campaign -repair-cpus -3", "campaign -repair-cpus 99",
-		"campaign -shard-timeout -1s", "campaign -runs 99999999999999999999", "campaign -runs 1e3",
+		"campaign -parallel -1", "campaign -repair-cpus -3", "campaign -repair-cpus 99",
+		"campaign -runs 99999999999999999999", "campaign -runs 1e3",
 		"campaign -fault alpha", "campaign -mechanism bogus", "campaign -setup 5appvm", "campaign -workload webbench",
 		"campaign stray", "campaign -trace-run 3",
+		"campaign -all -mechanism hybrid -runs 6 -duration 1s", "campaign -all -mechanism full-ladder -runs 6 -duration 1s",
 		"ladder -runs -1", "ladder -duration -1s", "ladder -parallel -4",
 		"latency -memory -8192", "latency -memory 1", "latency -scan-cpus 0", "latency -scan-cpus -2",
 		"latency -mechanism hybrid", "latency -format svg", "latency -seed -1",
@@ -100,7 +85,7 @@ func TestHostileFlagValues(t *testing.T) {
 		"postmortem -runs -5", "postmortem -bundles -1", "postmortem -users -1", "postmortem -parallel -1",
 		"postmortem -seed-base -1", "postmortem -ladder bogus", "postmortem -format csv",
 		"report -runs -1", "report -users -1", "report -format svg",
-		"loc -root /nonexistent/tree", "shard-worker stray", "bogus", "",
+		"loc -root /nonexistent/tree", "bogus", "",
 	} {
 		stdout, stderr, code := hyperrecover(strings.Fields(args)...)
 		if code == 0 {
@@ -325,7 +310,7 @@ func TestHelpPrintsDocAndFlags(t *testing.T) {
 		if code != 0 || !strings.Contains(out, "Flags:") {
 			t.Errorf("help %s: exit %d:\n%s", c.name, code, out)
 		}
-		if c.name != "shard-worker" && !strings.HasPrefix(out, "hyperrecover "+c.name+" ") {
+		if !strings.HasPrefix(out, "hyperrecover "+c.name+" ") {
 			t.Errorf("help %s does not open with the subcommand's description:\n%s", c.name, out)
 		}
 	}

@@ -3,8 +3,9 @@
 // recovery of a Xen-like hypervisor by microreset (NiLiHype) compared with
 // microreboot (ReHype).
 //
-// The public surface lives in the example programs (examples/), the
-// experiment tools (cmd/), and the benchmark harness (bench_test.go); the
-// library packages are under internal/ — see DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-versus-measured results.
+// The public surface is the experiment tool (cmd/hyperrecover), the
+// performance ledger (benchmark/) and the benchmark harness
+// (bench_test.go); the library packages are under internal/ — see
+// DESIGN.md for the system inventory and EXPERIMENTS.md for
+// paper-versus-measured results.
 package nilihype

@@ -105,9 +105,6 @@ func (r *Report) add(class, detail string, v Verdict) {
 	}
 }
 
-// MustEscalate reports whether any violation requires escalation.
-func (r *Report) MustEscalate() bool { return r.Escalations > 0 }
-
 // Options tunes one audit pass.
 type Options struct {
 	// SkipFrames skips the page-frame descriptor walk — the engine sets

@@ -21,8 +21,9 @@ type Campaign struct {
 	// Parallelism bounds concurrent runs (0 = GOMAXPROCS).
 	Parallelism int
 	// SeedBase offsets the seed sequence: run i (0-based) uses seed
-	// SeedBase+i+1, so sharded campaigns can partition a seed space
-	// without overlap. Zero preserves the historical seeds 1..Runs.
+	// SeedBase+i+1, so campaigns over adjacent seed ranges merge
+	// (Summary.Merge) into the campaign over their union. Zero preserves
+	// the historical seeds 1..Runs.
 	SeedBase uint64
 	// OnResult, if non-nil, is invoked once per completed run, in
 	// completion order (not seed order), serialized — implementations
@@ -86,7 +87,7 @@ type Summary struct {
 	// the per-fault-class recovery matrix. Lazy-nil like PhaseHists so
 	// summaries compare deep-equal across execution strategies; every
 	// field is a counter, so merges are order-independent and the map is
-	// bit-identical at any parallelism or sharding.
+	// bit-identical at any parallelism or seed-range split.
 	FaultClasses map[string]*FaultClassStats
 
 	// FailReasons histograms recovery-failure causes.
@@ -103,14 +104,14 @@ type Summary struct {
 	// SLORuns counts runs that carried a traffic SLO (RunConfig.Traffic
 	// enabled); SLO aggregates them. traffic.SLO.Merge is exact-integer
 	// commutative/associative like every other Summary field, so the
-	// aggregate is bit-identical at any parallelism or shard count.
+	// aggregate is bit-identical at any parallelism or seed-range split.
 	SLORuns int
 	SLO     traffic.SLO
 
 	// RootCauses histograms the forensic root-cause classes over wrong
 	// runs (failed, escalated, or degraded). Lazy-nil like FailReasons'
 	// siblings; counters only, so the breakdown is bit-identical at any
-	// parallelism or shard count.
+	// parallelism or seed-range split.
 	RootCauses map[string]int
 
 	// HealthSamples carries each detected run's health-model episode,
@@ -280,13 +281,9 @@ func (c *Campaign) Execute() Summary {
 }
 
 // runOne executes one campaign run, forking from the worker's cached boot
-// image when possible. No-injection runs (pure-baseline measurements) take
-// the cold path.
+// image.
 func runOne(rc RunConfig, images map[imageKey]*image) Result {
 	rc = rc.withDefaults()
-	if rc.NoInjection {
-		return Run(rc)
-	}
 	k := keyOf(rc)
 	img := images[k]
 	if img == nil {

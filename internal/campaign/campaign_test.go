@@ -145,8 +145,8 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestCampaignSeedBaseShiftsSeeds checks sharding: SeedBase offsets the
-// seed sequence, and streamed Results carry exactly those seeds.
+// TestCampaignSeedBaseShiftsSeeds: SeedBase offsets the seed sequence, and
+// streamed Results carry exactly those seeds.
 func TestCampaignSeedBaseShiftsSeeds(t *testing.T) {
 	var seeds []uint64
 	c := Campaign{
@@ -168,19 +168,84 @@ func TestCampaignSeedBaseShiftsSeeds(t *testing.T) {
 	if !reflect.DeepEqual(seeds, want) {
 		t.Fatalf("seeds = %v, want %v", seeds, want)
 	}
-	// A sharded pair of campaigns must aggregate like one big one.
-	shard2 := Campaign{Base: c.Base, Runs: 4, Parallelism: 2, SeedBase: 104}
-	whole := Campaign{Base: c.Base, Runs: 8, Parallelism: 2, SeedBase: 100}
-	merged := c.Execute()
-	merged.merge(shard2ToPartial(shard2.Execute()))
-	merged.Runs = 8
-	if got := whole.Execute(); !reflect.DeepEqual(merged, got) {
-		t.Fatalf("sharded != whole:\n sharded: %+v\n whole:   %+v", merged, got)
+}
+
+// TestShardedEquivalence pins the property every multi-campaign report
+// relies on: a campaign split into adjacent SeedBase ranges ("shards"),
+// each executed on its own and folded with Summary.Merge, is
+// reflect.DeepEqual to one Execute over the union — phase histograms, the
+// SLO block and the per-fault-class matrix included. The split is uneven
+// (3+3+2), the shards run at different parallelism, and seeds 19..26
+// give the register shapes four detected runs.
+func TestShardedEquivalence(t *testing.T) {
+	type shape struct {
+		name string
+		base RunConfig
+	}
+	shapes := []shape{
+		{"register-microreset", fastCfg(inject.Register, core.Microreset)},
+		{"traffic-register-microreboot", trafficCfg(inject.Register, core.Microreboot)},
+	}
+	for _, ft := range []inject.FaultType{inject.Failstop, inject.Register, inject.Code,
+		inject.PrivVMCrash, inject.PrivVMHang, inject.DeviceIOAPIC} {
+		shapes = append(shapes, shape{"class-" + ft.Key(), ladderCfg(ft)})
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			whole := Campaign{Base: sh.base, Runs: 8, Parallelism: 2, SeedBase: 18}
+			want := whole.Execute()
+			got := executeSeedRanges(whole, 3, 3, 2)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("merged shards differ from one Execute:\n whole:  %+v\n merged: %+v", want, got)
+			}
+			// DeepEqual covers these; assert the report-facing parts
+			// explicitly so a regression reads as what it is.
+			if len(want.FaultClasses) == 0 || len(want.PhaseHists) == 0 {
+				t.Fatalf("shape exercises too little: %d fault classes, %d phase histograms",
+					len(want.FaultClasses), len(want.PhaseHists))
+			}
+			if sh.base.Traffic.Enabled() && (want.SLORuns != whole.Runs || want.SLO != got.SLO) {
+				t.Fatalf("SLO block: %d runs, whole %+v vs merged %+v", want.SLORuns, want.SLO, got.SLO)
+			}
+			for name, h := range want.PhaseHists {
+				g := got.PhaseHists[name]
+				if g == nil || h.Quantile(0.50) != g.Quantile(0.50) || h.Quantile(0.99) != g.Quantile(0.99) || h.Max != g.Max {
+					t.Fatalf("phase %q quantiles differ", name)
+				}
+			}
+		})
 	}
 }
 
-// shard2ToPartial adapts a Summary for merge (merge takes a partial).
-func shard2ToPartial(s Summary) *Summary { return &s }
+// executeSeedRanges splits c into adjacent SeedBase ranges of the given
+// sizes (which must sum to c.Runs), executes each as its own Campaign at
+// alternating parallelism, and folds the summaries with Summary.Merge in
+// range order.
+func executeSeedRanges(c Campaign, sizes ...int) Summary {
+	got := Summary{Config: c.Base, FailReasons: make(map[string]int), SuccessByAttempt: make(map[int]int)}
+	seedBase := c.SeedBase
+	for i, runs := range sizes {
+		shard := Campaign{Base: c.Base, Runs: runs, Parallelism: 1 + i%2, SeedBase: seedBase}
+		got.Merge(shard.Execute())
+		seedBase += uint64(runs)
+	}
+	return got
+}
+
+// TestUnevenShardMergeMatchesExecute merges an uneven split (7 runs over
+// 3 seed ranges: 3+2+2) and checks the result is bit-identical to the
+// unsplit Execute.
+func TestUnevenShardMergeMatchesExecute(t *testing.T) {
+	c := Campaign{Base: fastCfg(inject.Failstop, core.Microreset), Runs: 7, Parallelism: 2, SeedBase: 23}
+	want := c.Execute()
+	got := executeSeedRanges(c, 3, 2, 2)
+	if got.Runs != 7 {
+		t.Fatalf("merged Runs = %d, want 7", got.Runs)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("uneven shard merge differs from Execute:\n want: %+v\n got:  %+v", want, got)
+	}
+}
 
 // TestCampaignOnResultStreamsEveryRun checks the streaming hook fires
 // once per run and that Execute keeps no per-run state of its own.
@@ -304,10 +369,6 @@ func TestOverheadLoggingDominates(t *testing.T) {
 	}
 	if p.WithoutLogging() < 0 {
 		t.Fatalf("NiLiHype* overhead negative: %v", p.WithoutLogging())
-	}
-	out := FormatOverhead([]OverheadPoint{p})
-	if !strings.Contains(out, "BlkBench") {
-		t.Fatalf("FormatOverhead = %q", out)
 	}
 }
 
@@ -438,15 +499,16 @@ func TestPostRecoveryInvariantSoak(t *testing.T) {
 		for seed := uint64(1); seed <= 12; seed++ {
 			cfg := fastCfg(ft, core.Microreset)
 			cfg.Seed = seed
-			cfg.CheckInvariants = true
-			r := Run(cfg)
-			if !r.Detected || !r.Recovered || r.FailReason != "" {
+			img, err := buildImage(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := img.run(cfg); !r.Detected || !r.Recovered || r.FailReason != "" {
 				continue
 			}
 			checked++
-			if len(r.InvariantViolations) != 0 {
-				t.Fatalf("%v seed %d: invariant violations after recovery: %v",
-					ft, seed, r.InvariantViolations)
+			if v := auditInvariants(img.h); len(v) != 0 {
+				t.Fatalf("%v seed %d: invariant violations after recovery: %v", ft, seed, v)
 			}
 		}
 	}

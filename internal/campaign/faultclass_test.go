@@ -194,9 +194,9 @@ func TestFaultClassSummariesBitIdenticalAcrossExecution(t *testing.T) {
 	}
 }
 
-// TestFaultClassShardedEquivalence: the per-class stats survive the shard
-// wire protocol (JSON round-trip through the real worker body) and merge
-// back bit-identical to the in-process run at any shard count.
+// TestFaultClassShardedEquivalence: the per-class stats of a campaign split
+// into adjacent SeedBase ranges merge back bit-identical to the unsplit
+// run at any range count.
 func TestFaultClassShardedEquivalence(t *testing.T) {
 	for _, base := range []RunConfig{
 		ladderCfg(inject.PrivVMHang),
@@ -207,14 +207,11 @@ func TestFaultClassShardedEquivalence(t *testing.T) {
 		if len(inProc.FaultClasses) == 0 {
 			t.Fatalf("%s: no fault-class stats", base.FaultClass())
 		}
-		for _, n := range []int{1, 4} {
-			sharded, _, err := ExecuteSharded(c, n, ShardOptions{Spawn: jsonSpawn})
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", base.FaultClass(), n, err)
-			}
+		for _, sizes := range [][]int{{8}, {2, 2, 2, 2}} {
+			sharded := executeSeedRanges(c, sizes...)
 			if !reflect.DeepEqual(inProc, sharded) {
-				t.Fatalf("%s shards=%d: summary differs:\n in-proc: %+v\n sharded: %+v",
-					base.FaultClass(), n, inProc, sharded)
+				t.Fatalf("%s ranges %v: summary differs:\n in-proc: %+v\n sharded: %+v",
+					base.FaultClass(), sizes, inProc, sharded)
 			}
 		}
 	}

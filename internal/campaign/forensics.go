@@ -92,7 +92,7 @@ func causeFromReason(reason string) string {
 // that failed recovery, escalated, or accepted degraded service. The
 // classification is a pure function of the Result, so it is bit-identical
 // however the run was computed (forked or cold, any parallelism, any
-// shard). Clean runs return "".
+// seed-range split). Clean runs return "".
 func classifyRootCause(r Result) string {
 	if !r.WentWrong() {
 		return ""

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"nilihype/internal/guest"
@@ -133,15 +132,4 @@ func overheadRun(cfg OverheadConfig, duration time.Duration, seed uint64, loggin
 		total += cpu.Cycles.Hypervisor
 	}
 	return total
-}
-
-// FormatOverhead renders Figure 3 as a text table.
-func FormatOverhead(points []OverheadPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Hypervisor processing overhead in normal operation (Figure 3):\n")
-	fmt.Fprintf(&b, "  %-12s %12s %12s\n", "config", "NiLiHype", "NiLiHype*")
-	for _, p := range points {
-		fmt.Fprintf(&b, "  %-12s %11.1f%% %11.1f%%\n", p.Config, p.WithLogging(), p.WithoutLogging())
-	}
-	return b.String()
 }

@@ -13,7 +13,6 @@ import (
 	"nilihype/internal/core"
 	"nilihype/internal/detect"
 	"nilihype/internal/guest"
-	"nilihype/internal/hv"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/inject"
 	"nilihype/internal/journal"
@@ -106,12 +105,6 @@ type RunConfig struct {
 	// HVM runs the AppVMs under full hardware virtualization (§VI-A:
 	// injection results for HVM AppVMs are very similar to PV).
 	HVM bool
-
-	// CheckInvariants audits the post-run hypervisor state of successful
-	// recoveries (no held locks, zero IRQ nesting, consistent scheduler
-	// metadata and page-frame descriptors, live recurring timers) and
-	// records breaches in Result.InvariantViolations.
-	CheckInvariants bool
 
 	// FlightRecorderCapacity overrides the always-on telemetry flight
 	// ring size (0 = hv.DefaultFlightRecorderCapacity). The capacity
@@ -258,8 +251,8 @@ type Result struct {
 	Seed    uint64
 	Outcome Outcome
 	// FaultClass is the run's fault-class name (RunConfig.FaultClass) —
-	// carried per run because sharded workers aggregate partial Summaries
-	// whose Config is zero.
+	// carried per run because the executor's workers aggregate partial
+	// Summaries whose Config is zero.
 	FaultClass string
 
 	// Detected/Recovered mirror the engine's state.
@@ -321,10 +314,6 @@ type Result struct {
 	SerialRepairLatency   time.Duration
 	ParallelRepairLatency time.Duration
 
-	// InvariantViolations lists post-recovery system-invariant breaches
-	// found when RunConfig.CheckInvariants is set (empty = clean).
-	InvariantViolations []string
-
 	// Phases flattens the recovery attempts' non-group latency steps, in
 	// execution order — the per-phase samples the campaign summary
 	// histograms aggregate.
@@ -377,7 +366,6 @@ func (r *Result) WentWrong() bool {
 func (r Result) Clone() Result {
 	r.VMs = append([]VMResult(nil), r.VMs...)
 	r.SacrificedVMs = append([]int(nil), r.SacrificedVMs...)
-	r.InvariantViolations = append([]string(nil), r.InvariantViolations...)
 	r.Phases = append([]core.LatencyStep(nil), r.Phases...)
 	r.Flight = append([]string(nil), r.Flight...)
 	r.Journal = append([]journal.Entry(nil), r.Journal...)
@@ -391,8 +379,8 @@ func (r Result) Clone() Result {
 }
 
 // reset rewinds r for the next run, retaining the backing arrays grown by
-// previous runs. InvariantViolations, Flight, Journal, Corruptions and
-// Windows are handed over whole by their producers, so they restart nil
+// previous runs. Flight, Journal, Corruptions and Windows are handed over
+// whole by their producers, so they restart nil
 // rather than recycling.
 func (r *Result) reset(seed uint64) {
 	*r = Result{
@@ -419,19 +407,6 @@ func (r Result) normalized() Result {
 		r.Phases = nil
 	}
 	return r
-}
-
-// Run executes one fault-injection run on a freshly booted system. It is
-// the cold-boot path: the campaign executor instead builds one image per
-// configuration shape and forks every run from its snapshot, which is
-// bit-identical to this (tested by the snapshot-equivalence suite).
-func Run(rc RunConfig) Result {
-	rc = rc.withDefaults()
-	img, err := buildImage(rc)
-	if err != nil {
-		return Result{Seed: rc.Seed, NewVMOK: true, FailReason: err.Error(), FaultClass: rc.FaultClass()}
-	}
-	return img.run(rc)
 }
 
 // run executes one fault-injection run on the image: restore the pristine
@@ -636,10 +611,6 @@ func (img *image) run(rc RunConfig) Result {
 		res.NewVMOK, _ = blkVM.Verdict()
 	}
 
-	if rc.CheckInvariants && res.Detected && res.Recovered && res.FailReason == "" {
-		res.InvariantViolations = auditInvariants(h)
-	}
-
 	switch {
 	case !res.Detected:
 		allOK := !res.PrivVMFailed
@@ -764,35 +735,4 @@ func appDomains(s Setup) []int {
 		return []int{unixDom}
 	}
 	return []int{unixDom, netDom}
-}
-
-// auditInvariants checks the quiescent-system invariants every successful
-// recovery must restore.
-func auditInvariants(h *hv.Hypervisor) []string {
-	var out []string
-	if held := h.Locks.HeldLocks(); len(held) != 0 {
-		names := make([]string, 0, len(held))
-		for _, l := range held {
-			names = append(names, l.Name())
-		}
-		out = append(out, fmt.Sprintf("locks still held: %v", names))
-	}
-	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
-		if n := h.IRQCount(cpu); n != 0 {
-			out = append(out, fmt.Sprintf("cpu%d local_irq_count=%d", cpu, n))
-		}
-		if h.PerCPU(cpu).Stuck() {
-			out = append(out, fmt.Sprintf("cpu%d stuck", cpu))
-		}
-	}
-	if incs := h.Sched.CheckConsistency(); len(incs) != 0 {
-		out = append(out, fmt.Sprintf("%d scheduler inconsistencies (first: %s)", len(incs), incs[0].Desc))
-	}
-	if bad := h.Frames.InconsistentFrames(); len(bad) != 0 {
-		out = append(out, fmt.Sprintf("%d inconsistent page frame descriptors", len(bad)))
-	}
-	if inact := h.Timers.InactiveRecurring(); len(inact) != 0 {
-		out = append(out, fmt.Sprintf("%d recurring timers inactive", len(inact)))
-	}
-	return out
 }

@@ -156,9 +156,9 @@ func TestSLOForkMatchesColdBoot(t *testing.T) {
 	}
 }
 
-// TestSLOShardedEquivalence: the SLO fields survive the shard JSON wire
-// protocol exactly — 1-shard, 4-shard and in-process campaigns agree
-// bit-for-bit.
+// TestSLOShardedEquivalence: the SLO fields survive a split into adjacent
+// SeedBase ranges exactly — one range, four ranges and the unsplit
+// campaign agree bit-for-bit.
 func TestSLOShardedEquivalence(t *testing.T) {
 	c := Campaign{
 		Base:        trafficCfg(inject.Register, core.Microreboot),
@@ -170,14 +170,11 @@ func TestSLOShardedEquivalence(t *testing.T) {
 	if inProc.SLORuns != 8 {
 		t.Fatalf("SLORuns = %d, want 8", inProc.SLORuns)
 	}
-	for _, n := range []int{1, 4} {
-		sharded, _, err := ExecuteSharded(c, n, ShardOptions{Spawn: jsonSpawn})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
-		}
+	for _, sizes := range [][]int{{8}, {2, 2, 2, 2}} {
+		sharded := executeSeedRanges(c, sizes...)
 		if !reflect.DeepEqual(inProc, sharded) {
-			t.Fatalf("shards=%d summary differs from in-process:\n in-proc: %+v\n sharded: %+v",
-				n, inProc, sharded)
+			t.Fatalf("ranges %v: summary differs from unsplit:\n in-proc: %+v\n sharded: %+v",
+				sizes, inProc, sharded)
 		}
 	}
 }

@@ -20,9 +20,6 @@ type Counts struct {
 	Blank   int
 }
 
-// Total returns all lines.
-func (c Counts) Total() int { return c.Code + c.Comment + c.Blank }
-
 // Add accumulates.
 func (c *Counts) Add(o Counts) {
 	c.Code += o.Code

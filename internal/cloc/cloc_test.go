@@ -34,8 +34,8 @@ func TestCountsTotalAndAdd(t *testing.T) {
 	a := Counts{Code: 1, Comment: 2, Blank: 3}
 	b := Counts{Code: 10, Comment: 20, Blank: 30}
 	a.Add(b)
-	if a.Total() != 66 {
-		t.Fatalf("Total = %d", a.Total())
+	if a != (Counts{Code: 11, Comment: 22, Blank: 33}) {
+		t.Fatalf("Add = %+v", a)
 	}
 }
 

@@ -253,16 +253,6 @@ func DefaultConfig() Config {
 	return Config{Mechanism: Microreset, Enhancements: AllEnhancements, Scope: AllThreads}
 }
 
-// ParallelRecoveryConfig returns the full NiLiHype configuration with the
-// post-recovery audit enabled and the repair and audit phases partitioned
-// across n recovery CPUs.
-func ParallelRecoveryConfig(n int) Config {
-	c := DefaultConfig()
-	c.RepairCPUs = n
-	c.Escalation.Audit = true
-	return c
-}
-
 // DefaultGraceWindow covers re-detection of a superficially successful
 // attempt: the watchdog needs up to StaleChecks+1 periods (~400 ms) to
 // declare a post-resume hang, and latent corruption detections trail

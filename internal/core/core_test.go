@@ -167,8 +167,8 @@ func TestMicroresetRecoversFromFailstop(t *testing.T) {
 	if r.h.Stats.TimerIRQs <= before {
 		t.Fatal("no timer activity after recovery")
 	}
-	if !strings.Contains(r.engine.Summary(), "recovered") {
-		t.Fatalf("Summary() = %q", r.engine.Summary())
+	if r.engine.Status() != StatusRecovered {
+		t.Fatalf("status = %v", r.engine.Status())
 	}
 }
 
@@ -527,9 +527,6 @@ func TestStatusIdleWithoutDetection(t *testing.T) {
 	r.clk.RunUntil(500 * time.Millisecond)
 	if r.engine.Status() != StatusIdle {
 		t.Fatalf("status = %v", r.engine.Status())
-	}
-	if r.engine.Summary() != "no detection" {
-		t.Fatalf("Summary = %q", r.engine.Summary())
 	}
 }
 

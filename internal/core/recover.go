@@ -474,21 +474,3 @@ func (en *Engine) complete(mech Mechanism) {
 // ends. Calibrated against the §VII-B claim that skipping the scan costs
 // ~4% of recovery rate.
 const pfInconsistencyHangProb = 0.5
-
-// Summary formats the engine's outcome for reports.
-func (en *Engine) Summary() string {
-	switch en.Status() {
-	case StatusIdle:
-		return "no detection"
-	case StatusRecovered:
-		if en.Escalated() {
-			last := en.Attempts[len(en.Attempts)-1]
-			return fmt.Sprintf("%v recovered in %v after %d attempts (detected: %v)",
-				last.Mechanism, en.TotalLatency(), len(en.Attempts), en.FirstDetection)
-		}
-		return fmt.Sprintf("%v recovered in %v (detected: %v)",
-			en.Cfg.Mechanism, en.Latency, en.FirstDetection)
-	default:
-		return fmt.Sprintf("%v failed: %s", en.Cfg.Mechanism, en.FailReason)
-	}
-}

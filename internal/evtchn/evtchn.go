@@ -83,9 +83,6 @@ func NewTable(owner, size int) *Table {
 	return &Table{owner: owner, ports: make([]Port, size)}
 }
 
-// Owner returns the owning domain ID.
-func (t *Table) Owner() int { return t.owner }
-
 // Len returns the table size.
 func (t *Table) Len() int { return len(t.ports) }
 
@@ -140,18 +137,6 @@ func (t *Table) Close(p int) error {
 // deliverable reports whether port p is pending and unmasked.
 func (t *Table) deliverable(p int) bool { return t.ports[p].Pending && !t.ports[p].Masked }
 
-// PendingPorts returns the pending, unmasked ports in order. It allocates
-// the list; the send and upcall paths use LastPending and ClearPending.
-func (t *Table) PendingPorts() []int {
-	var out []int
-	for p := 1; p < len(t.ports); p++ {
-		if t.deliverable(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // LastPending returns the highest pending, unmasked port, or 0 (the
 // reserved port) when there is none.
 func (t *Table) LastPending() int {
@@ -171,13 +156,6 @@ func (t *Table) ClearPending() {
 			t.ports[p].Pending = false
 		}
 	}
-}
-
-// TakePending is ClearPending that also returns the ports it cleared.
-func (t *Table) TakePending() []int {
-	out := t.PendingPorts()
-	t.ClearPending()
-	return out
 }
 
 // setPending marks a port pending; idempotent (a level-style bit, which is

@@ -6,6 +6,26 @@ import (
 	"testing/quick"
 )
 
+// PendingPorts is the reference enumerator the delivery tests check
+// LastPending and ClearPending against: the pending, unmasked ports in
+// order, read straight off the port array.
+func (t *Table) PendingPorts() []int {
+	var out []int
+	for p := 1; p < len(t.ports); p++ {
+		if t.ports[p].Pending && !t.ports[p].Masked {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TakePending is ClearPending that also returns the ports it cleared.
+func (t *Table) TakePending() []int {
+	out := t.PendingPorts()
+	t.ClearPending()
+	return out
+}
+
 func pair(t *testing.T) (*Broker, *Table, *Table) {
 	if t != nil {
 		t.Helper()
@@ -36,7 +56,7 @@ func TestAllocUnboundSkipsPortZero(t *testing.T) {
 	if err != nil || p != 1 {
 		t.Fatalf("p=%d err=%v, want port 1 (port 0 reserved)", p, err)
 	}
-	if tab.Owner() != 1 || tab.Len() != 8 {
+	if tab.owner != 1 || tab.Len() != 8 {
 		t.Fatal("accessors wrong")
 	}
 }

@@ -50,9 +50,6 @@ func NewTable(owner, size int) *Table {
 	return &Table{owner: owner, entries: make([]Entry, size)}
 }
 
-// Owner returns the owning domain.
-func (t *Table) Owner() int { return t.owner }
-
 // Len returns the table size.
 func (t *Table) Len() int { return len(t.entries) }
 
@@ -177,9 +174,6 @@ func (m *Maptrack) HandleForRef(granterDom, ref int) Handle {
 	return -1
 }
 
-// Active returns the number of active mappings.
-func (m *Maptrack) Active() int { return len(m.maps) }
-
 // Mappings returns the active mappings in handle order — the deterministic
 // view the audit uses to recompute granter-side map counts.
 func (m *Maptrack) Mappings() []Mapping {
@@ -191,22 +185,6 @@ func (m *Maptrack) Mappings() []Mapping {
 	out := make([]Mapping, 0, len(handles))
 	for _, h := range handles {
 		out = append(out, m.maps[h])
-	}
-	return out
-}
-
-// ForceUnmapAll drops every mapping (domain teardown), fixing up the
-// granter tables through lookup.
-func (m *Maptrack) ForceUnmapAll(lookup func(dom int) *Table) []Mapping {
-	var out []Mapping
-	for h, mp := range m.maps {
-		if t := lookup(mp.GranterDom); t != nil {
-			if e, err := t.Entry(mp.Ref); err == nil && e.MapCount > 0 {
-				e.MapCount--
-			}
-		}
-		out = append(out, mp)
-		delete(m.maps, h)
 	}
 	return out
 }

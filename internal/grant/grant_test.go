@@ -8,7 +8,7 @@ import (
 
 func TestGrantRevokeRoundTrip(t *testing.T) {
 	tab := NewTable(1, 8)
-	if tab.Owner() != 1 || tab.Len() != 8 {
+	if tab.owner != 1 || tab.Len() != 8 {
 		t.Fatal("accessors wrong")
 	}
 	if err := tab.Grant(3, 100, false); err != nil {
@@ -52,8 +52,8 @@ func TestMapUnmapLifecycle(t *testing.T) {
 	if err != nil || frame != 555 {
 		t.Fatalf("Map = %v, %d, %v", h, frame, err)
 	}
-	if mt.Active() != 1 {
-		t.Fatalf("Active = %d", mt.Active())
+	if len(mt.maps) != 1 {
+		t.Fatalf("Active = %d", len(mt.maps))
 	}
 	e, _ := granter.Entry(2)
 	if e.MapCount != 1 {
@@ -73,7 +73,7 @@ func TestMapUnmapLifecycle(t *testing.T) {
 	if err != nil || mp.Frame != 555 || mp.Ref != 2 || mp.GranterDom != 1 {
 		t.Fatalf("Unmap = %+v, %v", mp, err)
 	}
-	if e.MapCount != 0 || mt.Active() != 0 {
+	if e.MapCount != 0 || len(mt.maps) != 0 {
 		t.Fatal("counts not restored")
 	}
 	if err := granter.Revoke(2); err != nil {
@@ -118,31 +118,6 @@ func TestMultipleMappingsPerEntry(t *testing.T) {
 	}
 }
 
-func TestForceUnmapAll(t *testing.T) {
-	granter := NewTable(1, 8)
-	mt := NewMaptrack(0)
-	for ref := 0; ref < 3; ref++ {
-		granter.Grant(ref, 100+ref, false)
-		if _, _, err := mt.Map(granter, ref); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dropped := mt.ForceUnmapAll(func(dom int) *Table {
-		if dom == 1 {
-			return granter
-		}
-		return nil
-	})
-	if len(dropped) != 3 || mt.Active() != 0 {
-		t.Fatalf("dropped %d, active %d", len(dropped), mt.Active())
-	}
-	for ref := 0; ref < 3; ref++ {
-		if e, _ := granter.Entry(ref); e.MapCount != 0 {
-			t.Fatalf("ref %d MapCount = %d", ref, e.MapCount)
-		}
-	}
-}
-
 // TestPropertyMapCountBalance: any interleaving of grants, maps and
 // unmaps keeps every entry's MapCount equal to its live handles.
 func TestPropertyMapCountBalance(t *testing.T) {
@@ -175,7 +150,7 @@ func TestPropertyMapCountBalance(t *testing.T) {
 			}
 			sum += e.MapCount
 		}
-		return sum == mt.Active()
+		return sum == len(mt.maps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

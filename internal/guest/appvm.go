@@ -17,8 +17,8 @@ type AppVM struct {
 	// OpsCompleted counts finished benchmark operations (file ops for
 	// BlkBench, iterations for UnixBench, replies for NetBench).
 	OpsCompleted int
-	// OpsAfterMark counts operations since the last ResetProgressMark
-	// (the campaign marks at recovery to verify post-recovery progress).
+	// OpsAfterMark counts operations since it was last zeroed (a world
+	// restore zeroes it; a caller may zero it to mark a point of interest).
 	OpsAfterMark int
 
 	// Started/Finished bracket the benchmark run.
@@ -79,12 +79,6 @@ func (vm *AppVM) Start() {
 		})
 	})
 }
-
-// Running reports whether the benchmark is between Start and Finish.
-func (vm *AppVM) Running() bool { return vm.Started && !vm.Finished }
-
-// ResetProgressMark zeroes the post-mark progress counter.
-func (vm *AppVM) ResetProgressMark() { vm.OpsAfterMark = 0 }
 
 // Verdict evaluates the benchmark against the paper's failure criteria
 // (§VI-A): golden-output mismatch, guest-visible failures (domain

@@ -7,6 +7,16 @@ import (
 	"nilihype/internal/hypercall"
 )
 
+// livePageTables returns all pinned frames across live processes: the
+// reference list the pin-balance tests check the frame table against.
+func (pt *procTable) livePageTables() []int {
+	var out []int
+	for _, p := range pt.procs {
+		out = append(out, p.PageTables...)
+	}
+	return out
+}
+
 func TestNetfrontGrantRecycling(t *testing.T) {
 	// Every few packets the receiver remaps an RX buffer grant; the
 	// grants must be balanced (map followed by unmap).
@@ -19,7 +29,7 @@ func TestNetfrontGrantRecycling(t *testing.T) {
 		t.Fatalf("hypervisor failed: %s", reason)
 	}
 	d, _ := h.Domain(2)
-	if n := d.Maptrack.Active(); n != 0 {
+	if n := len(d.Maptrack.Mappings()); n != 0 {
 		t.Fatalf("%d grant mappings leaked by netfront recycling", n)
 	}
 	if n := len(d.GrantTab.ActiveGrants()); n != 0 {
@@ -43,7 +53,7 @@ func TestBlkBenchDrainsInFlightAtFinish(t *testing.T) {
 		t.Fatal("hypervisor failed")
 	}
 	d, _ := h.Domain(1)
-	if got := d.Maptrack.Active(); got != 0 {
+	if got := len(d.Maptrack.Mappings()); got != 0 {
 		t.Fatalf("%d grants still mapped after drain", got)
 	}
 }
@@ -145,8 +155,8 @@ func TestHVMUnixBenchCleanRun(t *testing.T) {
 	if ok, reason := vm.Verdict(); !ok {
 		t.Fatalf("HVM UnixBench failed: %s (ops=%d)", reason, vm.OpsCompleted)
 	}
-	if !vm.Running() && !vm.Finished {
-		t.Fatal("Running/Finished inconsistent")
+	if !vm.Started {
+		t.Fatal("benchmark never started")
 	}
 	// EPT pins are balanced like PV pins: every live process's page
 	// tables are mapped exactly once.
@@ -168,15 +178,15 @@ func TestHVMUnixBenchCleanRun(t *testing.T) {
 
 func TestSenderAccessors(t *testing.T) {
 	w, _, clk := newWorld(t)
-	if w.Sender.Period() != time.Millisecond {
-		t.Fatalf("Period = %v, want 1ms (§VI-A)", w.Sender.Period())
+	if w.Sender.period != time.Millisecond {
+		t.Fatalf("send period = %v, want 1ms (§VI-A)", w.Sender.period)
 	}
 	vm, _ := w.AddAppVM(Config{Kind: NetBench, Dom: 2, CPU: 2, Duration: 100 * time.Millisecond})
 	vm.Start()
 	w.Sender.Start(2, 100*time.Millisecond)
 	clk.RunUntil(500 * time.Millisecond)
-	if w.Sender.MaxGap() <= 0 || w.Sender.MaxGap() > 5*time.Millisecond {
-		t.Fatalf("MaxGap = %v on clean run", w.Sender.MaxGap())
+	if w.Sender.maxGap <= 0 || w.Sender.maxGap > 5*time.Millisecond {
+		t.Fatalf("max inter-reply gap = %v on clean run", w.Sender.maxGap)
 	}
 }
 
@@ -192,7 +202,7 @@ func TestBlkBenchFinishWaitsForInFlight(t *testing.T) {
 		t.Fatal("BlkBench never finished")
 	}
 	d, _ := h.Domain(1)
-	if got := d.Maptrack.Active(); got != 0 {
+	if got := len(d.Maptrack.Mappings()); got != 0 {
 		t.Fatalf("%d mappings still active at finish", got)
 	}
 }

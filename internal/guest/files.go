@@ -1,10 +1,6 @@
 package guest
 
-import (
-	"fmt"
-
-	"nilihype/internal/prng"
-)
+import "nilihype/internal/prng"
 
 // FileStore models the files a BlkBench guest creates, copies, reads,
 // writes and removes (§VI-A: "multiple 1MB files containing random
@@ -113,9 +109,4 @@ func (fs *FileStore) CompareGolden() []int {
 		}
 	}
 	return bad
-}
-
-// Describe summarizes the store for diagnostics.
-func (fs *FileStore) Describe() string {
-	return fmt.Sprintf("%d files, %d golden mismatches", fs.Len(), len(fs.CompareGolden()))
 }

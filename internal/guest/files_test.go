@@ -22,9 +22,6 @@ func TestFileStoreCleanRunMatchesGolden(t *testing.T) {
 	if fs.Len() != 49 {
 		t.Fatalf("Len after remove = %d", fs.Len())
 	}
-	if !strings.Contains(fs.Describe(), "49 files") {
-		t.Fatalf("Describe = %q", fs.Describe())
-	}
 }
 
 func TestFileStoreCorruptionDetected(t *testing.T) {

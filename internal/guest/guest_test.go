@@ -76,7 +76,7 @@ func TestBlkBenchCompletesCleanRun(t *testing.T) {
 	}
 	// Grants must be balanced: every completed op unmapped its grant.
 	d, _ := h.Domain(1)
-	if n := d.Maptrack.Active(); n > 2 {
+	if n := len(d.Maptrack.Mappings()); n > 2 {
 		t.Fatalf("%d grant mappings leaked", n)
 	}
 }
@@ -103,8 +103,8 @@ func TestUnixBenchCompletesCleanRun(t *testing.T) {
 		t.Fatalf("held locks in steady state: %v", held)
 	}
 	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
-		if h.IRQCount(cpu) != 0 {
-			t.Fatalf("cpu%d irq count %d", cpu, h.IRQCount(cpu))
+		if h.PerCPU(cpu).LocalIRQCount != 0 {
+			t.Fatalf("cpu%d irq count %d", cpu, h.PerCPU(cpu).LocalIRQCount)
 		}
 	}
 }
@@ -283,7 +283,7 @@ func TestProgressMark(t *testing.T) {
 	vm, _ := w.AddAppVM(Config{Kind: UnixBench, Dom: 1, CPU: 1, Duration: 200 * time.Millisecond})
 	vm.Start()
 	clk.RunUntil(100 * time.Millisecond)
-	vm.ResetProgressMark()
+	vm.OpsAfterMark = 0
 	if vm.OpsAfterMark != 0 {
 		t.Fatal("mark not reset")
 	}

@@ -44,9 +44,6 @@ func newNetSender(w *World) *NetSender {
 	return s
 }
 
-// Period returns the send period (1 ms).
-func (s *NetSender) Period() time.Duration { return s.period }
-
 // Start begins sending to the receiver domain for the given duration.
 func (s *NetSender) Start(flow int, duration time.Duration) {
 	s.flow = flow
@@ -86,10 +83,6 @@ func (s *NetSender) onReply(p hw.Packet) {
 	s.gotReply = true
 	s.lastReply = now
 }
-
-// MaxGap returns the longest observed inter-reply gap — the sender-side
-// view of service interruption (recovery latency plus one send period).
-func (s *NetSender) MaxGap() time.Duration { return s.maxGap }
 
 // ServiceInterruption estimates the service outage: the longest gap minus
 // the nominal reply spacing.

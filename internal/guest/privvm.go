@@ -77,9 +77,6 @@ func (w *World) CrashPrivVM(reason string) {
 // here.
 func (w *World) HangPrivVM() { w.privHung = true }
 
-// PrivVMHung reports whether the PrivVM guest is hung.
-func (w *World) PrivVMHung() bool { return w.privHung }
-
 // ResumePrivVM restores PrivVM management service after the PrivVM-restart
 // recovery rung rebooted Dom0: the hang flag clears and the housekeeping
 // tick chain re-arms if the failure killed it. The recovery engine's

@@ -89,12 +89,3 @@ func (pt *procTable) reset() {
 	pt.procs = pt.procs[:0]
 	pt.nextPID = 0
 }
-
-// livePageTables returns all pinned frames across live processes.
-func (pt *procTable) livePageTables() []int {
-	var out []int
-	for _, p := range pt.procs {
-		out = append(out, p.PageTables...)
-	}
-	return out
-}

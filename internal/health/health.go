@@ -146,9 +146,6 @@ func New(cfg Config) *Model {
 // State returns the current state.
 func (m *Model) State() State { return m.state }
 
-// Episodes returns how many episodes the model has observed.
-func (m *Model) Episodes() int { return m.episodes }
-
 // Transitions returns the recorded state transitions, in order.
 func (m *Model) Transitions() []Transition { return m.trans }
 

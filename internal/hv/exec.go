@@ -53,12 +53,6 @@ func (h *Hypervisor) ArmInjection(budget int64, fn InjectFunc) {
 	h.injectFn = fn
 }
 
-// DisarmInjection cancels a pending trigger.
-func (h *Hypervisor) DisarmInjection() { h.injectArmed = false }
-
-// InjectionArmed reports whether the trigger is still pending.
-func (h *Hypervisor) InjectionArmed() bool { return h.injectArmed }
-
 // RetrySetupCycles is the per-hypercall bookkeeping cost of the retry
 // machinery (recording the request so it can be retried after recovery).
 const RetrySetupCycles = 12
@@ -242,9 +236,6 @@ func (h *Hypervisor) completeCall(cpu int) {
 			h.Tel.Counters[telemetry.CtrMgmtCompletions]++
 		}
 		h.Tel.Record(cpu, telemetry.EvComplete, uint64(call.Op))
-		if h.callDoneHook != nil {
-			h.callDoneHook(call, nil)
-		}
 	}
 	h.drainCPU(cpu)
 }
@@ -305,13 +296,6 @@ func (h *Hypervisor) PanicAtNextStep(cpu int, reason string) {
 // (e.g. a remote TLB-flush IPI the requester is spinning on).
 func (h *Hypervisor) AddCrossCPUWait(w CrossCPUWait) {
 	h.crossCPUWaits = append(h.crossCPUWaits, w)
-}
-
-// CrossCPUWaits returns the in-flight waits.
-func (h *Hypervisor) CrossCPUWaits() []CrossCPUWait {
-	out := make([]CrossCPUWait, len(h.crossCPUWaits))
-	copy(out, h.crossCPUWaits)
-	return out
 }
 
 // ClearCrossCPUWaits drops all waits (all requester threads discarded).

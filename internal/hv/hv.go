@@ -129,13 +129,12 @@ type Hypervisor struct {
 	injectFn     InjectFunc
 
 	// failure state
-	failed       bool
-	failReason   string
-	panicHook    func(cpu int, reason string)
-	nmiHook      func(cpu int)
-	callDoneHook func(*hypercall.Call, error)
-	eventHook    func(domID, port int)
-	nicRxHook    func(hw.Packet)
+	failed     bool
+	failReason string
+	panicHook  func(cpu int, reason string)
+	nmiHook    func(cpu int)
+	eventHook  func(domID, port int)
+	nicRxHook  func(hw.Packet)
 
 	// recoveryEpoch increments whenever execution contexts are
 	// discarded, letting interrupted entry/exit paths detect that their
@@ -537,9 +536,6 @@ func (h *Hypervisor) SetPanicHook(fn func(cpu int, reason string)) { h.panicHook
 
 // SetNMIHook installs the watchdog NMI callback.
 func (h *Hypervisor) SetNMIHook(fn func(cpu int)) { h.nmiHook = fn }
-
-// SetCallDoneHook installs the guest-completion callback.
-func (h *Hypervisor) SetCallDoneHook(fn func(*hypercall.Call, error)) { h.callDoneHook = fn }
 
 // PerCPU returns CPU i's hypervisor-private state.
 func (h *Hypervisor) PerCPU(i int) *PerCPU { return h.percpu[i] }

@@ -7,8 +7,10 @@ import (
 
 	"nilihype/internal/hw"
 	"nilihype/internal/hypercall"
+	"nilihype/internal/locking"
 	"nilihype/internal/sched"
 	"nilihype/internal/simclock"
+	"nilihype/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -100,9 +102,9 @@ func TestCreateDomainValidation(t *testing.T) {
 
 func TestCreateDestroyDomainLifecycle(t *testing.T) {
 	h, _ := newBooted(t)
-	heapBefore := h.Heap.FreePages()
+	heapBefore := len(h.Heap.AllocatedPages())
 	addAppVM(t, h, 1, 1)
-	if h.Heap.FreePages() >= heapBefore {
+	if len(h.Heap.AllocatedPages()) <= heapBefore {
 		t.Fatal("domain struct not heap-allocated")
 	}
 	if v := h.Sched.Curr(1); v == nil || v.Domain != 1 {
@@ -111,7 +113,7 @@ func TestCreateDestroyDomainLifecycle(t *testing.T) {
 	if err := h.DestroyDomain(1); err != nil {
 		t.Fatal(err)
 	}
-	if h.Heap.FreePages() != heapBefore {
+	if len(h.Heap.AllocatedPages()) != heapBefore {
 		t.Fatal("domain struct not freed")
 	}
 	if _, err := h.Domain(1); err == nil {
@@ -125,13 +127,12 @@ func TestCreateDestroyDomainLifecycle(t *testing.T) {
 func TestDispatchCompletesAndNotifies(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	var done []*hypercall.Call
-	h.SetCallDoneHook(func(c *hypercall.Call, err error) { done = append(done, c) })
 	d, _ := h.Domain(1)
 	frame := uint64(d.MemStart + 10)
-	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1, Args: [4]uint64{hypercall.MMUPin, frame}})
-	if len(done) != 1 {
-		t.Fatalf("done = %v, want 1 completion", done)
+	call := &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1, Args: [4]uint64{hypercall.MMUPin, frame}}
+	h.Dispatch(1, call)
+	if !call.Done || h.Tel.Counters[telemetry.CtrCompletions] != 1 {
+		t.Fatalf("done=%v completions=%d, want one completion", call.Done, h.Tel.Counters[telemetry.CtrCompletions])
 	}
 	if h.Stats.Hypercalls != 1 {
 		t.Fatalf("Stats.Hypercalls = %d", h.Stats.Hypercalls)
@@ -155,7 +156,7 @@ func TestDispatchAssertionPanics(t *testing.T) {
 	if len(panics) != 1 || !strings.Contains(panics[0], "ASSERT") {
 		t.Fatalf("panics = %v", panics)
 	}
-	if h.IRQCount(1) == 0 {
+	if h.percpu[1].LocalIRQCount == 0 {
 		t.Fatal("panic did not raise local_irq_count (exception context)")
 	}
 }
@@ -167,8 +168,8 @@ func TestPanicWithoutHookFailsTerminally(t *testing.T) {
 	if !failed || !strings.Contains(reason, "unhandled") {
 		t.Fatalf("failed=%v reason=%q", failed, reason)
 	}
-	if !clk.Halted() {
-		t.Fatal("clock not halted on terminal failure")
+	if clk.Step() {
+		t.Fatal("clock still dispatching after terminal failure")
 	}
 }
 
@@ -197,7 +198,7 @@ func TestSchedTickKeepsIRQCountBalanced(t *testing.T) {
 	addAppVM(t, h, 1, 1)
 	clk.RunUntil(500 * time.Millisecond)
 	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
-		if got := h.IRQCount(cpu); got != 0 {
+		if got := h.percpu[cpu].LocalIRQCount; got != 0 {
 			t.Fatalf("cpu%d local_irq_count = %d between interrupts", cpu, got)
 		}
 	}
@@ -361,7 +362,7 @@ func TestDiscardThreadPreservesPendingCall(t *testing.T) {
 		t.Fatal("WasBusyAtDiscard not recorded")
 	}
 	// Discard does NOT release locks.
-	if !d.PageAllocLock.Held() {
+	if !(d.PageAllocLock.Owner() != locking.NoOwner) {
 		t.Fatal("discard released the held lock (must be a separate mechanism)")
 	}
 }
@@ -370,21 +371,19 @@ func TestRetryAfterRollbackSucceeds(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
 	h.SetPanicHook(func(int, string) {})
-	var done int
-	h.SetCallDoneHook(func(*hypercall.Call, error) { done++ })
 	h.ArmInjection(250, func(InjectionPoint) (InjectAction, string) { return ActionPanic, "x" })
 	d, _ := h.Domain(1)
 	frame := d.MemStart + 5
-	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1,
-		Args: [4]uint64{hypercall.MMUPin, uint64(frame)}})
+	call := &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1, Args: [4]uint64{hypercall.MMUPin, uint64(frame)}}
+	h.Dispatch(1, call)
 	pending := h.DiscardAllThreads()
 	h.Locks.UnlockHeapLocks()
 	h.Locks.UnlockStaticSegment()
 	h.ClearIRQCounts()
 	h.ReenableCPUs()
 	h.RetryPendingCalls(pending)
-	if done != 1 {
-		t.Fatalf("done = %d, want 1 (retried call completed)", done)
+	if !call.Done {
+		t.Fatal("retried call did not complete")
 	}
 	f := h.Frames.Frame(frame)
 	if f.UseCount != 1 || !f.Validated {
@@ -508,7 +507,7 @@ func TestEnforceCrossCPUWaits(t *testing.T) {
 		t.Fatal("empty wait list failed")
 	}
 	h.AddCrossCPUWait(CrossCPUWait{Requester: 2, Responder: 1, Desc: "tlb flush"})
-	if got := len(h.CrossCPUWaits()); got != 1 {
+	if got := len(h.crossCPUWaits); got != 1 {
 		t.Fatalf("waits = %d", got)
 	}
 	if h.EnforceCrossCPUWaits() {
@@ -518,7 +517,7 @@ func TestEnforceCrossCPUWaits(t *testing.T) {
 		t.Fatalf("panics = %v", panics)
 	}
 	h.ClearCrossCPUWaits()
-	if len(h.CrossCPUWaits()) != 0 {
+	if len(h.crossCPUWaits) != 0 {
 		t.Fatal("waits not cleared")
 	}
 }
@@ -526,14 +525,13 @@ func TestEnforceCrossCPUWaits(t *testing.T) {
 func TestPauseDefersDispatchAndInterrupts(t *testing.T) {
 	h, clk := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	var done int
-	h.SetCallDoneHook(func(*hypercall.Call, error) { done++ })
 	h.Pause()
 	if !h.Paused() {
 		t.Fatal("not paused")
 	}
-	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpVCPUOp, Dom: 1})
-	if done != 0 {
+	call := &hypercall.Call{Op: hypercall.OpVCPUOp, Dom: 1}
+	h.Dispatch(1, call)
+	if call.Done {
 		t.Fatal("dispatch ran while paused")
 	}
 	// Device interrupt during pause stays pending.
@@ -545,8 +543,8 @@ func TestPauseDefersDispatchAndInterrupts(t *testing.T) {
 	var ran bool
 	h.WhenRunnable(func() { ran = true })
 	h.ResumeRunnable()
-	if done != 1 || !ran {
-		t.Fatalf("deferred work not run: done=%d ran=%v", done, ran)
+	if !call.Done || !ran {
+		t.Fatalf("deferred work not run: done=%v ran=%v", call.Done, ran)
 	}
 	// Pending device interrupt delivered after resume.
 	if h.Stats.DeviceIRQs == 0 {
@@ -564,7 +562,7 @@ func TestNMIHookRunsEvenWhenInterruptsDisabled(t *testing.T) {
 	if len(nmis) != 1 || nmis[0] != 2 {
 		t.Fatalf("nmis = %v", nmis)
 	}
-	if h.IRQCount(2) != 0 {
+	if h.percpu[2].LocalIRQCount != 0 {
 		t.Fatal("NMI exit did not restore irq count")
 	}
 }
@@ -635,12 +633,15 @@ func TestMulticallDispatchAndRetrySkipsCompleted(t *testing.T) {
 
 func TestIPIDelivery(t *testing.T) {
 	h, _ := newBooted(t)
-	before := h.IRQCount(2)
-	h.Machine.CPU(0).SendIPI(2)
-	if h.Stats.Interrupts == 0 {
+	before, irqs := h.percpu[2].LocalIRQCount, h.Stats.Interrupts
+	// An IPI vector reaches cpu2 through a redirection entry pointing at
+	// it (the corrupted-vector IO-APIC case).
+	h.Machine.IOAPIC().Route(hw.IRQBlock, 2, hw.VecIPI)
+	h.Machine.IOAPIC().Raise(hw.IRQBlock)
+	if h.Stats.Interrupts == irqs {
 		t.Fatal("IPI not counted")
 	}
-	if h.IRQCount(2) != before {
+	if h.percpu[2].LocalIRQCount != before {
 		t.Fatal("IPI program left irq count unbalanced")
 	}
 }
@@ -748,12 +749,8 @@ func TestDefaultConfigAndAccessors(t *testing.T) {
 	}
 	h, _ := newBooted(t)
 	h.ArmInjection(100, func(InjectionPoint) (InjectAction, string) { return ActionContinue, "" })
-	if !h.InjectionArmed() {
-		t.Fatal("InjectionArmed false after arm")
-	}
-	h.DisarmInjection()
-	if h.InjectionArmed() {
-		t.Fatal("InjectionArmed true after disarm")
+	if !h.injectArmed || h.injectBudget != 100 {
+		t.Fatalf("armed=%v budget=%d after arm", h.injectArmed, h.injectBudget)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestTimerIRQWindowHazard(t *testing.T) {
 	// wrapping the injector? Simpler: snapshot around RunUntil with a
 	// probe: replace injection with a step-level probe via PanicAtNextStep
 	// is destructive. Instead drive one IRQ manually.
-	h.DisarmInjection()
+	h.injectArmed = false
 	cpu := 3
 	// Let the tick fire naturally and capture states via a custom probe
 	// program: build the IRQ program and execute steps by hand.
@@ -60,7 +60,7 @@ func TestTimerIRQWindowHazard(t *testing.T) {
 	if !reprogrammed {
 		t.Fatal("no reprogram step in timer IRQ program")
 	}
-	if h.IRQCount(cpu) != 0 {
+	if h.percpu[cpu].LocalIRQCount != 0 {
 		t.Fatal("irq count unbalanced after manual IRQ run")
 	}
 }

@@ -19,7 +19,7 @@ func TestRestartPrivVMRebuildsDom0AndReattachesRings(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldStart := oldD0.MemStart
-	liveObjs := h.Heap.AllocatedObjects()
+	livePages := len(h.Heap.AllocatedPages())
 	oldD0.Failed = true
 
 	n, err := h.RestartPrivVM()
@@ -42,9 +42,9 @@ func TestRestartPrivVMRebuildsDom0AndReattachesRings(t *testing.T) {
 	if newD0.MemStart != oldStart {
 		t.Fatalf("Dom0 range not reused: old start %d, new start %d", oldStart, newD0.MemStart)
 	}
-	// Old domain struct freed, new one allocated: net-zero live objects.
-	if got := h.Heap.AllocatedObjects(); got != liveObjs {
-		t.Fatalf("live heap objects %d, want %d (old Dom0 struct leaked?)", got, liveObjs)
+	// Old domain struct freed, new one allocated: net-zero live heap pages.
+	if got := len(h.Heap.AllocatedPages()); got != livePages {
+		t.Fatalf("live heap pages %d, want %d (old Dom0 struct leaked?)", got, livePages)
 	}
 	// Every surviving AppVM holds a live frontend port into the new
 	// backend table.

@@ -193,9 +193,6 @@ func (h *Hypervisor) applySchedFlux() {
 	}
 }
 
-// IRQCount returns cpu's local_irq_count.
-func (h *Hypervisor) IRQCount(cpu int) int { return h.percpu[cpu].LocalIRQCount }
-
 // ClearIRQCounts zeroes every CPU's local_irq_count — the "Clear IRQ
 // count" enhancement (§V-A).
 func (h *Hypervisor) ClearIRQCounts() {

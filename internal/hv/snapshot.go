@@ -74,12 +74,11 @@ type Snapshot struct {
 	failed     bool
 	failReason string
 
-	panicHook    func(cpu int, reason string)
-	nmiHook      func(cpu int)
-	callDoneHook func(*hypercall.Call, error)
-	eventHook    func(domID, port int)
-	nicRxHook    func(hw.Packet)
-	pauseHook    func()
+	panicHook func(cpu int, reason string)
+	nmiHook   func(cpu int)
+	eventHook func(domID, port int)
+	nicRxHook func(hw.Packet)
+	pauseHook func()
 
 	recoveryEpoch  uint64
 	schedFluxProb  float64
@@ -127,12 +126,11 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 		failed:     h.failed,
 		failReason: h.failReason,
 
-		panicHook:    h.panicHook,
-		nmiHook:      h.nmiHook,
-		callDoneHook: h.callDoneHook,
-		eventHook:    h.eventHook,
-		nicRxHook:    h.nicRxHook,
-		pauseHook:    h.pauseHook,
+		panicHook: h.panicHook,
+		nmiHook:   h.nmiHook,
+		eventHook: h.eventHook,
+		nicRxHook: h.nicRxHook,
+		pauseHook: h.pauseHook,
 
 		recoveryEpoch:  h.recoveryEpoch,
 		schedFluxProb:  h.schedFluxProb,
@@ -201,7 +199,6 @@ func (h *Hypervisor) Restore(s *Snapshot) {
 
 	h.panicHook = s.panicHook
 	h.nmiHook = s.nmiHook
-	h.callDoneHook = s.callDoneHook
 	h.eventHook = s.eventHook
 	h.nicRxHook = s.nicRxHook
 	h.pauseHook = s.pauseHook

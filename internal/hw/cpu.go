@@ -64,16 +64,12 @@ func (r Reg) String() string {
 	return fmt.Sprintf("reg(%d)", int(r))
 }
 
-// CycleCounters accumulates simulated unhalted cycles, split by where the
-// CPU was executing. The hypervisor-processing-overhead experiment
-// (Figure 3) is computed from Hypervisor counts.
+// CycleCounters accumulates simulated unhalted cycles. The
+// hypervisor-processing-overhead experiment (Figure 3) is computed from
+// Hypervisor counts.
 type CycleCounters struct {
-	Guest      uint64 // cycles spent executing guest code
 	Hypervisor uint64 // cycles spent executing hypervisor code
 }
-
-// Total returns all unhalted cycles.
-func (c CycleCounters) Total() uint64 { return c.Guest + c.Hypervisor }
 
 // CPU is one simulated physical processor.
 type CPU struct {
@@ -171,9 +167,6 @@ func (c *CPU) DisarmTimer() {
 // interrupt (the hazard of §V-A).
 func (c *CPU) TimerArmed() bool { return c.apic.armed }
 
-// TimerDeadline returns the pending shot's deadline (valid when armed).
-func (c *CPU) TimerDeadline() time.Duration { return c.apic.deadline }
-
 // --- performance-counter NMI (watchdog source) ----------------------------
 
 // perfCounter models the hardware performance counter programmed to raise
@@ -245,12 +238,6 @@ func (c *CPU) raise(vec Vector) {
 	c.pending = append(c.pending, vec)
 }
 
-// SendIPI sends an inter-processor interrupt from this CPU to target.
-// Delivery is immediate in virtual time (sub-microsecond on real hardware).
-func (c *CPU) SendIPI(target int) {
-	c.machine.cpus[target].raise(VecIPI)
-}
-
 // DrainPending re-attempts delivery of pending interrupts. The hypervisor
 // calls this after re-enabling interrupts on the CPU.
 func (c *CPU) DrainPending() {
@@ -261,21 +248,11 @@ func (c *CPU) DrainPending() {
 	}
 }
 
-// PendingVectors returns a copy of the queued-but-undelivered vectors.
-func (c *CPU) PendingVectors() []Vector {
-	out := make([]Vector, len(c.pending))
-	copy(out, c.pending)
-	return out
-}
-
 // ClearPending drops all pending interrupts. Recovery uses this when it
 // acknowledges "all pending and in-service interrupts" (§III-B).
 func (c *CPU) ClearPending() { c.pending = nil }
 
 // --- cycle / instruction accounting ---------------------------------------
-
-// ChargeGuest accounts cycles executed in guest context.
-func (c *CPU) ChargeGuest(cycles uint64) { c.Cycles.Guest += cycles }
 
 // ChargeHypervisor accounts cycles and instructions executed in hypervisor
 // context.

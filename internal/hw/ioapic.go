@@ -70,12 +70,6 @@ func (io *IOAPIC) Route(line IRQLine, cpu int, vec Vector) {
 	io.RedirWrites++
 }
 
-// Mask disables delivery on line.
-func (io *IOAPIC) Mask(line IRQLine) {
-	io.lines[line].enabled = false
-	io.RedirWrites++
-}
-
 // Raise asserts line. If the line is enabled and has no in-service
 // interrupt, the interrupt is delivered (or queued pending at the CPU);
 // otherwise the assertion is latched pending at the line.
@@ -124,9 +118,6 @@ func (io *IOAPIC) AckAll() {
 // NumLines returns the highest valid IRQLine number; valid lines are
 // 1..NumLines.
 func (io *IOAPIC) NumLines() int { return numIRQLines }
-
-// LineEnabled reports whether line is enabled for delivery.
-func (io *IOAPIC) LineEnabled(line IRQLine) bool { return io.lines[line].enabled }
 
 // RecordBootRoutes captures the current redirection table as the
 // known-good software copy. Called once at the end of hypervisor boot,
@@ -208,14 +199,4 @@ func (io *IOAPIC) CorruptRoute(line IRQLine, mode int) string {
 func (io *IOAPIC) StrandLine(line IRQLine) string {
 	io.lines[line].inService = true
 	return "ioapic-pending:stranded-in-service"
-}
-
-// LineFor returns the line that delivers vec, or -1 if none does.
-func (io *IOAPIC) LineFor(vec Vector) IRQLine {
-	for i := 1; i < len(io.lines); i++ {
-		if io.lines[i].enabled && io.lines[i].vec == vec {
-			return IRQLine(i)
-		}
-	}
-	return -1
 }

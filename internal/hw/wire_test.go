@@ -71,7 +71,7 @@ func TestNICPacketsArriveInInjectionOrder(t *testing.T) {
 		clk.RunUntil(at)
 		m.NIC().Inject(Packet{Flow: 7, Seq: uint64(10 + i), SentAt: at})
 	}
-	clk.Run()
+	drain(clk)
 	want := []string{
 		"11µs rx flow=7 seq=10 sent=1µs",
 		"14µs rx flow=7 seq=11 sent=4µs",
@@ -91,7 +91,7 @@ func TestNICSameInstantPacketsKeepOrder(t *testing.T) {
 		m.NIC().Inject(Packet{Flow: 1, Seq: seq})
 		m.NIC().Transmit(Packet{Flow: 2, Seq: 100 + seq})
 	}
-	clk.Run()
+	drain(clk)
 	var want []string
 	for seq := 1; seq <= 5; seq++ {
 		want = append(want,
@@ -111,11 +111,11 @@ func TestNICRingFullDropsAndCounts(t *testing.T) {
 	for seq := uint64(1); seq <= RxRingSlots+1; seq++ {
 		m.NIC().Inject(Packet{Flow: 1, Seq: seq})
 	}
-	clk.Run()
+	drain(clk)
 	n := m.NIC()
-	if n.RxCount != RxRingSlots || n.RxDropped != 1 || n.RxDepth() != RxRingSlots {
-		t.Fatalf("RxCount=%d RxDropped=%d RxDepth=%d, want %d/1/%d",
-			n.RxCount, n.RxDropped, n.RxDepth(), RxRingSlots, RxRingSlots)
+	if n.RxCount != RxRingSlots || n.RxDropped != 1 || len(n.rxRing) != RxRingSlots {
+		t.Fatalf("RxCount=%d RxDropped=%d rx ring=%d, want %d/1/%d",
+			n.RxCount, n.RxDropped, len(n.rxRing), RxRingSlots, RxRingSlots)
 	}
 	rx := n.DrainRx()
 	if rx[0].Seq != 1 || rx[RxRingSlots-1].Seq != RxRingSlots {
@@ -123,7 +123,7 @@ func TestNICRingFullDropsAndCounts(t *testing.T) {
 	}
 	// Draining made room: the next packet lands.
 	n.Inject(Packet{Flow: 1, Seq: 99})
-	clk.Run()
+	drain(clk)
 	if rx := n.DrainRx(); len(rx) != 1 || rx[0].Seq != 99 || n.RxDropped != 1 {
 		t.Fatalf("after drain: rx=%v RxDropped=%d", rx, n.RxDropped)
 	}
@@ -163,7 +163,7 @@ func TestSnapshotCarriesInFlightDeviceState(t *testing.T) {
 		"300µs blk owner=3 cookie=43 ok=true",
 	}
 	for pass := 1; pass <= 2; pass++ {
-		clk.Run()
+		drain(clk)
 		if !reflect.DeepEqual(s.log, want) {
 			t.Fatalf("pass %d delivered %q\nwant             %q", pass, s.log, want)
 		}
@@ -192,7 +192,7 @@ func TestDeviceSteadyStateDoesNotAllocate(t *testing.T) {
 			m.NIC().Inject(Packet{Flow: 1, Seq: uint64(i)})
 			m.NIC().Transmit(Packet{Flow: 1, Seq: uint64(i)})
 		}
-		clk.Run()
+		drain(clk)
 	}
 	cycle()
 	cycle()

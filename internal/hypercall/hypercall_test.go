@@ -190,7 +190,7 @@ func TestMMUPinUnpinRoundTrip(t *testing.T) {
 	if f.Type != mm.FramePageTable || f.UseCount != 1 || !f.Validated {
 		t.Fatalf("after pin: %+v", *f)
 	}
-	if fx.d1.PageAllocLock.Held() {
+	if held(fx.d1.PageAllocLock) {
 		t.Fatal("page_alloc lock leaked")
 	}
 	unpin := &Call{Op: OpMMUUpdate, Dom: 1, Args: [4]uint64{MMUUnpin, uint64(frame)}}
@@ -267,7 +267,7 @@ func TestMemoryOpAdjustsTotPages(t *testing.T) {
 	if fx.d1.TotPages != before {
 		t.Fatalf("TotPages = %d, want %d", fx.d1.TotPages, before)
 	}
-	if fx.env.Statics.HeapLock.Held() {
+	if held(fx.env.Statics.HeapLock) {
 		t.Fatal("heap lock leaked")
 	}
 }
@@ -314,13 +314,13 @@ func TestGrantMapUnmapRoundTrip(t *testing.T) {
 	}
 	mapc := &Call{Op: OpGrantTableOp, Dom: 1, Args: [4]uint64{GrantMap, 5, uint64(frame)}}
 	fx.runAll(t, mapc)
-	if fx.d1.Maptrack.Active() != 1 || fx.frames.Frame(frame).UseCount != 1 {
-		t.Fatalf("after map: active=%d count=%d", fx.d1.Maptrack.Active(), fx.frames.Frame(frame).UseCount)
+	if len(fx.d1.Maptrack.Mappings()) != 1 || fx.frames.Frame(frame).UseCount != 1 {
+		t.Fatalf("after map: active=%d count=%d", len(fx.d1.Maptrack.Mappings()), fx.frames.Frame(frame).UseCount)
 	}
 	unmap := &Call{Op: OpGrantTableOp, Dom: 1, Args: [4]uint64{GrantUnmap, 5, uint64(frame)}}
 	fx.runAll(t, unmap)
-	if fx.d1.Maptrack.Active() != 0 || fx.frames.Frame(frame).UseCount != 0 {
-		t.Fatalf("after unmap: active=%d count=%d", fx.d1.Maptrack.Active(), fx.frames.Frame(frame).UseCount)
+	if len(fx.d1.Maptrack.Mappings()) != 0 || fx.frames.Frame(frame).UseCount != 0 {
+		t.Fatalf("after unmap: active=%d count=%d", len(fx.d1.Maptrack.Mappings()), fx.frames.Frame(frame).UseCount)
 	}
 	// The guest can now revoke its grant.
 	if err := fx.d1.GrantTab.Revoke(5); err != nil {
@@ -354,17 +354,31 @@ func TestGrantMapRetryWithoutUndoAsserts(t *testing.T) {
 	}
 }
 
+// held reports whether l is currently held.
+func held(l *locking.Lock) bool { return l.Owner() != locking.NoOwner }
+
+// pendingPorts lists t's pending, unmasked ports in order.
+func pendingPorts(t *evtchn.Table) []int {
+	var out []int
+	for p := 1; p < t.Len(); p++ {
+		if port, _ := t.Port(p); port.Pending && !port.Masked {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 func TestEventChannelSendReachesPeer(t *testing.T) {
 	// d1 notifies its I/O ring: the PrivVM-side port goes pending.
 	fx := newFixture(t)
 	call := &Call{Op: OpEventChannelOp, Dom: 1, Args: [4]uint64{0, 0, uint64(fx.d1.RingPort)}}
 	fx.runAll(t, call)
-	if got := fx.d0.Events.PendingPorts(); len(got) != 1 {
+	if got := pendingPorts(fx.d0.Events); len(got) != 1 {
 		t.Fatalf("PrivVM pending = %v, want the ring backend port", got)
 	}
 	// Re-sending is idempotent (level-triggered bit).
 	fx.runAll(t, call)
-	if got := fx.d0.Events.PendingPorts(); len(got) != 1 {
+	if got := pendingPorts(fx.d0.Events); len(got) != 1 {
 		t.Fatalf("pending after resend = %v", got)
 	}
 }
@@ -379,7 +393,7 @@ func TestEventChannelSendWakesBlockedPeer(t *testing.T) {
 	backPort, _ := fx.d1.Events.Port(fx.d1.RingPort)
 	call := &Call{Op: OpEventChannelOp, Dom: 0, Args: [4]uint64{0, 0, uint64(backPort.RemotePort)}}
 	fx.runAll(t, call)
-	if got := fx.d1.Events.PendingPorts(); len(got) != 1 || got[0] != fx.d1.RingPort {
+	if got := pendingPorts(fx.d1.Events); len(got) != 1 || got[0] != fx.d1.RingPort {
 		t.Fatalf("d1 pending = %v, want ring port", got)
 	}
 	if len(fx.woken) != 1 || fx.woken[0] != v {
@@ -406,7 +420,7 @@ func TestEventChannelBadPortIsGuestError(t *testing.T) {
 	if err := fx.run(call2, -1); err != nil {
 		t.Fatalf("send on unbound port paniced the hypervisor: %v", err)
 	}
-	if got := fx.d0.Events.PendingPorts(); len(got) != 0 {
+	if got := pendingPorts(fx.d0.Events); len(got) != 0 {
 		t.Fatalf("bad sends delivered events: %v", got)
 	}
 }
@@ -425,7 +439,7 @@ func TestSchedOpYieldSwitches(t *testing.T) {
 	if got := fx.sch.CheckConsistency(); len(got) != 0 {
 		t.Fatalf("inconsistencies after yield: %v", got)
 	}
-	if fx.sch.RunqueueLock(0).Held() {
+	if held(fx.sch.RunqueueLock(0)) {
 		t.Fatal("runq lock leaked")
 	}
 }
@@ -480,7 +494,7 @@ func TestConsoleIOTakesStaticLock(t *testing.T) {
 	if err := fx.run(call, idx); err != nil {
 		t.Fatal(err)
 	}
-	if !fx.env.Statics.Console.Held() {
+	if !held(fx.env.Statics.Console) {
 		t.Fatal("console lock not held mid-program")
 	}
 	// Abandon: the lock stays held — the §V-A static-lock hazard.
@@ -555,7 +569,7 @@ func TestDomctlCreateAndDestroy(t *testing.T) {
 	if _, err := fx.doms.ByID(9); err == nil {
 		t.Fatal("domain not destroyed")
 	}
-	if fx.env.Statics.DomList.Held() {
+	if held(fx.env.Statics.DomList) {
 		t.Fatal("domlist lock leaked")
 	}
 }
@@ -646,10 +660,25 @@ func pin2(frame int) *Call {
 	return &Call{Op: OpMMUUpdate, Dom: 1, Args: [4]uint64{MMUPin, uint64(frame)}}
 }
 
+// TestProgramInstrs pins the mmu_update pin program's instruction costs
+// up to write_pte (entry 150 + lock 40 + inc_refcount 60): an injection
+// budget just past 250 lands on write_pte with the reference already
+// taken, the §IV hazard the fault-drill example aims at.
 func TestProgramInstrs(t *testing.T) {
-	p := Program{{Instrs: 10}, {Instrs: 20}, {Instrs: 5}}
-	if got := p.Instrs(); got != 35 {
-		t.Fatalf("Instrs() = %d, want 35", got)
+	fx := newFixture(t)
+	prog, err := Build(fx.env, pin2(fx.d1.MemStart+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before uint64
+	for _, st := range prog {
+		if st.Name == "write_pte" {
+			break
+		}
+		before += st.Instrs
+	}
+	if before != 250 {
+		t.Fatalf("instructions before write_pte = %d, want 250", before)
 	}
 }
 
@@ -717,7 +746,7 @@ func TestEPTPopulateUnmapRoundTrip(t *testing.T) {
 	if f.UseCount != 1 || !f.Validated {
 		t.Fatalf("after populate: %+v", *f)
 	}
-	if fx.d1.PageAllocLock.Held() {
+	if held(fx.d1.PageAllocLock) {
 		t.Fatal("p2m lock leaked")
 	}
 	unmap := &Call{Op: OpEPTViolation, Dom: 1, Args: [4]uint64{EPTUnmap, uint64(frame)}}

@@ -151,7 +151,7 @@ func snapshotState(fx *fixture) string {
 	return fmt.Sprintf("useCountSum=%d validated=%d totPages=%d inconsistent=%d pendingLocal=%d pendingPeer=%d timers=%d",
 		counts, validated, fx.d1.TotPages,
 		len(fx.frames.InconsistentFrames()),
-		len(fx.d1.Events.PendingPorts()), len(fx.d0.Events.PendingPorts()),
+		len(pendingPorts(fx.d1.Events)), len(pendingPorts(fx.d0.Events)),
 		fx.env.Timers.PendingCount(0)) + fmt.Sprintf(" maps=%d grants=%d",
-		fx.d1.Maptrack.Active(), len(fx.d1.GrantTab.ActiveGrants()))
+		len(fx.d1.Maptrack.Mappings()), len(fx.d1.GrantTab.ActiveGrants()))
 }

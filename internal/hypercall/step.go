@@ -75,15 +75,6 @@ type Step struct {
 // Program is an ordered list of steps implementing one handler.
 type Program []Step
 
-// Instrs returns the program's total instruction cost.
-func (p Program) Instrs() uint64 {
-	var n uint64
-	for i := range p {
-		n += p[i].Instrs
-	}
-	return n
-}
-
 // Statics bundles the hypervisor's well-known static locks (declared via
 // the lock macro, so they live in the static-lock segment).
 type Statics struct {

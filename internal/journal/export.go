@@ -1,9 +1,7 @@
 package journal
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"nilihype/internal/telemetry"
@@ -81,23 +79,6 @@ func (j *Journal) Export() []Entry {
 		out[i] = j.export(e)
 	}
 	return out
-}
-
-// WriteJSONL writes the journal as JSON Lines, one event per line.
-func (j *Journal) WriteJSONL(w io.Writer) error {
-	return WriteEntriesJSONL(w, j.Export())
-}
-
-// WriteEntriesJSONL writes exported entries as JSON Lines — the bundle
-// form, usable after the producing journal has been recycled.
-func WriteEntriesJSONL(w io.Writer, entries []Entry) error {
-	enc := json.NewEncoder(w)
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TraceLaneTID is the journal's thread ID in the merged Chrome trace view,

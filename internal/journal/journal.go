@@ -187,23 +187,6 @@ func (j *Journal) Str(id uint32) string {
 	return j.strs[id]
 }
 
-// Events returns the recorded events, oldest first. The slice aliases the
-// journal's backing array: valid until the next Restore.
-func (j *Journal) Events() []Event {
-	if j == nil {
-		return nil
-	}
-	return j.events
-}
-
-// Len returns the number of recorded events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.events)
-}
-
 // record appends one event and returns its Seq.
 func (j *Journal) record(e Event) uint32 {
 	e.Seq = uint32(len(j.events) + 1)

@@ -24,7 +24,7 @@ func emitEpisode(j *Journal) {
 func TestCausalLinks(t *testing.T) {
 	j := New(0)
 	emitEpisode(j)
-	ev := j.Events()
+	ev := j.events
 	if len(ev) != 8 {
 		t.Fatalf("got %d events, want 8", len(ev))
 	}
@@ -63,7 +63,7 @@ func TestEscalationChain(t *testing.T) {
 	j.AttemptFail(3*time.Millisecond, 0, "post-recovery hang")
 	j.Escalate(3*time.Millisecond, 0, "ReHype")
 	j.Attempt(3*time.Millisecond, 0, "ReHype", 2)
-	ev := j.Events()
+	ev := j.events
 	det, att1, fail, esc, att2 := ev[0], ev[1], ev[2], ev[3], ev[4]
 	if att1.Cause != det.Seq {
 		t.Errorf("first attempt cause = #%d, want detect #%d", att1.Cause, det.Seq)
@@ -83,13 +83,13 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	j := New(0)
 	j.Fault(1*time.Millisecond, 0, "boot-noise", "primary")
 	snap := j.Snapshot()
-	want := append([]Event(nil), j.Events()...)
+	want := append([]Event(nil), j.events...)
 
 	emitEpisode(j)
 	first := j.Export()
 	j.Restore(snap)
-	if !reflect.DeepEqual(j.Events(), want) {
-		t.Fatalf("restore did not truncate to snapshot: %v", j.Events())
+	if !reflect.DeepEqual(j.events, want) {
+		t.Fatalf("restore did not truncate to snapshot: %v", j.events)
 	}
 
 	// Replaying the same episode after restore must reproduce the export
@@ -119,13 +119,17 @@ func TestRestoredJournalRecordsAllocationFree(t *testing.T) {
 func TestExportJSONL(t *testing.T) {
 	j := New(0)
 	emitEpisode(j)
+	// The postmortem bundle's JSON form: one encoded Entry per line.
 	var buf bytes.Buffer
-	if err := j.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, e := range j.Export() {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != j.Len() {
-		t.Fatalf("got %d JSONL lines, want %d", len(lines), j.Len())
+	if len(lines) != len(j.events) {
+		t.Fatalf("got %d JSONL lines, want %d", len(lines), len(j.events))
 	}
 	var first Entry
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
@@ -152,8 +156,8 @@ func TestNilJournalEmittersAreNoOps(t *testing.T) {
 	emitEpisode(j)
 	j.AttemptFail(0, 0, "x")
 	j.Escalate(0, 0, "x")
-	if j.Len() != 0 {
-		t.Error("nil journal has nonzero length")
+	if j.Export() != nil {
+		t.Error("nil journal exported entries")
 	}
 }
 
@@ -164,8 +168,8 @@ func TestTraceLaneSpans(t *testing.T) {
 	if lane.TID != TraceLaneTID || lane.Name != "journal" {
 		t.Fatalf("unexpected lane identity: %+v", lane)
 	}
-	if len(lane.Markers) != j.Len() {
-		t.Fatalf("got %d markers, want %d", len(lane.Markers), j.Len())
+	if len(lane.Markers) != len(j.events) {
+		t.Fatalf("got %d markers, want %d", len(lane.Markers), len(j.events))
 	}
 	var spans int
 	for _, m := range lane.Markers {

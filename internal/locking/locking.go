@@ -68,9 +68,6 @@ func (l *Lock) Name() string { return l.name }
 // Kind returns whether the lock is static or heap-allocated.
 func (l *Lock) Kind() Kind { return l.kind }
 
-// Held reports whether the lock is currently held.
-func (l *Lock) Held() bool { return l.held }
-
 // Owner returns the CPU holding the lock, or NoOwner.
 func (l *Lock) Owner() int {
 	if !l.held {
@@ -149,21 +146,6 @@ func (r *Registry) DropHeap(l *Lock) {
 			return
 		}
 	}
-}
-
-// StaticSegment returns the static-lock segment in declaration order —
-// exactly what the NiLiHype recovery CPU iterates over.
-func (r *Registry) StaticSegment() []*Lock {
-	out := make([]*Lock, len(r.static))
-	copy(out, r.static)
-	return out
-}
-
-// HeapLocks returns the current heap-lock population.
-func (r *Registry) HeapLocks() []*Lock {
-	out := make([]*Lock, len(r.heap))
-	copy(out, r.heap)
-	return out
 }
 
 // HeldLocks returns every held lock of the given kinds.

@@ -8,7 +8,7 @@ import (
 func TestTryAcquireRelease(t *testing.T) {
 	r := NewRegistry()
 	l := r.NewStatic("timer_lock")
-	if l.Held() {
+	if l.held {
 		t.Fatal("new lock is held")
 	}
 	if l.Owner() != NoOwner {
@@ -17,14 +17,14 @@ func TestTryAcquireRelease(t *testing.T) {
 	if !l.TryAcquire(2) {
 		t.Fatal("TryAcquire on free lock failed")
 	}
-	if !l.Held() || l.Owner() != 2 {
-		t.Fatalf("held=%v owner=%d, want held by cpu2", l.Held(), l.Owner())
+	if !l.held || l.Owner() != 2 {
+		t.Fatalf("held=%v owner=%d, want held by cpu2", l.held, l.Owner())
 	}
 	if l.TryAcquire(3) {
 		t.Fatal("TryAcquire on held lock succeeded")
 	}
 	l.Release(2)
-	if l.Held() || l.Owner() != NoOwner {
+	if l.held || l.Owner() != NoOwner {
 		t.Fatal("lock still held after release")
 	}
 	if l.Acquisitions != 1 {
@@ -60,7 +60,7 @@ func TestForceReleaseIgnoresOwner(t *testing.T) {
 	l := r.NewHeap("domain_lock")
 	l.TryAcquire(5)
 	l.ForceRelease()
-	if l.Held() {
+	if l.held {
 		t.Fatal("still held after ForceRelease")
 	}
 	l.ForceRelease() // idempotent
@@ -72,7 +72,7 @@ func TestStaticSegmentOrder(t *testing.T) {
 	for _, n := range names {
 		r.NewStatic(n)
 	}
-	seg := r.StaticSegment()
+	seg := r.static
 	if len(seg) != 3 {
 		t.Fatalf("segment size = %d, want 3", len(seg))
 	}
@@ -96,10 +96,10 @@ func TestUnlockStaticSegmentReleasesOnlyStatic(t *testing.T) {
 	if n := r.UnlockStaticSegment(); n != 1 {
 		t.Fatalf("released %d static locks, want 1", n)
 	}
-	if s1.Held() || s2.Held() {
+	if s1.held || s2.held {
 		t.Fatal("static lock still held")
 	}
-	if !h.Held() {
+	if !h.held {
 		t.Fatal("heap lock was released by static unlock")
 	}
 }
@@ -115,10 +115,10 @@ func TestUnlockHeapLocksReleasesOnlyHeap(t *testing.T) {
 	if n := r.UnlockHeapLocks(); n != 2 {
 		t.Fatalf("released %d heap locks, want 2", n)
 	}
-	if h1.Held() || h2.Held() {
+	if h1.held || h2.held {
 		t.Fatal("heap lock still held")
 	}
-	if !s.Held() {
+	if !s.held {
 		t.Fatal("static lock was released by heap unlock")
 	}
 }
@@ -128,7 +128,7 @@ func TestReinitStatic(t *testing.T) {
 	s := r.NewStatic("a")
 	s.TryAcquire(3)
 	r.ReinitStatic()
-	if s.Held() {
+	if s.held {
 		t.Fatal("static lock held after reinit")
 	}
 }
@@ -158,8 +158,8 @@ func TestDropHeap(t *testing.T) {
 	if _, heapN := r.Counts(); heapN != 1 {
 		t.Fatalf("heap count = %d, want 1", heapN)
 	}
-	if locks := r.HeapLocks(); len(locks) != 1 || locks[0] != h2 {
-		t.Fatalf("HeapLocks() = %v", locks)
+	if locks := r.heap; len(locks) != 1 || locks[0] != h2 {
+		t.Fatalf("heap locks = %v", locks)
 	}
 	r.DropHeap(h1) // dropping again is a no-op
 }
@@ -225,7 +225,7 @@ func TestPropertyAcquireReleaseRoundTrip(t *testing.T) {
 			}
 			l.Release(cpu)
 		}
-		return !l.Held() && l.Acquisitions == uint64(len(cpus))
+		return !l.held && l.Acquisitions == uint64(len(cpus))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -203,19 +203,6 @@ func (ft *FrameTable) eachDirtyChunk(fn func(lo, hi int)) {
 	}
 }
 
-// CountType returns how many frames have the given type.
-func (ft *FrameTable) CountType(t FrameType) int {
-	n := 0
-	for _, seg := range ft.frames {
-		for i := range seg {
-			if seg[i].Type == t {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // InconsistentFrames returns the indices of descriptors violating the
 // validation-bit/use-counter invariant, in ascending order. Only dirty
 // chunks can hold one.

@@ -29,9 +29,6 @@ type Object struct {
 	canary uint64
 }
 
-// Locks returns the spinlocks embedded in the object.
-func (o *Object) Locks() []*locking.Lock { return o.locks }
-
 // Damaged reports whether the object's contents have been corrupted (its
 // canary no longer matches). Both microreset and microreboot preserve live
 // objects in place, so this damage survives every ladder rung (§VII-A's
@@ -97,12 +94,6 @@ func NewHeap(ft *FrameTable, locks *locking.Registry, start, count int) *Heap {
 	}
 	return h
 }
-
-// FreePages returns the number of frames on the free list.
-func (h *Heap) FreePages() int { return len(h.free) }
-
-// AllocatedObjects returns the live object count.
-func (h *Heap) AllocatedObjects() int { return len(h.objects) }
 
 // entryValid reports whether the free-list entry at depth i from the LIFO
 // end names an in-range frame that is actually free and not a duplicate of

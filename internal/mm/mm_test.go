@@ -8,6 +8,42 @@ import (
 	"nilihype/internal/locking"
 )
 
+// CountType returns how many frames have the given type: the full-table
+// reference count the dirty-chunk tests compare against.
+func (ft *FrameTable) CountType(t FrameType) int {
+	n := 0
+	for _, seg := range ft.frames {
+		for i := range seg {
+			if seg[i].Type == t {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// PinAsPageTable validates the frame as a guest page table: the mmu_update
+// pin's two steps (take the reference, then set the validation bit) run
+// uninterrupted.
+func (f *PageFrame) PinAsPageTable() {
+	f.Type = FramePageTable
+	f.IncUse()         // step 1: reference taken
+	f.Validated = true // step 2: validation completed
+}
+
+// UnpinPageTable reverses PinAsPageTable, again as two steps (clear the
+// validation bit, then drop the reference).
+func (f *PageFrame) UnpinPageTable() error {
+	f.Validated = false
+	if err := f.DecUse(); err != nil {
+		return err
+	}
+	if f.UseCount == 0 {
+		f.Type = FrameGuest
+	}
+	return nil
+}
+
 func TestNewFrameTableAllFree(t *testing.T) {
 	ft := NewFrameTable(100)
 	if ft.Len() != 100 {
@@ -146,27 +182,27 @@ func newTestHeap(t *testing.T, frames, start, count int) (*Heap, *FrameTable, *l
 
 func TestHeapAllocFree(t *testing.T) {
 	h, ft, _ := newTestHeap(t, 64, 0, 32)
-	if h.FreePages() != 32 {
-		t.Fatalf("FreePages = %d, want 32", h.FreePages())
+	if len(h.free) != 32 {
+		t.Fatalf("free pages = %d, want 32", len(h.free))
 	}
 	o := h.Alloc(4, "domain")
 	if o == nil {
 		t.Fatal("Alloc failed")
 	}
-	if len(o.Pages) != 4 || h.FreePages() != 28 {
-		t.Fatalf("pages=%d free=%d", len(o.Pages), h.FreePages())
+	if len(o.Pages) != 4 || len(h.free) != 28 {
+		t.Fatalf("pages=%d free=%d", len(o.Pages), len(h.free))
 	}
 	for _, fi := range o.Pages {
 		if ft.Frame(fi).Type != FrameHeap {
 			t.Fatalf("frame %d type = %v, want heap", fi, ft.Frame(fi).Type)
 		}
 	}
-	if h.AllocatedObjects() != 1 {
-		t.Fatalf("AllocatedObjects = %d, want 1", h.AllocatedObjects())
+	if len(h.objects) != 1 {
+		t.Fatalf("live objects = %d, want 1", len(h.objects))
 	}
 	h.Free(o)
-	if h.FreePages() != 32 || h.AllocatedObjects() != 0 {
-		t.Fatalf("after free: free=%d objects=%d", h.FreePages(), h.AllocatedObjects())
+	if len(h.free) != 32 || len(h.objects) != 0 {
+		t.Fatalf("after free: free=%d objects=%d", len(h.free), len(h.objects))
 	}
 }
 
@@ -205,7 +241,7 @@ func TestHeapLocksRegisteredAndDropped(t *testing.T) {
 	if _, heapN := reg.Counts(); heapN != 1 {
 		t.Fatalf("registry heap count = %d, want 1", heapN)
 	}
-	if got := o.Locks(); len(got) != 1 || got[0] != l {
+	if got := o.locks; len(got) != 1 || got[0] != l {
 		t.Fatalf("object locks = %v", got)
 	}
 	h.Free(o)
@@ -236,7 +272,7 @@ func TestHeapCorruptionBlocksAllocUntilRebuild(t *testing.T) {
 	if probs := h.ValidateFreeList(); len(probs) != 0 {
 		t.Fatalf("rebuild left free-list damage: %v", probs)
 	}
-	if h.AllocatedObjects() != 1 {
+	if len(h.objects) != 1 {
 		t.Fatal("rebuild lost live objects")
 	}
 	if o := h.Alloc(1, "x"); o == nil {
@@ -341,7 +377,7 @@ func TestPropertyHeapConservation(t *testing.T) {
 		for _, o := range live {
 			used += len(o.Pages)
 		}
-		return used+h.FreePages() == 64
+		return used+len(h.free) == 64
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

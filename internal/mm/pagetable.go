@@ -41,27 +41,3 @@ func (ft *FrameTable) AssignRange(start, count, dom int, t FrameType) error {
 	}
 	return nil
 }
-
-// PinAsPageTable validates the frame as a guest page table. The operation
-// has two separately observable steps — take the reference, then set the
-// validation bit — because that is exactly the window in which a fault
-// leaves the descriptor inconsistent. Callers that model the full
-// (uninterrupted) operation call both.
-func (f *PageFrame) PinAsPageTable() {
-	f.Type = FramePageTable
-	f.IncUse()         // step 1: reference taken
-	f.Validated = true // step 2: validation completed
-}
-
-// UnpinPageTable reverses PinAsPageTable, again as two steps (clear the
-// validation bit, then drop the reference).
-func (f *PageFrame) UnpinPageTable() error {
-	f.Validated = false
-	if err := f.DecUse(); err != nil {
-		return err
-	}
-	if f.UseCount == 0 {
-		f.Type = FrameGuest
-	}
-	return nil
-}

@@ -77,9 +77,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render produces the table in the requested format.
 func (t *Table) Render(f Format) string {
 	switch f {

@@ -136,8 +136,8 @@ func TestAddRowPadding(t *testing.T) {
 	tb := NewTable("", "a", "b", "c")
 	tb.AddRow("1")
 	tb.AddRow("1", "2", "3", "4")
-	if tb.Rows() != 2 {
-		t.Fatalf("Rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	out := tb.Render(CSV)
 	if !strings.Contains(out, "1,,\n") {

@@ -124,9 +124,6 @@ func NewScheduler(cpus int, locks *locking.Registry) *Scheduler {
 	return s
 }
 
-// NumCPUs returns the physical CPU count.
-func (s *Scheduler) NumCPUs() int { return len(s.cpus) }
-
 // RunqueueLock returns cpu's schedule lock.
 func (s *Scheduler) RunqueueLock(cpu int) *locking.Lock { return s.cpus[cpu].lock }
 
@@ -165,13 +162,6 @@ func (s *Scheduler) RemoveVCPU(v *VCPU) {
 		}
 	}
 	v.RunningOn = NoCPU
-}
-
-// VCPUs returns all registered vCPUs in registration order.
-func (s *Scheduler) VCPUs() []*VCPU {
-	out := make([]*VCPU, len(s.vcpus))
-	copy(out, s.vcpus)
-	return out
 }
 
 // Curr returns the vCPU the per-CPU structure says is on cpu (nil=idle).
@@ -391,9 +381,6 @@ func (s *Scheduler) CheckConsistency() []Inconsistency {
 	}
 	return out
 }
-
-// Queued reports whether the vCPU is on a runqueue.
-func (v *VCPU) Queued() bool { return v.queued }
 
 // RepairFromPerCPU implements the paper's enhancement: the per-CPU
 // structures are taken as the reliable source, and all per-vCPU copies,

@@ -144,7 +144,7 @@ func TestRemoveVCPU(t *testing.T) {
 	if s.RunqueueLen(1) != 0 {
 		t.Fatal("removed vcpu still queued")
 	}
-	if len(s.VCPUs()) != 0 {
+	if len(s.vcpus) != 0 {
 		t.Fatal("vcpus still registered")
 	}
 	if len(s.CheckConsistency()) != 0 {

@@ -47,18 +47,3 @@ func BenchmarkCancel(b *testing.B) {
 		c.Cancel(e)
 	}
 }
-
-// BenchmarkReschedule measures moving a pending event (deadline updates).
-func BenchmarkReschedule(b *testing.B) {
-	c := New()
-	fn := func() {}
-	for i := 0; i < 32; i++ {
-		c.After(time.Duration(i+1)*time.Hour, "fill", fn)
-	}
-	e := c.After(time.Hour, "bench", fn)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Reschedule(e, time.Duration(i%1000+1)*time.Minute)
-	}
-}

@@ -8,14 +8,15 @@ import (
 )
 
 // propEvent mirrors one live event in the model: the time it should fire
-// at and a stamp that tracks the clock's internal seq. Every At and every
-// Reschedule bumps both the clock's seq and the model's stamp in lockstep,
-// so sorting the model by (when, stamp) predicts the exact dispatch order
-// the FIFO-at-equal-timestamp guarantee promises.
+// at and a stamp that tracks the clock's internal seq. Every At (a
+// reschedule is Cancel then At) bumps both the clock's seq and the model's
+// stamp in lockstep, so sorting the model by (when, stamp) predicts the
+// exact dispatch order the FIFO-at-equal-timestamp guarantee promises.
 type propEvent struct {
 	when  time.Duration
 	stamp uint64
 	ev    *Event
+	fn    Func
 }
 
 type propModel struct {
@@ -33,12 +34,13 @@ func newPropModel() *propModel { return &propModel{c: New()} }
 func (m *propModel) schedule(when time.Duration) {
 	p := &propEvent{when: when, stamp: m.stamp}
 	m.stamp++
-	p.ev = m.c.At(when, "prop", func() {
+	p.fn = func() {
 		m.fired = append(m.fired, struct {
 			when  time.Duration
 			stamp uint64
 		}{p.when, p.stamp})
-	})
+	}
+	p.ev = m.c.At(when, "prop", p.fn)
 	m.pending = append(m.pending, p)
 }
 
@@ -52,7 +54,8 @@ func (m *propModel) reschedule(i int, when time.Duration) {
 	p.when = when
 	p.stamp = m.stamp
 	m.stamp++
-	m.c.Reschedule(p.ev, when)
+	m.c.Cancel(p.ev)
+	p.ev = m.c.At(when, "prop", p.fn)
 }
 
 // verify drains the clock and checks the dispatch order against the model:
@@ -60,7 +63,7 @@ func (m *propModel) reschedule(i int, when time.Duration) {
 // share a timestamp.
 func (m *propModel) verify(t *testing.T) {
 	t.Helper()
-	if got, want := m.c.Len(), len(m.pending); got != want {
+	if got, want := len(m.c.queue), len(m.pending); got != want {
 		t.Fatalf("clock holds %d events, model says %d", got, want)
 	}
 	expected := append([]*propEvent(nil), m.pending...)
@@ -70,7 +73,7 @@ func (m *propModel) verify(t *testing.T) {
 		}
 		return expected[i].stamp < expected[j].stamp
 	})
-	m.c.Run()
+	drain(m.c)
 	if len(m.fired) != len(expected) {
 		t.Fatalf("fired %d events, want %d", len(m.fired), len(expected))
 	}
@@ -83,8 +86,8 @@ func (m *propModel) verify(t *testing.T) {
 			t.Fatalf("time ran backwards: dispatch %d at %v after %v", i, f.when, m.fired[i-1].when)
 		}
 	}
-	if m.c.Len() != 0 {
-		t.Fatalf("%d events left after Run", m.c.Len())
+	if len(m.c.queue) != 0 {
+		t.Fatalf("%d events left after Run", len(m.c.queue))
 	}
 }
 

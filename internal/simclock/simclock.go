@@ -26,37 +26,25 @@ import (
 type Func func()
 
 // Event is a scheduled callback. It is returned by At and After so that the
-// caller can cancel or reschedule it. The zero value is not usable; events
-// are created only by Clock.
+// caller can cancel it. The zero value is not usable; events are created
+// only by Clock.
 //
 // Handle lifetime: a handle is unconditionally valid while its event is
 // pending. Once the event fires or is cancelled, the Clock recycles the
 // Event through a free list, so the handle remains valid only until the
-// next At/After call reuses the storage. Rescheduling a fired event from
-// inside its own callback (the periodic-timer idiom) or immediately after
-// Run/Step returns is therefore safe; holding a handle across unrelated
-// scheduling activity and then cancelling or rescheduling it is not —
-// drop handles when their events fire (as the event's own callback is the
-// natural place to do).
+// next At/After call reuses the storage. Cancelling a fired event before
+// then is a harmless no-op; holding a handle across unrelated scheduling
+// activity and then cancelling it is not — drop handles when their events
+// fire (as the event's own callback is the natural place to do).
 type Event struct {
 	when time.Duration
 	seq  uint64
 	fn   Func
 	tag  string
-	// index is the position in the clock's heap; -1 when not queued.
+	// index is the position in the clock's heap; -1 when not queued (so
+	// also on the free list).
 	index int
-	// recycled marks the event as sitting on the clock's free list.
-	recycled bool
 }
-
-// When reports the virtual time at which the event is scheduled to fire.
-func (e *Event) When() time.Duration { return e.when }
-
-// Tag returns the diagnostic label the event was scheduled with.
-func (e *Event) Tag() string { return e.tag }
-
-// Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e.index >= 0 }
 
 // Clock is a discrete-event virtual clock. It is not safe for concurrent
 // use; the whole simulation is single-threaded by design (determinism).
@@ -80,40 +68,27 @@ func New() *Clock {
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return c.now }
 
-// Dispatched returns the number of events dispatched so far. It is useful
-// for bounding runaway simulations in tests.
+// Dispatched returns the number of events dispatched so far.
 func (c *Clock) Dispatched() uint64 { return c.dispatched }
-
-// Len returns the number of pending events.
-func (c *Clock) Len() int { return len(c.queue) }
 
 // QueueHighWater returns the peak pending-event queue depth observed so
 // far (since construction or the last Restore).
 func (c *Clock) QueueHighWater() int { return c.highWater }
 
 // alloc takes an Event from the free list, or allocates a fresh one.
-// Events rescued from the free list by Reschedule are skipped lazily here
-// rather than unlinked eagerly there.
 func (c *Clock) alloc() *Event {
-	for n := len(c.free); n > 0; n = len(c.free) {
+	if n := len(c.free); n > 0 {
 		e := c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		if e.recycled {
-			e.recycled = false
-			return e
-		}
+		return e
 	}
 	return &Event{index: -1}
 }
 
-// recycle returns a fired or cancelled event to the free list. The fn and
-// tag fields are kept (Reschedule of a fired event must preserve them);
-// they are overwritten on reuse.
-func (c *Clock) recycle(e *Event) {
-	e.recycled = true
-	c.free = append(c.free, e)
-}
+// recycle returns a fired or cancelled event to the free list; its fields
+// are overwritten on reuse.
+func (c *Clock) recycle(e *Event) { c.free = append(c.free, e) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is a programming error and panics: allowing it would silently reorder
@@ -153,26 +128,6 @@ func (c *Clock) Cancel(e *Event) {
 	c.recycle(e)
 }
 
-// Reschedule moves a pending event to a new absolute time, preserving its
-// callback and tag. If the event already fired (or was cancelled) it is
-// re-queued, reclaiming it from the free list if necessary.
-func (c *Clock) Reschedule(e *Event, t time.Duration) {
-	if t < c.now {
-		panic(fmt.Sprintf("simclock: rescheduling %q at %v before now %v", e.tag, t, c.now))
-	}
-	if e.index >= 0 {
-		c.queue.remove(e.index)
-	}
-	e.recycled = false // rescue from the free list; alloc skips it lazily
-	e.when = t
-	e.seq = c.seq
-	c.seq++
-	c.queue.push(e)
-	if len(c.queue) > c.highWater {
-		c.highWater = len(c.queue)
-	}
-}
-
 // Step dispatches the single next event and returns true, or returns false
 // if the queue is empty or the clock has been halted.
 func (c *Clock) Step() bool {
@@ -183,9 +138,9 @@ func (c *Clock) Step() bool {
 	c.now = e.when
 	c.dispatched++
 	e.fn()
-	// The callback may have rescheduled e (periodic timers); recycle only
-	// if it is still unqueued.
-	if e.index < 0 && !e.recycled {
+	// A Restore inside the callback may have revived e; recycle it only if
+	// it is still unqueued.
+	if e.index < 0 {
 		c.recycle(e)
 	}
 	return true
@@ -202,12 +157,6 @@ func (c *Clock) RunUntil(t time.Duration) {
 	}
 }
 
-// Run dispatches events until the queue empties or the clock halts.
-func (c *Clock) Run() {
-	for c.Step() {
-	}
-}
-
 // Halt stops dispatching. Pending events are preserved; Resume re-enables
 // dispatching. Halt is how a simulation terminates early (e.g. on an
 // unrecoverable hypervisor failure).
@@ -215,9 +164,6 @@ func (c *Clock) Halt() { c.halted = true }
 
 // Resume re-enables dispatching after Halt.
 func (c *Clock) Resume() { c.halted = false }
-
-// Halted reports whether the clock is halted.
-func (c *Clock) Halted() bool { return c.halted }
 
 // eventQueue is an intrusive 4-ary min-heap of *Event ordered by
 // (when, seq). Compared to container/heap it avoids the heap.Interface

@@ -7,13 +7,19 @@ import (
 	"time"
 )
 
+// drain dispatches events until the queue empties or the clock halts.
+func drain(c *Clock) {
+	for c.Step() {
+	}
+}
+
 func TestNewClockStartsAtZero(t *testing.T) {
 	c := New()
 	if c.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", c.Now())
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len() = %d, want 0", c.Len())
+	if len(c.queue) != 0 {
+		t.Fatalf("queue holds %d events, want 0", len(c.queue))
 	}
 }
 
@@ -21,7 +27,7 @@ func TestAfterFiresAtRightTime(t *testing.T) {
 	c := New()
 	var firedAt time.Duration = -1
 	c.After(5*time.Millisecond, "t", func() { firedAt = c.Now() })
-	c.Run()
+	drain(c)
 	if firedAt != 5*time.Millisecond {
 		t.Fatalf("fired at %v, want 5ms", firedAt)
 	}
@@ -33,7 +39,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	c.After(30*time.Microsecond, "c", func() { order = append(order, 3) })
 	c.After(10*time.Microsecond, "a", func() { order = append(order, 1) })
 	c.After(20*time.Microsecond, "b", func() { order = append(order, 2) })
-	c.Run()
+	drain(c)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -49,7 +55,7 @@ func TestSimultaneousEventsFireFIFO(t *testing.T) {
 		i := i
 		c.At(time.Millisecond, "same", func() { order = append(order, i) })
 	}
-	c.Run()
+	drain(c)
 	for i := 0; i < 10; i++ {
 		if order[i] != i {
 			t.Fatalf("order = %v, want FIFO 0..9", order)
@@ -62,11 +68,11 @@ func TestCancelPreventsFiring(t *testing.T) {
 	fired := false
 	e := c.After(time.Millisecond, "x", func() { fired = true })
 	c.Cancel(e)
-	c.Run()
+	drain(c)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if e.Pending() {
+	if e.index >= 0 {
 		t.Fatal("cancelled event still pending")
 	}
 }
@@ -77,34 +83,43 @@ func TestCancelIsIdempotent(t *testing.T) {
 	c.Cancel(e)
 	c.Cancel(e) // must not panic
 	c.Cancel(nil)
-	c.Run()
+	drain(c)
 }
 
 func TestCancelAfterFireIsNoOp(t *testing.T) {
 	c := New()
 	e := c.After(time.Millisecond, "x", func() {})
-	c.Run()
+	drain(c)
 	c.Cancel(e) // must not panic
 }
 
+// TestRescheduleMovesEvent: moving a pending event is Cancel then At (the
+// APIC one-shot re-arm idiom); it fires at the new time only.
 func TestRescheduleMovesEvent(t *testing.T) {
 	c := New()
-	var firedAt time.Duration
-	e := c.After(time.Millisecond, "x", func() { firedAt = c.Now() })
-	c.Reschedule(e, 7*time.Millisecond)
-	c.Run()
-	if firedAt != 7*time.Millisecond {
-		t.Fatalf("fired at %v, want 7ms", firedAt)
+	var fired []time.Duration
+	fn := func() { fired = append(fired, c.Now()) }
+	e := c.After(time.Millisecond, "x", fn)
+	c.Cancel(e)
+	c.At(7*time.Millisecond, "x", fn)
+	drain(c)
+	if len(fired) != 1 || fired[0] != 7*time.Millisecond {
+		t.Fatalf("fired at %v, want once at 7ms", fired)
 	}
 }
 
+// TestRescheduleAfterFireRequeues: a fired event's storage goes back to
+// the free list, and scheduling again reuses it and fires again.
 func TestRescheduleAfterFireRequeues(t *testing.T) {
 	c := New()
 	count := 0
-	e := c.After(time.Millisecond, "x", func() { count++ })
-	c.Run()
-	c.Reschedule(e, 2*time.Millisecond)
-	c.Run()
+	fn := func() { count++ }
+	e := c.After(time.Millisecond, "x", fn)
+	drain(c)
+	if again := c.At(2*time.Millisecond, "x", fn); again != e {
+		t.Fatal("fired event's storage was not reused")
+	}
+	drain(c)
 	if count != 2 {
 		t.Fatalf("count = %d, want 2", count)
 	}
@@ -148,15 +163,15 @@ func TestHaltStopsDispatch(t *testing.T) {
 			}
 		})
 	}
-	c.Run()
+	drain(c)
 	if count != 2 {
 		t.Fatalf("count = %d, want 2 (halt should stop dispatch)", count)
 	}
-	if !c.Halted() {
-		t.Fatal("Halted() = false after Halt")
+	if !c.halted {
+		t.Fatal("not halted after Halt")
 	}
 	c.Resume()
-	c.Run()
+	drain(c)
 	if count != 5 {
 		t.Fatalf("count = %d after resume, want 5", count)
 	}
@@ -170,7 +185,7 @@ func TestSchedulingInsideEvent(t *testing.T) {
 			times = append(times, c.Now())
 		})
 	})
-	c.Run()
+	drain(c)
 	if len(times) != 1 || times[0] != 2*time.Millisecond {
 		t.Fatalf("inner fired at %v, want [2ms]", times)
 	}
@@ -179,7 +194,7 @@ func TestSchedulingInsideEvent(t *testing.T) {
 func TestSchedulingInPastPanics(t *testing.T) {
 	c := New()
 	c.After(time.Millisecond, "x", func() {})
-	c.Run()
+	drain(c)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At() in the past did not panic")
@@ -203,7 +218,7 @@ func TestDispatchedCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		c.After(time.Duration(i)*time.Microsecond, "n", func() {})
 	}
-	c.Run()
+	drain(c)
 	if c.Dispatched() != 7 {
 		t.Fatalf("Dispatched() = %d, want 7", c.Dispatched())
 	}
@@ -212,18 +227,18 @@ func TestDispatchedCounter(t *testing.T) {
 func TestEventAccessors(t *testing.T) {
 	c := New()
 	e := c.After(3*time.Millisecond, "tagged", func() {})
-	if e.When() != 3*time.Millisecond {
-		t.Fatalf("When() = %v, want 3ms", e.When())
+	if e.when != 3*time.Millisecond {
+		t.Fatalf("when = %v, want 3ms", e.when)
 	}
-	if e.Tag() != "tagged" {
-		t.Fatalf("Tag() = %q, want %q", e.Tag(), "tagged")
+	if e.tag != "tagged" {
+		t.Fatalf("tag = %q, want %q", e.tag, "tagged")
 	}
-	if !e.Pending() {
-		t.Fatal("Pending() = false before fire")
+	if e.index < 0 {
+		t.Fatal("event not queued before fire")
 	}
-	c.Run()
-	if e.Pending() {
-		t.Fatal("Pending() = true after fire")
+	drain(c)
+	if e.index >= 0 {
+		t.Fatal("event still queued after fire")
 	}
 }
 
@@ -239,7 +254,7 @@ func TestPropertyDispatchOrderMonotone(t *testing.T) {
 				fired = append(fired, c.Now())
 			})
 		}
-		c.Run()
+		drain(c)
 		if len(fired) != len(delays) {
 			return false
 		}
@@ -273,7 +288,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 				cancelled++
 			}
 		}
-		c.Run()
+		drain(c)
 		return firedCount == count-cancelled
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -282,27 +297,24 @@ func TestPropertyCancelSubset(t *testing.T) {
 }
 
 // TestCancelThenRescheduleRecycledEvent: a cancelled event sits on the
-// free list; Reschedule must rescue it (re-queue it exactly once), and a
-// subsequent At must NOT hand out the same storage while it is queued.
+// free list; rescheduling reuses its storage exactly once, so the next At
+// must NOT hand out the same storage while it is queued.
 func TestCancelThenRescheduleRecycledEvent(t *testing.T) {
 	c := New()
 	count := 0
 	e := c.After(time.Millisecond, "x", func() { count++ })
 	c.Cancel(e)
-	if e.Pending() {
+	if e.index >= 0 {
 		t.Fatal("cancelled event still pending")
 	}
-	c.Reschedule(e, 2*time.Millisecond)
-	if !e.Pending() {
-		t.Fatal("rescheduled event not pending")
+	if again := c.At(2*time.Millisecond, "x", func() { count++ }); again != e || e.index < 0 {
+		t.Fatal("rescheduling did not reuse the cancelled storage")
 	}
-	// The free list must not hand the rescued event's storage to a new
-	// scheduling while it is queued.
 	other := c.After(3*time.Millisecond, "y", func() {})
 	if other == e {
 		t.Fatal("free list reused a queued event")
 	}
-	c.Run()
+	drain(c)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
 	}
@@ -320,29 +332,35 @@ func TestCancelledEventIsRecycled(t *testing.T) {
 	if e2 != e {
 		t.Fatal("cancelled event was not recycled")
 	}
-	if e2.Tag() != "new" {
-		t.Fatalf("recycled tag = %q", e2.Tag())
+	if e2.tag != "new" {
+		t.Fatalf("recycled tag = %q", e2.tag)
 	}
-	c.Run()
+	drain(c)
 	if oldFired || !newFired {
 		t.Fatalf("oldFired=%v newFired=%v", oldFired, newFired)
 	}
 }
 
 // TestPeriodicRescheduleFromOwnCallback: the periodic-timer idiom — an
-// event rescheduling itself from its own callback — must never recycle
-// the in-flight event.
+// event scheduling its successor from its own callback — must never be
+// handed its own in-flight storage.
 func TestPeriodicRescheduleFromOwnCallback(t *testing.T) {
 	c := New()
 	count := 0
-	var e *Event
-	e = c.After(time.Millisecond, "tick", func() {
+	var tick func()
+	var cur *Event
+	tick = func() {
 		count++
 		if count < 5 {
-			c.Reschedule(e, c.Now()+time.Millisecond)
+			next := c.After(time.Millisecond, "tick", tick)
+			if next == cur {
+				t.Fatal("in-flight event handed out from its own callback")
+			}
+			cur = next
 		}
-	})
-	c.Run()
+	}
+	cur = c.After(time.Millisecond, "tick", tick)
+	drain(c)
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
 	}
@@ -370,8 +388,8 @@ func TestHaltMidRunUntilPreservesQueue(t *testing.T) {
 	if len(order) != 3 {
 		t.Fatalf("order = %v, want 3 events before halt", order)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3 preserved", c.Len())
+	if len(c.queue) != 3 {
+		t.Fatalf("queue holds %d events, want 3 preserved", len(c.queue))
 	}
 	if c.Now() != 3*time.Millisecond {
 		t.Fatalf("Now() = %v (RunUntil must not advance past the halt)", c.Now())
@@ -400,7 +418,7 @@ func TestManySameTimestampEventsFIFO(t *testing.T) {
 		i := i
 		c.At(time.Millisecond, "same", func() { order = append(order, i) })
 	}
-	c.Run()
+	drain(c)
 	if len(order) != n {
 		t.Fatalf("fired %d, want %d", len(order), n)
 	}
@@ -428,7 +446,7 @@ func TestInterleavedCancelRemoveHeapIntegrity(t *testing.T) {
 		c.Cancel(events[i])
 		cancelled++
 	}
-	c.Run()
+	drain(c)
 	if len(fired) != n-cancelled {
 		t.Fatalf("fired %d, want %d", len(fired), n-cancelled)
 	}
@@ -448,7 +466,7 @@ func TestSteadyStateScheduleIsAllocationFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.After(time.Duration(i+1)*time.Microsecond, "prime", fn)
 	}
-	c.Run()
+	drain(c)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.After(time.Microsecond, "steady", fn)
 		c.Step()
@@ -490,7 +508,7 @@ func TestPropertyDeterminism(t *testing.T) {
 			}
 		}
 		schedule(0)
-		c.Run()
+		drain(c)
 		return log
 	}
 	for seed := uint64(1); seed <= 20; seed++ {

@@ -57,8 +57,8 @@ func (c *Clock) Restore(s *Snapshot) {
 	c.highWater = s.highWater
 
 	// Revive the snapshot's events in place. Setting index to the saved
-	// heap position also marks them "queued", and clearing recycled marks
-	// any that sat on the free list as live again.
+	// heap position marks them queued, including any that sat on the free
+	// list.
 	for i := range s.events {
 		se := &s.events[i]
 		e := se.ev
@@ -67,18 +67,14 @@ func (c *Clock) Restore(s *Snapshot) {
 		e.fn = se.fn
 		e.tag = se.tag
 		e.index = i
-		e.recycled = false
 	}
 
-	// Compact the free list down to the events that are genuinely free:
-	// a snapshot event that fired since the snapshot was recycled onto the
-	// list, and reviving it above cleared its recycled flag — keeping it
-	// here would let alloc hand out a queued event. (alloc's lazy-rescue
-	// skip would tolerate stale entries, but compaction keeps the list's
-	// length meaningful and the invariant simple.)
+	// Compact the free list down to the events that are genuinely free: a
+	// snapshot event that fired since the snapshot sits on the list, and
+	// keeping it would let alloc hand out a queued event.
 	kept := c.free[:0]
 	for _, e := range c.free {
-		if e.recycled {
+		if e.index < 0 {
 			kept = append(kept, e)
 		}
 	}
@@ -91,7 +87,7 @@ func (c *Clock) Restore(s *Snapshot) {
 	// valid heap when captured, and (when, seq) of the saved events are
 	// byte-identical now, so it is a valid heap again — no re-heapify.
 	// Events scheduled after the snapshot simply drop out of the queue
-	// (and, not being recycled, out of the free list) to the GC.
+	// (and, never recycled, out of the free list) to the GC.
 	if cap(c.queue) < len(s.events) {
 		c.queue = make(eventQueue, 0, len(s.events))
 	}

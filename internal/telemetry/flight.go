@@ -98,13 +98,6 @@ type Ring struct {
 	next uint64
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
-// Total returns how many events were recorded over the ring's lifetime
-// (including those since overwritten).
-func (r *Ring) Total() uint64 { return r.next }
-
 // Len returns how many events the ring currently holds.
 func (r *Ring) Len() int {
 	if r.next < uint64(len(r.buf)) {

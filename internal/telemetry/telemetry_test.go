@@ -209,8 +209,8 @@ func TestRingKeepsMostRecent(t *testing.T) {
 	if tel.Flight.Len() != 16 {
 		t.Fatalf("Len = %d, want 16", tel.Flight.Len())
 	}
-	if tel.Flight.Total() != 40 {
-		t.Fatalf("Total = %d, want 40", tel.Flight.Total())
+	if tel.Flight.next != 40 {
+		t.Fatalf("recorded %d events, want 40", tel.Flight.next)
 	}
 	events := tel.Flight.Events()
 	for i, e := range events {
@@ -286,8 +286,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if tel.Hists[HistAttemptLatencyUs].Count != 0 {
 		t.Fatal("histogram not restored")
 	}
-	if tel.Flight.Total() != 1 || tel.Flight.Len() != 1 {
-		t.Fatalf("ring not restored: total=%d len=%d", tel.Flight.Total(), tel.Flight.Len())
+	if tel.Flight.next != 1 || tel.Flight.Len() != 1 {
+		t.Fatalf("ring not restored: total=%d len=%d", tel.Flight.next, tel.Flight.Len())
 	}
 	if tel.Str(bootID) != "boot-reason" {
 		t.Fatal("boot-time intern lost")
@@ -379,7 +379,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	tel.Record(1, EvRecovered, 1)
 
 	var buf bytes.Buffer
-	if err := tel.WriteChromeTrace(&buf, 4); err != nil {
+	if err := tel.WriteChromeTraceLanes(&buf, 4); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

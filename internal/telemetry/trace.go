@@ -49,18 +49,13 @@ type ExtraLane struct {
 	Markers []TraceMarker
 }
 
-// WriteChromeTrace renders the flight recorder's retained events as a
+// WriteChromeTraceLanes renders the flight recorder's retained events as a
 // Chrome trace_event JSON document: per-CPU instant lanes for hypervisor
 // activity, span ("X") events for recovery phases, and instant markers for
-// injection, detection, and recovery milestones. Load the output in
+// injection, detection, and recovery milestones. Extra lanes merge in on
+// their own named tracks — the recovery journal's causal event stream
+// renders alongside the flight recorder's raw activity. Load the output in
 // chrome://tracing or https://ui.perfetto.dev.
-func (t *Telemetry) WriteChromeTrace(w io.Writer, numCPUs int) error {
-	return t.WriteChromeTraceLanes(w, numCPUs)
-}
-
-// WriteChromeTraceLanes is WriteChromeTrace with extra lanes merged in —
-// the recovery journal's causal event stream renders alongside the flight
-// recorder's raw activity on its own named lane.
 func (t *Telemetry) WriteChromeTraceLanes(w io.Writer, numCPUs int, lanes ...ExtraLane) error {
 	events := t.Flight.Events()
 	doc := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(events)+numCPUs+4)}

@@ -60,7 +60,7 @@ func BenchmarkTrafficRun(b *testing.B) {
 		e.Start(clk, nil, 2*time.Second)
 		clk.At(500*time.Millisecond, "down", e.ServiceDown)
 		clk.At(1200*time.Millisecond, "up", e.ServiceUp)
-		clk.Run()
+		drain(clk)
 		e.Finish()
 	}
 }

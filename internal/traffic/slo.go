@@ -11,7 +11,7 @@ import "nilihype/internal/telemetry"
 //
 // Units: all durations are microseconds (µs). Fixed-point integer µs keep
 // a million users × seconds of outage well inside uint64 (and inside the
-// 2^53 window that survives a JSON round-trip through the shard protocol).
+// 2^53 window that survives a JSON round-trip exactly).
 type SLO struct {
 	// Users is the simulated population size (max across merges — every
 	// run in a campaign offers the same population, so max == the value).

@@ -22,7 +22,7 @@
 // Determinism: the engine draws no randomness and owns no mutable state
 // outside itself, and every accounting operation is an exact-integer
 // commutative add — so run results are bit-identical at any campaign
-// parallelism, fork-vs-cold, and shard count, and SLO.Merge is
+// parallelism, fork-vs-cold, and seed-range split, and SLO.Merge is
 // order-independent.
 package traffic
 
@@ -38,7 +38,7 @@ const tickTag = "traffic-tick"
 
 // Config describes the simulated population. The zero value disables the
 // layer (Enabled() == false); all fields are plain scalars so the struct
-// is comparable and survives the campaign shard JSON protocol exactly.
+// is comparable and survives a JSON round-trip exactly.
 type Config struct {
 	// Users is the simulated population size. 0 disables the engine.
 	Users uint64
@@ -176,9 +176,6 @@ func New(cfg Config) *Engine {
 	e.onTickFn = e.onTick
 	return e
 }
-
-// Config returns the normalized configuration the engine runs with.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Start arms the engine against a run: seeds the cohorts phase-spread
 // across one period, positions the wheel, zeroes the SLO, and schedules

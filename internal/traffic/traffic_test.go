@@ -8,6 +8,12 @@ import (
 	"nilihype/internal/telemetry"
 )
 
+// drain dispatches events until the queue empties or the clock halts.
+func drain(clk *simclock.Clock) {
+	for clk.Step() {
+	}
+}
+
 // testCfg is a small, exactly-analyzable population: 10k users in 10
 // cohorts, one request per 100ms, 5ms ticks — so over a 1s run every user
 // sends exactly 10 requests.
@@ -31,7 +37,7 @@ func runEngine(t *testing.T, cfg Config, d time.Duration, arm func(clk *simclock
 	if arm != nil {
 		arm(clk, e)
 	}
-	clk.Run()
+	drain(clk)
 	return e.Finish()
 }
 
@@ -174,7 +180,7 @@ func TestHaltedClockSyntheticDrain(t *testing.T) {
 	clk.At(402*time.Millisecond, "failure", func() {
 		clk.Halt()
 	})
-	clk.Run()
+	drain(clk)
 	e.ServiceDown() // the campaign marks terminal failure as service loss
 	slo := e.Finish()
 
@@ -202,7 +208,7 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 		e.Start(clk, nil, time.Second)
 		clk.At(302*time.Millisecond, "down", e.ServiceDown)
 		clk.At(602*time.Millisecond, "up", e.ServiceUp)
-		clk.Run()
+		drain(clk)
 		return *e.Finish()
 	}
 	e := New(cfg)
@@ -294,7 +300,7 @@ func TestTelemetryWiring(t *testing.T) {
 	tel := telemetry.New(16, clk.Now)
 	e := New(cfg)
 	e.Start(clk, tel, time.Second)
-	clk.Run()
+	drain(clk)
 	slo := e.Finish()
 
 	if h := &tel.Hists[telemetry.HistRequestLatencyUs]; h.Count != slo.Latency.Count || h.Sum != slo.Latency.Sum {
