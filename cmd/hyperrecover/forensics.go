@@ -11,7 +11,6 @@ import (
 
 	"nilihype/internal/campaign"
 	"nilihype/internal/core"
-	"nilihype/internal/health"
 	"nilihype/internal/inject"
 	"nilihype/internal/journal"
 	"nilihype/internal/report"
@@ -116,7 +115,6 @@ type postmortemJSON struct {
 	Runs       int                                  `json:"runs"`
 	RootCauses map[string]int                       `json:"root_causes,omitempty"`
 	ByClass    map[string]*campaign.FaultClassStats `json:"fault_classes,omitempty"`
-	Health     health.Report                        `json:"health"`
 	Bundles    []campaign.Bundle                    `json:"bundles,omitempty"`
 }
 
@@ -126,29 +124,25 @@ went wrong — failed, escalated, or degraded to keep the host alive. For
 each such run it assembles a post-mortem bundle (the causal recovery
 journal, the corrupted structural cells, the per-attempt outage windows,
 the flight-recorder tail, the SLO damage) and classifies a root cause;
-the report is the per-fault-class root-cause matrix, the host-health
-trajectory, and the N lowest-seed bundles in full.
+the report is the per-fault-class root-cause matrix and the N
+lowest-seed bundles in full.
 
 Examples:
 
 	hyperrecover postmortem -fault ioapic -runs 200
-	hyperrecover postmortem -fault privvm-crash -ladder hybrid -runs 50 -bundles 2
+	hyperrecover postmortem -fault privvm-crash -mechanism hybrid -runs 50 -bundles 2
 	hyperrecover postmortem -fault failstop -runs 500 -format json > postmortem.json
 `
 
 func postmortemCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
-	rf := (&runFlags{fault: "failstop", setup: "3appvm", runs: 100, duration: 2 * time.Second, logging: true, format: "text"}).
-		register(fs, "fault", "runs", "seed-base", "parallel", "users", "format")
-	ladder := fs.String("ladder", "microreset", "recovery ladder: microreset | microreboot | checkpoint | privvm-restart | hybrid | full-ladder")
+	rf := (&runFlags{fault: "failstop", mechanism: "microreset", setup: "3appvm", runs: 100, duration: 2 * time.Second, logging: true, format: "text"}).
+		register(fs, "fault", "mechanism", "runs", "seed-base", "parallel", "users", "format")
 	nBundles := 3
 	intVar(fs, &nBundles, "bundles", 0, maxRuns, "post-mortem bundles to print in full (lowest seeds first)")
 
 	return func(stdout, _ io.Writer) error {
 		c, err := rf.campaign()
 		if err != nil {
-			return err
-		}
-		if c.Base.Recovery, err = core.ParseConfig(*ladder); err != nil {
 			return err
 		}
 		format, err := report.ParseFormat(rf.format)
@@ -171,7 +165,6 @@ func postmortemCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		sum := c.Execute()
 		sort.Slice(bundles, func(i, j int) bool { return bundles[i].Seed < bundles[j].Seed })
 		bundles = bundles[:min(nBundles, len(bundles))]
-		hrep := sum.HealthReport(health.Config{})
 
 		if format == report.JSON {
 			enc := json.NewEncoder(stdout)
@@ -180,7 +173,6 @@ func postmortemCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 				Runs:       sum.Runs,
 				RootCauses: sum.RootCauses,
 				ByClass:    sum.FaultClasses,
-				Health:     hrep,
 				Bundles:    bundles,
 			})
 		}
@@ -188,8 +180,6 @@ func postmortemCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		fmt.Fprint(stdout, sum.Format())
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, sum.FormatRootCauseMatrix())
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, hrep.Format())
 		for i := range bundles {
 			fmt.Fprintf(stdout, "\n== post-mortem %d/%d ==\n", i+1, len(bundles))
 			fmt.Fprint(stdout, bundles[i].Format())

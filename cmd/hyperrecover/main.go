@@ -41,7 +41,7 @@ var commands = []command{
 	{"slo", "recovery mechanisms scored by user-visible damage", sloHelp, sloCmd},
 	{"trace", "one run's flight-recorder timeline, as Chrome trace JSON or text", traceHelp, traceCmd},
 	{"postmortem", "automatic failure forensics on every run that went wrong", postmortemHelp, postmortemCmd},
-	{"report", "the full evaluation in one run, or the fault-class matrix as JSON", reportHelp, reportCmd},
+	{"report", "the fault-class × ladder recovery matrix as JSON", reportHelp, reportCmd},
 	{"loc", "implementation complexity by the paper's CLOC methodology (Table IV)", locHelp, locCmd},
 }
 
@@ -69,18 +69,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if c.name != args[0] {
 			continue
 		}
-		fs := flag.NewFlagSet("hyperrecover "+c.name, flag.ContinueOnError)
-		fs.SetOutput(io.Discard) // errors are reported once, below
-		exec := c.setup(fs)
-		err := fs.Parse(args[1:])
+		fs, exec, err := c.parse(args[1:])
 		if wantHelp || errors.Is(err, flag.ErrHelp) {
 			fmt.Fprintf(stdout, "%s\nFlags:\n", c.help)
 			fs.SetOutput(stdout)
 			fs.PrintDefaults()
 			return 0
-		}
-		if err == nil && fs.NArg() > 0 {
-			err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
 		}
 		if err == nil {
 			err = exec(stdout, stderr)
@@ -93,6 +87,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "hyperrecover: unknown subcommand %q (run hyperrecover help)\n", args[0])
 	return 2
+}
+
+// parse declares c's flags on a fresh flag set and parses args under
+// them, rejecting stray arguments. Errors are left for the caller to
+// report once.
+func (c command) parse(args []string) (*flag.FlagSet, func(stdout, stderr io.Writer) error, error) {
+	fs := flag.NewFlagSet("hyperrecover "+c.name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	exec := c.setup(fs)
+	err := fs.Parse(args)
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return fs, exec, err
 }
 
 // bounded is a flag.Value that rejects out-of-range values while the

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -40,9 +43,9 @@ func TestGoldenStdout(t *testing.T) {
 		{"trace-text", "trace -fault failstop -format text -flight 64"},
 		{"trace-chrome", "trace -format chrome -flight 64"},
 		{"postmortem-ioapic", "postmortem -fault ioapic -runs 10 -bundles 1"},
-		{"postmortem-privvm", "postmortem -fault privvm-crash -ladder hybrid -runs 5 -bundles 0"},
+		{"postmortem-privvm", "postmortem -fault privvm-crash -mechanism hybrid -runs 5 -bundles 0"},
 		{"postmortem-json", "postmortem -fault ioapic -runs 5 -bundles 1 -format json"},
-		{"report-json", "report -format json -runs 2 -users 1000"},
+		{"report-json", "report -runs 2 -users 1000"},
 	} {
 		t.Run(tt.args, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tt.golden+".golden"))
@@ -83,8 +86,8 @@ func TestHostileFlagValues(t *testing.T) {
 		"trace -flight 0", "trace -flight -1", "trace -find-failed -1", "trace -repair-cpus -1", "trace -duration -1s",
 		"trace -seed -1", "trace -format svg", "trace -fault cosmic", "trace -mechanism bogus",
 		"postmortem -runs -5", "postmortem -bundles -1", "postmortem -users -1", "postmortem -parallel -1",
-		"postmortem -seed-base -1", "postmortem -ladder bogus", "postmortem -format csv",
-		"report -runs -1", "report -users -1", "report -format svg",
+		"postmortem -seed-base -1", "postmortem -mechanism bogus", "postmortem -format csv", "postmortem -ladder hybrid",
+		"report -runs -1", "report -users -1", "report -format json",
 		"loc -root /nonexistent/tree", "bogus", "",
 	} {
 		stdout, stderr, code := hyperrecover(strings.Fields(args)...)
@@ -121,7 +124,7 @@ func TestForensicLoop(t *testing.T) {
 	}
 
 	// postmortem's fixed experiment shape, spelled out in the shared
-	// vocabulary; "microreset" is its default -ladder.
+	// vocabulary; "microreset" is its default -mechanism.
 	timeline, verdict, code := hyperrecover("trace", "-seed", jsonNumber(b.Seed), "-fault", "ioapic",
 		"-mechanism", "microreset", "-setup", "3appvm", "-duration", "2s", "-logging", "-format", "text")
 	if code != 0 {
@@ -169,8 +172,8 @@ func TestParseMechanismAndFault(t *testing.T) {
 	}
 	for _, args := range []string{
 		"trace -fault device -mechanism hybrid -format text -flight 16",
-		"postmortem -ladder rehype-cp -runs 2 -bundles 0",
-		"postmortem -ladder full -fault IO-APIC -runs 2 -bundles 0",
+		"postmortem -mechanism rehype-cp -runs 2 -bundles 0",
+		"postmortem -mechanism full -fault IO-APIC -runs 2 -bundles 0",
 	} {
 		if _, stderr, code := hyperrecover(strings.Fields(args)...); code != 0 {
 			t.Errorf("%q: exit %d: %s", args, code, stderr)
@@ -314,4 +317,107 @@ func TestHelpPrintsDocAndFlags(t *testing.T) {
 			t.Errorf("help %s does not open with the subcommand's description:\n%s", c.name, out)
 		}
 	}
+}
+
+// TestDocCommandsParse: every `hyperrecover <subcommand> …` that README.md,
+// EXPERIMENTS.md and DESIGN.md show — in a code block or an inline code
+// span — names a subcommand and parses under its flag set, so no document
+// cites a flag or subcommand that no longer exists. Commands are parsed,
+// never executed. Comments and redirects are stripped; a command with a
+// placeholder token (N, […], <…>) is skipped and logged. Every Benchmark
+// function the documents cite must exist too.
+func TestDocCommandsParse(t *testing.T) {
+	root := filepath.Join("..", "..")
+	benches := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`).FindAllSubmatch(src, -1) {
+			benches[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmdRe := regexp.MustCompile(`(?:^|[\s/])hyperrecover\s+(\S.*)`)
+	spanRe := regexp.MustCompile("`([^`]+)`")
+	var parsed, skipped []string
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`\bBenchmark[A-Z]\w*`).FindAllString(string(src), -1) {
+			if !benches[m] {
+				t.Errorf("%s cites %s, which no _test.go defines", doc, m)
+			}
+		}
+		// Inline spans may wrap; fenced blocks are taken line by line.
+		var cmds []string
+		for i, block := range strings.Split(string(src), "```") {
+			if i%2 == 1 {
+				cmds = append(cmds, strings.Split(block, "\n")...)
+				continue
+			}
+			for _, s := range spanRe.FindAllStringSubmatch(block, -1) {
+				cmds = append(cmds, strings.ReplaceAll(s[1], "\n", " "))
+			}
+		}
+		for _, line := range cmds {
+			m := cmdRe.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			args := docArgs(m[1])
+			cmdline := doc + ": hyperrecover " + strings.Join(args, " ")
+			if args[0] == "help" || hasPlaceholder(args) {
+				skipped = append(skipped, cmdline)
+				continue
+			}
+			if err := parseOnly(args); err != nil {
+				t.Errorf("%s: %v", cmdline, err)
+			}
+			parsed = append(parsed, cmdline)
+		}
+	}
+	if len(parsed) < 40 {
+		t.Errorf("found only %d commands in the documents; is the extraction broken?", len(parsed))
+	}
+	t.Logf("parsed %d commands; skipped %d with placeholders:\n  %s", len(parsed), len(skipped), strings.Join(skipped, "\n  "))
+}
+
+// docArgs cuts a documented command line at its comment, redirect or pipe.
+func docArgs(line string) []string {
+	var args []string
+	for _, tok := range strings.Fields(line) {
+		if strings.HasPrefix(tok, "#") || strings.ContainsAny(tok[:1], ">|&") || strings.HasPrefix(tok, "2>") {
+			break
+		}
+		args = append(args, tok)
+	}
+	return args
+}
+
+func hasPlaceholder(args []string) bool {
+	for _, a := range args {
+		if a == "N" || strings.HasPrefix(a, "[") || strings.HasPrefix(a, "<") {
+			return true
+		}
+	}
+	return false
+}
+
+// parseOnly resolves args[0] to a subcommand and parses the rest under its
+// flag set, without running it.
+func parseOnly(args []string) error {
+	for _, c := range commands {
+		if c.name == args[0] {
+			_, _, err := c.parse(args[1:])
+			return err
+		}
+	}
+	return fmt.Errorf("unknown subcommand %q", args[0])
 }

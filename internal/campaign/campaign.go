@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"nilihype/internal/health"
 	"nilihype/internal/telemetry"
 	"nilihype/internal/traffic"
 )
@@ -113,13 +112,6 @@ type Summary struct {
 	// siblings; counters only, so the breakdown is bit-identical at any
 	// parallelism or seed-range split.
 	RootCauses map[string]int
-
-	// HealthSamples carries each detected run's health-model episode,
-	// keyed by seed. Keyed merging is order-independent, and the health
-	// trajectory is computed by replaying samples in seed order
-	// (HealthReport) — never in completion order — so it too is
-	// bit-identical across execution strategies.
-	HealthSamples map[uint64]health.Sample
 }
 
 // FaultClassStats is one fault class's row of the per-class recovery
@@ -338,9 +330,6 @@ func (s *Summary) merge(p *Summary) {
 	for k, v := range p.RootCauses {
 		s.rootCause(k, v)
 	}
-	for seed, hs := range p.HealthSamples {
-		s.healthSample(seed, hs)
-	}
 }
 
 // rootCause bumps the named root-cause counter, creating the map on first
@@ -350,34 +339,6 @@ func (s *Summary) rootCause(name string, n int) {
 		s.RootCauses = make(map[string]int)
 	}
 	s.RootCauses[name] += n
-}
-
-// healthSample records one run's health episode, creating the map on
-// first use (lazy-nil like FaultClasses).
-func (s *Summary) healthSample(seed uint64, hs health.Sample) {
-	if s.HealthSamples == nil {
-		s.HealthSamples = make(map[uint64]health.Sample)
-	}
-	s.HealthSamples[seed] = hs
-}
-
-// HealthReport replays the campaign's detected runs, in seed order, as
-// one host's recovery-episode sequence through the health model — the
-// host-health trajectory this campaign's fault load would produce.
-func (s *Summary) HealthReport(cfg health.Config) health.Report {
-	if len(s.HealthSamples) == 0 {
-		return health.Replay(cfg, nil)
-	}
-	seeds := make([]uint64, 0, len(s.HealthSamples))
-	for seed := range s.HealthSamples {
-		seeds = append(seeds, seed)
-	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	samples := make([]health.Sample, len(seeds))
-	for i, seed := range seeds {
-		samples[i] = s.HealthSamples[seed]
-	}
-	return health.Replay(cfg, samples)
 }
 
 func (s *Summary) add(r Result) {
@@ -417,19 +378,6 @@ func (s *Summary) add(r Result) {
 			}
 			fc.RootCauses[r.RootCause]++
 		}
-	}
-	if r.Detected {
-		var damage uint64
-		if r.SLO != nil {
-			damage = r.SLO.DegradedUserUs
-		}
-		s.healthSample(r.Seed, health.Sample{
-			Recovered:        r.Recovered && r.FailReason == "",
-			Attempts:         r.Attempts,
-			MaxAttempts:      r.MaxAttempts,
-			DegradedVerdicts: len(r.SacrificedVMs),
-			SLODamageUs:      damage,
-		})
 	}
 	if r.FaultClass != "" {
 		fc := s.faultClass(r.FaultClass)
@@ -665,10 +613,6 @@ func (s Summary) Format() string {
 		for _, c := range causes {
 			fmt.Fprintf(&b, "    %-40s %d\n", c, s.RootCauses[c])
 		}
-	}
-	if len(s.HealthSamples) > 0 {
-		b.WriteString("  " + strings.TrimSuffix(strings.ReplaceAll(
-			s.HealthReport(health.Config{}).Format(), "\n", "\n  "), "  "))
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -265,6 +266,46 @@ func TestCampaignOnResultStreamsEveryRun(t *testing.T) {
 	if detected != s.DetectedCount {
 		t.Fatalf("streamed detected = %d, summary says %d", detected, s.DetectedCount)
 	}
+}
+
+// TestSummaryStaysBounded: a Summary's size does not grow with Runs, so a
+// campaign's memory is O(parallelism) whatever its size. Every map and
+// slice reachable from the Summary of a 64-run campaign whose every run
+// is detected must hold fewer than Runs/2 entries; a per-run record would
+// hold one per detected run.
+func TestSummaryStaysBounded(t *testing.T) {
+	c := Campaign{Base: fastCfg(inject.Failstop, core.Microreset), Runs: 64, Parallelism: 4}
+	s := c.Execute()
+	if s.DetectedCount != s.Runs {
+		t.Fatalf("detected %d of %d failstop runs", s.DetectedCount, s.Runs)
+	}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			if !v.IsNil() {
+				walk(path, v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Map, reflect.Slice:
+			if v.Len() >= s.Runs/2 {
+				t.Errorf("%s holds %d entries after %d runs", path, v.Len(), s.Runs)
+			}
+			if v.Kind() == reflect.Slice {
+				for i := 0; i < v.Len(); i++ {
+					walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+				}
+				return
+			}
+			for it := v.MapRange(); it.Next(); {
+				walk(fmt.Sprintf("%s[%v]", path, it.Key()), it.Value())
+			}
+		}
+	}
+	walk("Summary", reflect.ValueOf(s))
 }
 
 // TestCampaignZeroRuns checks the empty-campaign edge.

@@ -343,10 +343,6 @@ type Result struct {
 	// clean runs.
 	RootCause string
 
-	// MaxAttempts is the run's escalation-ladder capacity — carried so
-	// health scoring can tell a top-rung climb from a short ladder.
-	MaxAttempts int
-
 	// SLO is the run's end-user traffic outcome (nil unless
 	// RunConfig.Traffic is enabled). Like the slice fields, it points into
 	// image-owned scratch — Clone deep-copies it.
@@ -656,7 +652,6 @@ func (img *image) run(rc RunConfig) Result {
 	h.Tel.SetGauge(telemetry.GaugeLiveDomains, int64(h.Domains.Len()))
 	h.Tel.SetGauge(telemetry.GaugeClockQueueHighWater, int64(clk.QueueHighWater()))
 	h.Tel.SetGauge(telemetry.GaugeHypervisorCycles, int64(h.Machine.HypervisorCycles()))
-	res.MaxAttempts = rc.Recovery.MaxAttempts()
 	h.Jrn.Disposition(clk.Now(), engine.Status().String(), res.FailReason)
 	if res.WentWrong() {
 		res.Flight = h.Tel.FlightTail(flightTailLen)

@@ -172,18 +172,14 @@ const (
 )
 
 // EscalationPolicy turns the engine into a multi-attempt recovery state
-// machine: attempt i (0-based) uses Ladder[min(i, len(Ladder)-1)], and a
-// failure re-detected during an attempt's completion or within GraceWindow
-// of its resume starts the next attempt instead of terminating the run, up
-// to MaxAttempts total. The zero value preserves the paper's model of one
+// machine: attempt i (0-based) uses Ladder[i], and a failure re-detected
+// during an attempt's completion or within GraceWindow of its resume
+// starts the next attempt instead of terminating the run, up to one
+// attempt per rung. The zero value preserves the paper's model of one
 // microreset/microreboot per fault.
 type EscalationPolicy struct {
-	// MaxAttempts caps total recovery attempts per fault. Zero means
-	// len(Ladder) when a ladder is set, otherwise 1 (no escalation).
-	MaxAttempts int
 	// Ladder lists the mechanism used by each attempt, cheapest rung
-	// first; attempts beyond its length reuse the last rung. Empty means
-	// every attempt uses Config.Mechanism.
+	// first. Empty means one attempt with Config.Mechanism.
 	Ladder []Mechanism
 	// GraceWindow is how long after an attempt's resume a re-detection
 	// still counts as that attempt's failure (and escalates). Detections
@@ -225,27 +221,18 @@ type Config struct {
 }
 
 // MaxAttempts returns the total recovery attempts the configuration allows
-// per fault (at least 1).
+// per fault: one per ladder rung, and at least 1.
 func (c Config) MaxAttempts() int {
-	if c.Escalation.MaxAttempts > 0 {
-		return c.Escalation.MaxAttempts
-	}
-	if n := len(c.Escalation.Ladder); n > 1 {
-		return n
-	}
-	return 1
+	return max(1, len(c.Escalation.Ladder))
 }
 
-// MechanismFor returns the mechanism attempt i (0-based) uses.
+// MechanismFor returns the mechanism attempt i (0-based, below
+// MaxAttempts) uses.
 func (c Config) MechanismFor(i int) Mechanism {
-	lad := c.Escalation.Ladder
-	if len(lad) == 0 {
+	if len(c.Escalation.Ladder) == 0 {
 		return c.Mechanism
 	}
-	if i >= len(lad) {
-		i = len(lad) - 1
-	}
-	return lad[i]
+	return c.Escalation.Ladder[i]
 }
 
 // DefaultConfig returns the full NiLiHype configuration.
@@ -271,7 +258,6 @@ func FullLadderConfig() Config {
 		Enhancements: AllEnhancements,
 		Scope:        AllThreads,
 		Escalation: EscalationPolicy{
-			MaxAttempts: 3,
 			Ladder:      []Mechanism{Microreset, Microreboot, PrivVMRestart},
 			GraceWindow: DefaultGraceWindow,
 			Audit:       true,
@@ -290,7 +276,6 @@ func HybridConfig() Config {
 		Enhancements: AllEnhancements,
 		Scope:        AllThreads,
 		Escalation: EscalationPolicy{
-			MaxAttempts: 2,
 			Ladder:      []Mechanism{Microreset, Microreboot},
 			GraceWindow: DefaultGraceWindow,
 		},

@@ -14,18 +14,18 @@ func TestConfigMaxAttemptsAndMechanismFor(t *testing.T) {
 		name     string
 		cfg      Config
 		wantMax  int
-		wantMech []Mechanism // per attempt index 0..len-1
+		wantMech []Mechanism // per attempt index 0..wantMax-1
 	}{
 		{"one-shot zero value", Config{Mechanism: Microreset}, 1,
-			[]Mechanism{Microreset, Microreset}},
+			[]Mechanism{Microreset}},
 		{"ladder implies attempts", Config{Mechanism: Microreset,
 			Escalation: EscalationPolicy{Ladder: []Mechanism{Microreset, Microreboot}}}, 2,
+			[]Mechanism{Microreset, Microreboot}},
+		{"repeated top rung", Config{Mechanism: Microreset,
+			Escalation: EscalationPolicy{Ladder: []Mechanism{Microreset, Microreboot, Microreboot}}}, 3,
 			[]Mechanism{Microreset, Microreboot, Microreboot}},
-		{"max beyond ladder reuses last rung", Config{Mechanism: Microreset,
-			Escalation: EscalationPolicy{MaxAttempts: 3, Ladder: []Mechanism{Microreset, Microreboot}}}, 3,
-			[]Mechanism{Microreset, Microreboot, Microreboot}},
-		{"max without ladder repeats mechanism", Config{Mechanism: Microreboot,
-			Escalation: EscalationPolicy{MaxAttempts: 2}}, 2,
+		{"repeated mechanism", Config{Mechanism: Microreboot,
+			Escalation: EscalationPolicy{Ladder: []Mechanism{Microreboot, Microreboot}}}, 2,
 			[]Mechanism{Microreboot, Microreboot}},
 	} {
 		if got := tt.cfg.MaxAttempts(); got != tt.wantMax {

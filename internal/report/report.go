@@ -190,77 +190,6 @@ func (t *Table) renderJSON() string {
 	return string(out) + "\n"
 }
 
-// BarChart renders labeled values as horizontal ASCII bars — a terminal
-// stand-in for the paper's figures.
-type BarChart struct {
-	Title string
-	// Max is the value corresponding to a full-width bar (0 = auto).
-	Max   float64
-	Width int // bar width in characters (0 = 40)
-
-	labels []string
-	values []float64
-	notes  []string
-}
-
-// NewBarChart builds an empty chart.
-func NewBarChart(title string) *BarChart {
-	return &BarChart{Title: title}
-}
-
-// AddBar appends one labeled bar with an optional note shown after the
-// value.
-func (c *BarChart) AddBar(label string, value float64, note string) {
-	c.labels = append(c.labels, label)
-	c.values = append(c.values, value)
-	c.notes = append(c.notes, note)
-}
-
-// Render draws the chart.
-func (c *BarChart) Render() string {
-	var b strings.Builder
-	if c.Title != "" {
-		fmt.Fprintf(&b, "%s\n", c.Title)
-	}
-	width := c.Width
-	if width <= 0 {
-		width = 40
-	}
-	maxVal := c.Max
-	if maxVal <= 0 {
-		for _, v := range c.values {
-			if v > maxVal {
-				maxVal = v
-			}
-		}
-		if maxVal == 0 {
-			maxVal = 1
-		}
-	}
-	labelW := 0
-	for _, l := range c.labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	for i, l := range c.labels {
-		n := int(c.values[i] / maxVal * float64(width))
-		if n < 0 {
-			n = 0
-		}
-		if n > width {
-			n = width
-		}
-		fmt.Fprintf(&b, "  %-*s %s%s %6.1f", labelW, l,
-			strings.Repeat("█", n), strings.Repeat("·", width-n), c.values[i])
-		if c.notes[i] != "" {
-			fmt.Fprintf(&b, "  %s", c.notes[i])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // Pct formats a proportion as a percentage cell.
 func Pct(p float64) string { return fmt.Sprintf("%.1f%%", 100*p) }
 

@@ -159,43 +159,3 @@ func TestHelpers(t *testing.T) {
 		t.Fatalf("Ms = %q", Ms(0.022))
 	}
 }
-
-func TestBarChart(t *testing.T) {
-	c := NewBarChart("Figure 2")
-	c.Width = 10
-	c.Max = 100
-	c.AddBar("NiLiHype/Failstop", 96.5, "±1.8")
-	c.AddBar("ReHype/Failstop", 96.5, "")
-	c.AddBar("zero", 0, "")
-	out := c.Render()
-	if !strings.Contains(out, "Figure 2") {
-		t.Fatalf("missing title: %q", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[1], "█████████") || !strings.Contains(lines[1], "96.5") ||
-		!strings.Contains(lines[1], "±1.8") {
-		t.Fatalf("bar line = %q", lines[1])
-	}
-	if !strings.Contains(lines[3], "··········") {
-		t.Fatalf("zero bar = %q", lines[3])
-	}
-}
-
-func TestBarChartAutoMax(t *testing.T) {
-	c := NewBarChart("")
-	c.Width = 4
-	c.AddBar("a", 2, "")
-	c.AddBar("b", 4, "")
-	out := c.Render()
-	if !strings.Contains(out, "██··") || !strings.Contains(out, "████") {
-		t.Fatalf("auto-max scaling wrong: %q", out)
-	}
-	empty := NewBarChart("")
-	empty.AddBar("z", 0, "")
-	if !strings.Contains(empty.Render(), "·") {
-		t.Fatal("all-zero chart broke")
-	}
-}

@@ -39,7 +39,7 @@ hr slo -users 1000000 -runs 5 -duration 2s > /dev/null
 hr postmortem -fault ioapic -runs 10 -bundles 1 > "$work/out"
 grep -q 'device-route-loss' "$work/out"
 grep -q 'root cause: device-route-loss' "$work/out"
-hr postmortem -fault privvm-crash -ladder hybrid -runs 5 -bundles 0 > "$work/out"
+hr postmortem -fault privvm-crash -mechanism hybrid -runs 5 -bundles 0 > "$work/out"
 grep -q 'privvm-lost' "$work/out"
 hr postmortem -fault ioapic -runs 5 -bundles 1 -format json > "$work/out"
 python3 -m json.tool "$work/out" > /dev/null
@@ -47,9 +47,7 @@ python3 -m json.tool "$work/out" > /dev/null
 hr trace -seed 3 -fault ioapic -setup 3appvm -duration 2s -logging -format text 2> "$work/out" > /dev/null
 grep -q 'root-cause="device-route-loss"' "$work/out"
 
-# Every command EXPERIMENTS.md names, at CI size. The text `report` is the
-# one exception: it has no size flag (several CPU-minutes) and composes the
-# ladder, campaign, overhead and fault-matrix paths run here.
+# Every command EXPERIMENTS.md names, at CI size.
 step "EXPERIMENTS.md commands"
 hr ladder -runs 6 -duration 2s > /dev/null
 hr campaign -all -runs 6 -duration 2s > /dev/null
@@ -68,6 +66,8 @@ hr hybrid -runs-per-fault 5 -duration 2s > /dev/null
 hr audit -runs-per-fault 5 -duration 2s > /dev/null
 hr slo -users 1000000 -runs 5 -duration 2s -timeout 300ms > /dev/null
 hr loc > /dev/null
+hr report -runs 2 -users 1000 > "$work/out"
+python3 -m json.tool "$work/out" > /dev/null
 
 # The output formats the subcommands offer.
 step "output formats"
@@ -77,7 +77,6 @@ for f in markdown csv json; do
 	hr hybrid -runs-per-fault 2 -memory 1024 -duration 1s -format "$f" > /dev/null
 	hr audit -runs-per-fault 2 -memory 1024 -duration 1s -format "$f" > /dev/null
 done
-hr report -format json -runs 2 -users 1000 > /dev/null
 hr trace -format chrome > /dev/null 2>&1
 hr trace -adversarial -find-failed 64 > /dev/null 2>&1
 
