@@ -2,7 +2,10 @@ package campaign
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"nilihype/internal/core"
 	"nilihype/internal/guest"
@@ -250,6 +253,32 @@ func TestRestoreIsAllocationFree(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("Restore allocates %.1f objects/run, want ~0", allocs)
+	}
+}
+
+// TestImageBytesIndependentOfMemory: boot writes the same descriptors
+// whatever the memory size, and the frame table stores only the segments
+// written, so building the 8 GB benchmark shape's boot image allocates
+// about as much at 1 GB as at 64 GB. A table stored in full, live and
+// snapshot, costs 16 MB more at 8 GB and 128 MB more at 64 GB.
+func TestImageBytesIndependentOfMemory(t *testing.T) {
+	rc := ThroughputBenchConfig()
+	rc.Workload = guest.NetBench
+	rc.BenchDuration = time.Second
+	var mb []float64
+	for _, memoryMB := range []int{1024, 8192, 65536} {
+		rc.MemoryMB = memoryMB
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := buildImage(rc); err != nil {
+			t.Fatalf("buildImage at %d MB: %v", memoryMB, err)
+		}
+		runtime.ReadMemStats(&after)
+		mb = append(mb, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+	}
+	t.Logf("image build allocates %.2f / %.2f / %.2f MB at 1 / 8 / 64 GB", mb[0], mb[1], mb[2])
+	if lo, hi := slices.Min(mb), slices.Max(mb); hi > 1.1*lo {
+		t.Fatal("want the three within 10% of each other")
 	}
 }
 

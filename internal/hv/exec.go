@@ -105,8 +105,10 @@ func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) {
 }
 
 // runProgram executes the in-flight program on cpu from its current step.
+// pc.CurrentProg is re-read every step: recovery inside a step resets it.
 func (h *Hypervisor) runProgram(cpu int) {
 	pc := h.percpu[cpu]
+	c := h.Machine.CPU(cpu)
 	for pc.CurrentStep < len(pc.CurrentProg) {
 		step := &pc.CurrentProg[pc.CurrentStep]
 
@@ -141,10 +143,10 @@ func (h *Hypervisor) runProgram(cpu int) {
 			}
 		}
 
-		h.Machine.CPU(cpu).ChargeHypervisor(step.Instrs, step.Instrs)
+		c.ChargeHypervisor(step.Instrs, step.Instrs)
 		err := step.Do(pc.Env, step)
 		if extra := pc.Env.ExtraCycles; extra > 0 {
-			h.Machine.CPU(cpu).ChargeHypervisor(extra, 0)
+			c.ChargeHypervisor(extra, 0)
 			pc.Env.ExtraCycles = 0
 		}
 		if err != nil {

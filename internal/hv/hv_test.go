@@ -331,6 +331,26 @@ func TestSpinOnHeldLockDisablesInterrupts(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesBusyCPU: a CPU spinning inside a hypercall still has
+// its program in flight, and that program lives in a step buffer the next
+// dispatch reuses, so Snapshot must refuse rather than save it.
+func TestSnapshotRefusesBusyCPU(t *testing.T) {
+	h, _ := newBooted(t)
+	addAppVM(t, h, 1, 1)
+	h.Statics.Console.TryAcquire(3)
+	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpConsoleIO, Dom: 1})
+	if !h.PerCPU(1).Busy() {
+		t.Fatal("spinning CPU is not busy")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "CPU 1") {
+			t.Fatalf("Snapshot of a busy CPU: recovered %q, want a panic naming CPU 1", msg)
+		}
+	}()
+	h.Snapshot()
+}
+
 func TestDiscardThreadPreservesPendingCall(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)

@@ -1,10 +1,11 @@
 package hv
 
 import (
+	"fmt"
+
 	"nilihype/internal/dom"
 	"nilihype/internal/evtchn"
 	"nilihype/internal/hw"
-	"nilihype/internal/hypercall"
 	"nilihype/internal/journal"
 	"nilihype/internal/locking"
 	"nilihype/internal/mm"
@@ -17,10 +18,6 @@ import (
 // percpuSaved is one CPU's captured hypervisor-private state.
 type percpuSaved struct {
 	localIRQCount        int
-	current              *hypercall.Call
-	currentProg          hypercall.Program
-	currentStep          int
-	inIRQ                bool
 	irqActivity          string
 	pendingPanic         string
 	wedged               bool
@@ -96,7 +93,17 @@ type Snapshot struct {
 // quiescent: between clock events, with no in-flight handler program and
 // no deferred post-resume work. The campaign layer snapshots at
 // boot-complete, which satisfies this by construction.
+//
+// It panics, naming the CPU, if any CPU is Busy: an in-flight program
+// lives in a per-CPU step buffer (Env's program buffer, irqProg) that the
+// next dispatch overwrites, so it cannot be saved, and the snapshot keeps
+// no program state at all.
 func (h *Hypervisor) Snapshot() *Snapshot {
+	for _, pc := range h.percpu {
+		if pc.Busy() {
+			panic(fmt.Sprintf("hv: Snapshot while CPU %d is inside a program", pc.ID))
+		}
+	}
 	s := &Snapshot{
 		clock:   h.Clock.Snapshot(),
 		machine: h.Machine.Snapshot(),
@@ -145,10 +152,6 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 	for i, pc := range h.percpu {
 		s.percpu[i] = percpuSaved{
 			localIRQCount:        pc.LocalIRQCount,
-			current:              pc.Current,
-			currentProg:          pc.CurrentProg,
-			currentStep:          pc.CurrentStep,
-			inIRQ:                pc.InIRQProgram,
 			irqActivity:          pc.IRQActivity,
 			pendingPanic:         pc.PendingPanic,
 			wedged:               pc.Wedged,
@@ -217,10 +220,11 @@ func (h *Hypervisor) Restore(s *Snapshot) {
 	for i, pc := range h.percpu {
 		st := &s.percpu[i]
 		pc.LocalIRQCount = st.localIRQCount
-		pc.Current = st.current
-		pc.CurrentProg = st.currentProg
-		pc.CurrentStep = st.currentStep
-		pc.InIRQProgram = st.inIRQ
+		// Snapshot refuses a busy CPU, so no program was in flight.
+		pc.Current = nil
+		pc.CurrentProg = nil
+		pc.CurrentStep = 0
+		pc.InIRQProgram = false
 		pc.IRQActivity = st.irqActivity
 		pc.PendingPanic = st.pendingPanic
 		pc.Wedged = st.wedged

@@ -36,12 +36,11 @@ func (ft *FrameTable) flat() []PageFrame {
 // firstDifference compares the table with want descriptor by descriptor
 // and returns the first index that differs, or -1.
 func (ft *FrameTable) firstDifference(want []PageFrame) int {
-	got := ft.flat()
-	if len(got) != len(want) {
-		return min(len(got), len(want))
+	if ft.Len() != len(want) {
+		return min(ft.Len(), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if ft.At(i) != want[i] {
 			return i
 		}
 	}
@@ -179,12 +178,15 @@ func TestDirtyWorkIsAllocationFree(t *testing.T) {
 
 // dirtyModel drives a FrameTable and a plain []PageFrame through the same
 // operations. The model knows nothing of chunks or bases: a snapshot is a
-// clone of the slice, a restore is a copy, a scan visits everything.
+// clone of the slice, a restore is a copy, a scan visits everything. Of
+// storage it knows only which segments an operation has fetched a
+// descriptor of for writing: exactly those must be stored.
 type dirtyModel struct {
-	t      *testing.T
-	ft     *FrameTable
-	heap   *Heap
-	frames []PageFrame
+	t       *testing.T
+	ft      *FrameTable
+	heap    *Heap
+	frames  []PageFrame
+	written []bool // per storage segment
 
 	live []*Object
 
@@ -209,14 +211,18 @@ type heldFrame struct {
 func newDirtyModel(t *testing.T, n, heapFrames int) *dirtyModel {
 	ft := NewFrameTable(n)
 	return &dirtyModel{
-		t:      t,
-		ft:     ft,
-		heap:   NewHeap(ft, locking.NewRegistry(), 0, heapFrames),
-		frames: ft.flat(),
-		rng:    rand.New(rand.NewPCG(7, uint64(n))),
-		twin:   rand.New(rand.NewPCG(7, uint64(n))),
+		t:       t,
+		ft:      ft,
+		heap:    NewHeap(ft, locking.NewRegistry(), 0, heapFrames),
+		frames:  ft.flat(),
+		written: make([]bool, len(ft.frames)),
+		rng:     rand.New(rand.NewPCG(7, uint64(n))),
+		twin:    rand.New(rand.NewPCG(7, uint64(n))),
 	}
 }
+
+// wrote records that the table handed out frame i for writing.
+func (m *dirtyModel) wrote(i int) { m.written[i>>segShift] = true }
 
 // check compares table and model in full after one operation.
 func (m *dirtyModel) check(op string) {
@@ -227,14 +233,47 @@ func (m *dirtyModel) check(op string) {
 	if got, want := m.ft.InconsistentFrames(), naiveInconsistent(m.frames); !slices.Equal(got, want) {
 		m.t.Fatalf("after %s: InconsistentFrames = %v, full walk finds %v", op, got, want)
 	}
+	for k, seg := range m.ft.frames {
+		if stored := seg != nil; stored != m.written[k] {
+			m.t.Fatalf("after %s: segment %d stored = %v, but written = %v", op, k, stored, m.written[k])
+		}
+		for _, s := range append(m.snaps[:], m.ft.base) {
+			if s != nil && s.frames[k] != nil && seg == nil {
+				m.t.Fatalf("after %s: segment %d is stored in a snapshot but not in the table", op, k)
+			}
+		}
+	}
+	if m.ft.base != nil {
+		m.ft.eachDirtyChunk(func(lo, _ int) {
+			if m.ft.frames[lo>>segShift] == nil {
+				m.t.Fatalf("after %s: dirty chunk at frame %d lies in an unstored segment", op, lo)
+			}
+		})
+	}
 }
 
 // both applies one descriptor mutation to the table's frame i, fetched
 // through Frame, and to the model's.
 func (m *dirtyModel) both(i int, mutate func(*PageFrame) error) {
 	errT, errM := mutate(m.ft.Frame(i)), mutate(&m.frames[i])
+	m.wrote(i)
 	if errT != errM {
 		m.t.Fatalf("frame %d: table returned %v, model %v", i, errT, errM)
+	}
+}
+
+// frame decodes a frame index from the two-byte word w. A table longer
+// than one storage segment spends the top bit on the segment: clear picks
+// a frame of the first, set one past it.
+func (m *dirtyModel) frame(w int) int {
+	n := len(m.frames)
+	switch {
+	case n <= segFrames:
+		return w % n
+	case w&0x8000 == 0:
+		return w
+	default:
+		return segFrames + (w&0x7fff)%(n-segFrames)
 	}
 }
 
@@ -251,7 +290,7 @@ func (m *dirtyModel) step(in []byte) (string, []byte) {
 	}
 	n := len(m.frames)
 	op := next()
-	frame := (next()<<8 | next()) % n
+	frame := m.frame(next()<<8 | next())
 	switch op % 14 {
 	case 0:
 		m.both(frame, func(f *PageFrame) error { f.PinAsPageTable(); return nil })
@@ -267,6 +306,7 @@ func (m *dirtyModel) step(in []byte) (string, []byte) {
 		return "dec_use", in
 	case 4:
 		m.held = append(m.held, heldFrame{frame, m.ft.Frame(frame)})
+		m.wrote(frame)
 		return "hold", in
 	case 5:
 		if len(m.held) == 0 {
@@ -291,11 +331,13 @@ func (m *dirtyModel) step(in []byte) (string, []byte) {
 		}
 		for i := frame; i < frame+count; i++ {
 			m.frames[i] = PageFrame{Type: typ, Owner: int16(dom)}
+			m.wrote(i)
 		}
 		return "assign_range", in
 	case 7:
 		got := m.ft.CorruptRandomDescriptor(m.rng)
 		i := m.twin.IntN(n)
+		m.wrote(i)
 		f := &m.frames[i]
 		f.Type = FramePageTable
 		if m.twin.IntN(2) == 0 {
@@ -324,6 +366,7 @@ func (m *dirtyModel) step(in []byte) (string, []byte) {
 			m.live = append(m.live, o)
 			for _, fi := range o.Pages {
 				m.frames[fi].Type = FrameHeap
+				m.wrote(fi)
 			}
 		}
 		return "heap_alloc", in
@@ -337,6 +380,7 @@ func (m *dirtyModel) step(in []byte) (string, []byte) {
 		m.heap.Free(o)
 		for _, fi := range o.Pages {
 			m.frames[fi].Type = FrameFree
+			m.wrote(fi)
 		}
 		return "heap_free", in
 	case 11:
@@ -350,6 +394,7 @@ func (m *dirtyModel) step(in []byte) (string, []byte) {
 		for i := 0; i < m.heap.count; i++ {
 			if m.frames[i].Type == FrameHeap && !owned[i] {
 				m.frames[i].Type = FrameFree
+				m.wrote(i)
 			}
 		}
 		return "heap_rebuild", in
@@ -370,59 +415,102 @@ func (m *dirtyModel) step(in []byte) (string, []byte) {
 	}
 }
 
-// FuzzFrameTableDirtyTracking: after any sequence of writes through every
-// marking site, scans, snapshots and restores from either of two live
-// snapshots, the table equals a plain slice put through the same sequence
-// and its dirty-chunk scan equals a full walk — checked after every step.
-// Dropping the mark from Frame, or letting AssignRange or
-// CorruptRandomDescriptor write around Frame, makes the seed corpus fail.
-func FuzzFrameTableDirtyTracking(f *testing.F) {
-	const (
-		pin, unpin, inc, dec, hold, writeHeld, assign = 0, 1, 2, 3, 4, 5, 6
-		corrupt, scan, alloc, free, rebuild, snap     = 7, 8, 9, 10, 11, 12
-		restore                                       = 13
-	)
+// Operation codes of the dirty-tracking fuzz input (see dirtyModel.step).
+const (
+	opPin, opUnpin, opInc, opDec, opHold, opWriteHeld, opAssign = 0, 1, 2, 3, 4, 5, 6
+	opCorrupt, opScan, opAlloc, opFree, opRebuild, opSnap       = 7, 8, 9, 10, 11, 12
+	opRestore                                                   = 13
+)
+
+// spanning sets the size bit that makes a fuzz table one storage segment
+// plus up to 8 chunks, so a stored segment sits beside an unstored one.
+const spanning = 0x8000
+
+// dirtySeeds is FuzzFrameTableDirtyTracking's seed corpus.
+var dirtySeeds = []struct {
+	size uint16
+	ops  []byte
+}{
 	// One dirtied chunk, restored from the base; the table size is not a
 	// multiple of the chunk size and the write lands in the short tail.
-	f.Add(uint16(3*chunkFrames+5), []byte{
-		snap, 0, 0, 0,
-		pin, 0, 3*chunkFrames + 4, inc, 0, 3, assign, 0, 60, 10, 2, 2,
-		restore, 0, 0, 0,
-	})
+	{3*chunkFrames + 5, []byte{
+		opSnap, 0, 0, 0,
+		opPin, 0, 3*chunkFrames + 4, opInc, 0, 3, opAssign, 0, 60, 10, 2, 2,
+		opRestore, 0, 0, 0,
+	}},
 	// Held pointers written after other traffic, as undo records are.
-	f.Add(uint16(100), []byte{
-		snap, 0, 0, 0, hold, 0, 70, hold, 0, 3, pin, 0, 9,
-		writeHeld, 0, 0, 0, 0b0100_0111, writeHeld, 0, 0, 1, 0b0010_0011,
-		scan, 0, 0, restore, 0, 0, 0,
-	})
+	{100, []byte{
+		opSnap, 0, 0, 0, opHold, 0, 70, opHold, 0, 3, opPin, 0, 9,
+		opWriteHeld, 0, 0, 0, 0b0100_0111, opWriteHeld, 0, 0, 1, 0b0010_0011,
+		opScan, 0, 0, opRestore, 0, 0, 0,
+	}},
 	// A snapshot captured with inconsistent descriptors, restored twice
 	// with a repair in between.
-	f.Add(uint16(2*chunkFrames), []byte{
-		corrupt, 0, 0, corrupt, 0, 0, snap, 0, 0, 1,
-		scan, 0, 0, restore, 0, 0, 1, pin, 0, 1, scan, 0, 0, restore, 0, 0, 1,
-	})
+	{2 * chunkFrames, []byte{
+		opCorrupt, 0, 0, opCorrupt, 0, 0, opSnap, 0, 0, 1,
+		opScan, 0, 0, opRestore, 0, 0, 1, opPin, 0, 1, opScan, 0, 0, opRestore, 0, 0, 1,
+	}},
 	// Two live snapshots restored alternately: only one can be the base.
-	f.Add(uint16(4*chunkFrames+1), []byte{
-		snap, 0, 0, 0, pin, 0, 5, corrupt, 0, 0, snap, 0, 0, 1, inc, 1, 0,
-		restore, 0, 0, 0, dec, 0, 5, restore, 0, 0, 1, restore, 0, 0, 0,
-	})
+	{4*chunkFrames + 1, []byte{
+		opSnap, 0, 0, 0, opPin, 0, 5, opCorrupt, 0, 0, opSnap, 0, 0, 1, opInc, 1, 0,
+		opRestore, 0, 0, 0, opDec, 0, 5, opRestore, 0, 0, 1, opRestore, 0, 0, 0,
+	}},
 	// The heap as a writer, and Rebuild reclaiming a leaked frame.
-	f.Add(uint16(90), []byte{
-		alloc, 0, 0, 2, snap, 0, 0, 0, alloc, 0, 0, 1, assign, 0, 10, 3, 0, 1,
-		rebuild, 0, 0, free, 0, 0, 0, restore, 0, 0, 0, rebuild, 0, 0,
-	})
-	f.Add(uint16(1), []byte{snap, 0, 0, 0, pin, 0, 0, restore, 0, 0, 0})
+	{90, []byte{
+		opAlloc, 0, 0, 2, opSnap, 0, 0, 0, opAlloc, 0, 0, 1, opAssign, 0, 10, 3, 0, 1,
+		opRebuild, 0, 0, opFree, 0, 0, 0, opRestore, 0, 0, 0, opRebuild, 0, 0,
+	}},
+	{1, []byte{opSnap, 0, 0, 0, opPin, 0, 0, opRestore, 0, 0, 0}},
+	// The second segment is first written after the base was captured
+	// without it, then restored from that base (a stored segment over an
+	// unstored one reads back pristine) and written again.
+	{spanning | 5, []byte{
+		opSnap, 0, 0, 0, opPin, 0x80, 3, opAssign, 0x80, 0, 4, 1, 2,
+		opRestore, 0, 0, 0, opInc, 0x80, 1, opRestore, 0, 0, 0,
+	}},
+	// A full restore while neither side stores the second segment leaves
+	// it unstored. Then snapshot 1 stores it and snapshot 0 does not; full
+	// restores alternate between them, each resetting or refilling it in
+	// place, with an inconsistent descriptor in the second segment.
+	{spanning | 2*chunkFrames, []byte{
+		opSnap, 0, 0, 0, opPin, 0, 9, opSnap, 0, 0, 1, opRestore, 0, 0, 0,
+		opPin, 0x80, chunkFrames + 2, opHold, 0x80, 7,
+		opWriteHeld, 0, 0, 0, 0b0010_0011, opSnap, 0, 0, 1,
+		opRestore, 0, 0, 0, opInc, 0x80, 2, opRestore, 0, 0, 1, opScan, 0, 0,
+		opRestore, 0, 0, 0, opRestore, 0, 0, 1, opDec, 0x80, chunkFrames + 2, opRestore, 0, 0, 0,
+	}},
+}
 
-	f.Fuzz(func(t *testing.T, size uint16, ops []byte) {
-		n := 1 + int(size)%(8*chunkFrames)
-		m := newDirtyModel(t, n, min(n, 24))
-		m.check("boot")
-		for len(ops) > 0 {
-			var op string
-			op, ops = m.step(ops)
-			m.check(op)
-		}
-	})
+// runDirty replays ops on a fresh table and its model, checking after
+// every step.
+func runDirty(t *testing.T, size uint16, ops []byte) {
+	n := 1 + int(size&^spanning)%(8*chunkFrames)
+	if size&spanning != 0 {
+		n += segFrames
+	}
+	m := newDirtyModel(t, n, min(n, 24))
+	m.check("boot")
+	for len(ops) > 0 {
+		var op string
+		op, ops = m.step(ops)
+		m.check(op)
+	}
+}
+
+// FuzzFrameTableDirtyTracking: after any sequence of writes through every
+// marking site, scans, snapshots and restores from either of two live
+// snapshots, the table equals a plain slice put through the same sequence,
+// its dirty-chunk scan equals a full walk, and it stores exactly the
+// segments that were written — checked after every step. Dropping the
+// mark from Frame, or letting AssignRange or CorruptRandomDescriptor write
+// around Frame, makes the seed corpus fail; so does dropping
+// materialization from Frame, letting Restore store a segment nothing
+// wrote, or skipping a stored segment in Snapshot or Restore.
+func FuzzFrameTableDirtyTracking(f *testing.F) {
+	for _, s := range dirtySeeds {
+		f.Add(s.size, s.ops)
+	}
+	f.Fuzz(runDirty)
 }
 
 // benchFrames is the descriptor count of the paper's 8 GB latency testbed.

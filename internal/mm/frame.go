@@ -55,7 +55,8 @@ const NoDomain = -1
 // two components the paper calls out as separately updated and therefore
 // vulnerable to being left inconsistent by a partially executed hypercall
 // (§VII-B). The fields are packed into 8 bytes: an 8 GB host has 2 M of
-// these, and every boot image holds the table twice (live + snapshot).
+// these, but a table stores only the segments something has written (see
+// frameStore), so host memory follows what was written, not RAM size.
 type PageFrame struct {
 	Type      FrameType
 	Validated bool
@@ -81,20 +82,27 @@ const (
 )
 
 // frameStore holds n descriptors as segments of segFrames, the last one
-// shorter, rather than as one array. At 8 GB one array is 16 MB, every boot
-// image holds two (live + snapshot), and a process that builds image after
-// image (a campaign per configuration, a benchmark's set-up repetitions)
-// frees and reallocates them each time. A collected 16 MB block can be
-// reused only while nothing at all has been allocated inside it: let the Go
-// heap place one small span there first, which depends on goroutine
-// scheduling, and the process maps a fresh 16 MB instead, so the peak RSS
-// of one command differed by that much from one execution to the next
-// (40 or 52 MB on the 8 GB benchmark workload). With segments the same
-// accident costs one segment.
+// shorter, rather than as one array. A segment nothing has written is nil
+// and reads as the pristine descriptor {FrameFree, NoDomain}, served from
+// one shared read-only chunk; the first write through FrameTable.Frame
+// materializes the segment with pristine contents, and it stays
+// materialized for the life of the table. Boot writes only the first
+// ~65 k descriptors (the 128 MB heap and the guests), so a boot image at
+// 8 GB stores one 2 MB segment, not 16 MB, and at 64 GB one, not 128 MB.
+// The live table of a forked run grows past that only where the run
+// writes outside those segments, which in practice is a corrupted
+// descriptor (CorruptRandomDescriptor draws its frame from all of
+// memory): such a run materializes a segment, and the table keeps it.
+//
+// Segments also bound what a fragmented Go heap costs a process that
+// builds image after image (a campaign per configuration, a benchmark's
+// set-up repetitions): a collected block is reused only while nothing at
+// all has been allocated inside it, and with segments that accident costs
+// one segment, not one whole table.
 //
 // A segment is 2 MB: the whole table of a 1 GB host, whose allocation
 // pattern is therefore what it was. Smaller segments were measured (1 MB,
-// 64 KB) and spread the 1 GB workloads' peak RSS wider, not narrower.
+// 256 KB, 64 KB) and spread the 1 GB workloads' peak RSS or runs/s wider.
 type frameStore [][]PageFrame
 
 const (
@@ -102,26 +110,51 @@ const (
 	segFrames = 1 << segShift
 )
 
-func newFrameStore(n int) frameStore {
-	s := make(frameStore, (n+segFrames-1)>>segShift)
-	for k := range s {
-		s[k] = make([]PageFrame, min(segFrames, n-k<<segShift))
+// pristine is what every descriptor of a nil segment reads as. It is
+// shared by all tables and never written: at returns copies, and span
+// hands out slices of it only to readers and to the repair scan, which
+// writes nothing into a consistent descriptor.
+var pristine = func() (c [chunkFrames]PageFrame) {
+	for i := range c {
+		c[i] = PageFrame{Type: FrameFree, Owner: NoDomain}
 	}
-	return s
+	return c
+}()
+
+// newFrameStore returns n descriptors, all pristine and none stored.
+func newFrameStore(n int) frameStore { return make(frameStore, (n+segFrames-1)>>segShift) }
+
+// materialize stores segment k of a store of n with pristine contents.
+func (s frameStore) materialize(k, n int) {
+	s[k] = make([]PageFrame, min(segFrames, n-k<<segShift))
+	resetPristine(s[k])
 }
 
-func (s frameStore) at(i int) *PageFrame { return &s[i>>segShift][i&(segFrames-1)] }
+// resetPristine overwrites seg with pristine descriptors.
+func resetPristine(seg []PageFrame) {
+	for lo := 0; lo < len(seg); lo += chunkFrames {
+		copy(seg[lo:], pristine[:])
+	}
+}
 
-// span returns descriptors [lo, hi), which must lie in one segment; a
-// dirty chunk always does, since segFrames is a multiple of chunkFrames.
+// at returns a copy of descriptor i.
+func (s frameStore) at(i int) PageFrame {
+	seg := s[i>>segShift]
+	if seg == nil {
+		return pristine[i&(chunkFrames-1)]
+	}
+	return seg[i&(segFrames-1)]
+}
+
+// span returns descriptors [lo, hi), which must lie in one chunk starting
+// at lo; a dirty chunk always does, and never straddles segments, since
+// segFrames is a multiple of chunkFrames.
 func (s frameStore) span(lo, hi int) []PageFrame {
-	return s[lo>>segShift][lo&(segFrames-1) : (hi-1)&(segFrames-1)+1]
-}
-
-func (s frameStore) copyFrom(o frameStore) {
-	for k := range s {
-		copy(s[k], o[k])
+	seg := s[lo>>segShift]
+	if seg == nil {
+		return pristine[:hi-lo]
 	}
+	return seg[lo&(segFrames-1) : (hi-1)&(segFrames-1)+1]
 }
 
 // FrameTable is the array of page frame descriptors covering physical
@@ -148,6 +181,26 @@ func (s frameStore) copyFrom(o frameStore) {
 // the engine goroutine, and the two audit units that mutate descriptors
 // (heap-freelist, pf-descriptors) both belong to the Global recovery
 // domain, which is a single lane.
+//
+// Storage is sparse (see frameStore): a segment nothing has written is
+// nil in the table and in every snapshot taken of it. Two more invariants
+// link storage to snapshots and to the dirty set:
+//
+//	a segment materialized in the base (or in any snapshot of the
+//	table) is materialized in the table;
+//
+//	once the table has a base, every dirty chunk lies in a
+//	materialized segment.
+//
+// The first holds because Snapshot copies exactly the table's
+// materialized segments and no segment is ever dropped; the second
+// because Frame materializes the segment of every chunk it marks, and a
+// rebase clears the rest and marks only inconsistent descriptors, which
+// pristine ones are not.
+// So Restore copies into materialized segments only and never writes the
+// shared pristine chunk: from the base, into the dirty chunks; from
+// another snapshot, into each segment that snapshot stores or the table
+// does.
 type FrameTable struct {
 	n      int
 	frames frameStore
@@ -155,18 +208,13 @@ type FrameTable struct {
 	base   *FrameTableSnapshot
 }
 
-// NewFrameTable builds a table of n free frames.
+// NewFrameTable builds a table of n free frames, none of them stored yet.
 func NewFrameTable(n int) *FrameTable {
 	chunks := (n + chunkFrames - 1) >> chunkShift
 	ft := &FrameTable{
 		n:      n,
 		frames: newFrameStore(n),
 		dirty:  make([]uint64, (chunks+63)/64),
-	}
-	for _, seg := range ft.frames {
-		for i := range seg {
-			seg[i] = PageFrame{Type: FrameFree, Owner: NoDomain}
-		}
 	}
 	for c := 0; c < chunks; c++ {
 		ft.markChunk(c)
@@ -184,13 +232,18 @@ func (ft *FrameTable) markChunk(c int) { ft.dirty[c>>6] |= 1 << (c & 63) }
 // records among them) keep the pointer and write through it later. The
 // pointer may be written until the next Snapshot or Restore, which reset
 // the dirty set; after that, fetch it again. Read-only callers use At.
+// The first Frame into a segment materializes it.
 func (ft *FrameTable) Frame(i int) *PageFrame {
 	ft.markChunk(i >> chunkShift)
-	return ft.frames.at(i)
+	k := i >> segShift
+	if ft.frames[k] == nil {
+		ft.frames.materialize(k, ft.n)
+	}
+	return &ft.frames[k][i&(segFrames-1)]
 }
 
 // At returns a copy of descriptor i without dirtying its chunk.
-func (ft *FrameTable) At(i int) PageFrame { return *ft.frames.at(i) }
+func (ft *FrameTable) At(i int) PageFrame { return ft.frames.at(i) }
 
 // eachDirtyChunk calls fn with the frame range [lo, hi) of every dirty
 // chunk, in ascending order.
@@ -223,7 +276,8 @@ func (ft *FrameTable) InconsistentFrames() []int {
 // visits dirty chunks only (a clean chunk has nothing to repair); the
 // caller charges simulated time proportional to Len() (Table III: 21 ms
 // for the 2M descriptors of an 8 GB host). A repaired chunk was already
-// dirty, so the scan itself marks nothing.
+// dirty, so the scan itself marks nothing; a chunk of a nil segment reads
+// as pristine, which is consistent, so the scan never writes into it.
 func (ft *FrameTable) ScanAndRepair() int {
 	repaired := 0
 	ft.eachDirtyChunk(func(lo, hi int) {

@@ -12,11 +12,9 @@ import (
 // reference count the dirty-chunk tests compare against.
 func (ft *FrameTable) CountType(t FrameType) int {
 	n := 0
-	for _, seg := range ft.frames {
-		for i := range seg {
-			if seg[i].Type == t {
-				n++
-			}
+	for i := range ft.Len() {
+		if ft.At(i).Type == t {
+			n++
 		}
 	}
 	return n

@@ -6,12 +6,14 @@ import (
 	"nilihype/internal/locking"
 )
 
-// FrameTableSnapshot is a full copy of the page frame descriptor array
-// (16 MB at 8 GB), immutable once captured. Capturing is the only O(Len())
-// step: restoring the snapshot the table's dirty set is relative to — its
-// base, see FrameTable — copies back only the chunks touched since, so a
-// campaign's run-after-run restore costs what the run dirtied (a few
-// thousand descriptors), not the size of memory, and allocates nothing.
+// FrameTableSnapshot is a copy of the page frame descriptor table,
+// immutable once captured. It stores the segments the table had
+// materialized and leaves the rest nil, so it costs what boot wrote (one
+// 2 MB segment at 8 GB or 64 GB), not the size of memory. Restoring the
+// snapshot the table's dirty set is relative to — its base, see
+// FrameTable — copies back only the chunks touched since, so a campaign's
+// run-after-run restore costs what the run dirtied (a few thousand
+// descriptors), not the size of memory, and allocates nothing.
 type FrameTableSnapshot struct {
 	frames frameStore
 
@@ -21,9 +23,9 @@ type FrameTableSnapshot struct {
 	inconsistent []int
 }
 
-// Snapshot captures every descriptor and makes the capture the table's
-// base. A table that still equals its base returns that base instead of
-// copying the array again.
+// Snapshot captures every materialized segment and makes the capture the
+// table's base. A table that still equals its base returns that base
+// instead of copying again.
 func (ft *FrameTable) Snapshot() *FrameTableSnapshot {
 	if ft.equalsBase() {
 		return ft.base
@@ -32,7 +34,11 @@ func (ft *FrameTable) Snapshot() *FrameTableSnapshot {
 		frames:       newFrameStore(ft.n),
 		inconsistent: ft.InconsistentFrames(),
 	}
-	s.frames.copyFrom(ft.frames)
+	for k, seg := range ft.frames {
+		if seg != nil {
+			s.frames[k] = slices.Clone(seg)
+		}
+	}
 	ft.rebase(s)
 	return s
 }
@@ -60,14 +66,22 @@ func (ft *FrameTable) rebase(s *FrameTableSnapshot) {
 	}
 }
 
-// Restore rewinds the table to the snapshot. When s is the table's base
-// only the dirty chunks are copied back; any other snapshot is copied in
-// full and becomes the base.
+// Restore rewinds the table to s, which must be a snapshot of this table.
+// When s is the table's base only the dirty chunks are copied back; any
+// other snapshot is copied in full and becomes the base. No segment is
+// ever dropped: a stored segment s does not store is reset to pristine in
+// place, and one neither stores stays unstored.
 func (ft *FrameTable) Restore(s *FrameTableSnapshot) {
-	if s != ft.base {
-		ft.frames.copyFrom(s.frames)
-	} else {
+	if s == ft.base {
 		ft.eachDirtyChunk(func(lo, hi int) { copy(ft.frames.span(lo, hi), s.frames.span(lo, hi)) })
+	} else {
+		for k, src := range s.frames {
+			if src != nil {
+				copy(ft.frames[k], src)
+			} else if ft.frames[k] != nil {
+				resetPristine(ft.frames[k])
+			}
+		}
 	}
 	ft.rebase(s)
 }
