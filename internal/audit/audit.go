@@ -133,12 +133,13 @@ type Options struct {
 // device-corruption repair. (A stranded in-service line is cleared by the
 // attempt's interrupt-acknowledge mechanism, not here: the audit only
 // touches route state it can check against a reliable source.)
-func auditIOAPIC(h *hv.Hypervisor, r *Report) {
+func (w *Walker) auditIOAPIC(int) {
+	h := w.h
 	io := h.Machine.IOAPIC()
 	if n := io.RouteDamage(); n > 0 {
 		fixed := io.ReprogramFromBoot()
 		h.Tel.Inc(telemetry.CtrIOAPICRepairs)
-		r.add(ClassIOAPIC, fmt.Sprintf("%d redirection entries diverged from boot routes; %d reprogrammed", n, fixed), Repaired)
+		w.ioapic.add(ClassIOAPIC, fmt.Sprintf("%d redirection entries diverged from boot routes; %d reprogrammed", n, fixed), Repaired)
 	}
 }
 

@@ -3,6 +3,7 @@ package audit
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"nilihype/internal/dom"
@@ -42,6 +43,103 @@ type evtchnPlan struct {
 	relink map[int][2]int
 }
 
+// The global level's units in walk order, which is also the index of each
+// one's report shard.
+const (
+	gDomainList = iota
+	gScratch
+	gFreeList
+	gHeapObjects
+	gFrames
+	gLocks
+	numGlobal
+)
+
+// Walker is the audit of one hypervisor kept as data. The recovery-domain
+// plan, the unit bodies (method values bound once), the unit names, the
+// report shards and the event-channel plans live here, and every pass
+// rewinds them, so a pass allocates only for what it finds and for the
+// Report it returns. A boot image keeps one walker for all its runs; Run
+// builds a fresh one. Passes on one walker must not overlap.
+type Walker struct {
+	h *hv.Hypervisor
+
+	// The pass's inputs, captured at its start.
+	now    time.Duration
+	doms   []*dom.Domain
+	owners []int
+
+	plan recdomain.Plan // levels: global, domains, linkage
+
+	// Report shards. Each reporting unit writes only its own, and the pass
+	// merges them in plan order, so the findings do not depend on how the
+	// domain level's units interleave.
+	global          [numGlobal]Report
+	sched           Report
+	timers          []Report // by CPU
+	grants          []Report // by index into doms
+	ioapic, linkage Report
+
+	// apicTouched[cpu] is set by the timer unit that repaired cpu; the
+	// linkage unit reprograms those APICs. plans[i] is owners[i]'s scan.
+	apicTouched []bool
+	plans       []evtchnPlan
+
+	// The fixed units and the per-domain bodies are bound once: a method
+	// value made per unit per pass would be one allocation each.
+	globalUnits                [numGlobal]recdomain.Unit
+	schedUnit                  recdomain.Unit
+	timersDo, scanDo, grantsDo func(int)
+	timerNames                 []string       // by CPU
+	scanNames, grantNames      map[int]string // by domain ID, built on first use
+}
+
+// NewWalker builds h's audit plan: the fixed units, their bodies and the
+// per-CPU names. Per-domain units are laid out by each pass, since
+// domains come and go within a run.
+func NewWalker(h *hv.Hypervisor) *Walker {
+	ncpu := h.Timers.NumCPUs()
+	w := &Walker{
+		h:           h,
+		timers:      make([]Report, ncpu),
+		apicTouched: make([]bool, ncpu),
+		timerNames:  make([]string, ncpu),
+		scanNames:   make(map[int]string),
+		grantNames:  make(map[int]string),
+	}
+	w.timersDo, w.scanDo, w.grantsDo = w.auditTimers, w.scanEvtchn, w.auditGrants
+	for cpu := range w.timerNames {
+		w.timerNames[cpu] = fmt.Sprintf("audit.timers.cpu%d", cpu)
+	}
+	gdom := recdomain.Domain{Kind: recdomain.Global}
+	w.globalUnits = [numGlobal]recdomain.Unit{
+		gDomainList:  {Dom: gdom, Name: "audit.domain-list", Cost: costDomainList, Do: w.auditDomainList},
+		gScratch:     {Dom: gdom, Name: "audit.static-scratch", Cost: costScratch, Do: w.auditScratch},
+		gFreeList:    {Dom: gdom, Name: "audit.heap-freelist", Cost: costFreeList, Do: w.auditFreeList},
+		gHeapObjects: {Dom: gdom, Name: "audit.heap-objects", Cost: costHeapObjects, Do: w.auditHeapObjects},
+		gFrames:      {Dom: gdom, Name: "audit.pf-descriptors", Do: w.auditFrames},
+		gLocks:       {Dom: gdom, Name: "audit.lock-table", Cost: costLocks, Do: w.auditLocks},
+	}
+	w.schedUnit = recdomain.Unit{Dom: gdom, Name: "audit.sched", Cost: costSched, Do: w.auditSched}
+	w.plan.Levels = []recdomain.Level{
+		{Name: "global", Serial: true},
+		{Name: "domains"},
+		// The IO-APIC is shared hardware: its route check/reprogram runs
+		// at the serial linkage level, so the result is bit-identical at
+		// any worker count.
+		{Name: "linkage", Serial: true, Units: []recdomain.Unit{
+			{Dom: gdom, Name: "audit.ioapic", Cost: costIOAPIC, Do: w.auditIOAPIC},
+			{Dom: gdom, Name: "audit.linkage.apply", Cost: costLinkApply, Do: w.applyLinkage},
+		}},
+	}
+	return w
+}
+
+// Run audits the paused hypervisor and repairs what it can with a fresh
+// Walker. It must be called while recovery holds the system paused, after
+// the attempt's own repair enhancements have run.
+func Run(h *hv.Hypervisor, opts Options) *Report { return NewWalker(h).Run(opts) }
+
 // Run audits the paused hypervisor and repairs what it can. It must be
 // called while recovery holds the system paused, after the attempt's own
 // repair enhancements have run.
@@ -57,198 +155,79 @@ type evtchnPlan struct {
 //     each guest's event-channel scan (read-only) and grant-count
 //     rewrite. Units own disjoint state and never touch the virtual
 //     clock, telemetry, or RNG streams.
-//  3. linkage (serial): APIC reprogramming for repaired timer CPUs and
-//     the event-channel relink/close/sacrifice writes planned by the
-//     scans.
+//  3. linkage (serial): the IO-APIC route check, then APIC reprogramming
+//     for repaired timer CPUs and the event-channel relink/close/sacrifice
+//     writes planned by the scans.
 //
 // Every unit reports into a private shard merged in plan order, so the
 // Report's findings are identical at any lane count and whether the domain
 // level executes on one goroutine (GOMAXPROCS 1) or many; only
-// Report.Timing varies with the lanes.
-func Run(h *hv.Hypervisor, opts Options) *Report {
-	now := h.Clock.Now()
-	doms := h.Domains.Preserved()
-	ncpu := h.Timers.NumCPUs()
-	owners := h.Broker.Owners()
-	gdom := recdomain.Domain{Kind: recdomain.Global}
+// Report.Timing varies with the lanes. The Report is the caller's: the
+// walker keeps no reference to it.
+func (w *Walker) Run(opts Options) *Report {
+	h := w.h
+	w.now = h.Clock.Now()
+	w.doms = h.Domains.Preserved()
+	w.owners = h.Broker.Owners()
+	w.rewind()
 
-	var shards []*Report
-	shard := func() *Report {
-		s := &Report{}
-		shards = append(shards, s)
-		return s
-	}
-
-	global := recdomain.Level{Name: "global", Serial: true}
-	addGlobal := func(name string, cost time.Duration, fn func(sr *Report)) {
-		sr := shard()
-		global.Units = append(global.Units, recdomain.Unit{
-			Dom: gdom, Name: name, Cost: cost, Run: func() { fn(sr) },
-		})
-	}
-
-	addGlobal("audit.domain-list", costDomainList, func(sr *Report) {
-		if err := h.Domains.CheckLinks(); err != nil {
-			fixed := h.Domains.Rebuild()
-			sr.add(ClassDomainList, fmt.Sprintf("relinked from %d preserved structures (%d links fixed)", len(doms), fixed), Repaired)
-		}
-	})
-	addGlobal("audit.static-scratch", costScratch, func(sr *Report) {
-		if damaged := h.StaticScratchDamage(); len(damaged) > 0 {
-			for _, w := range damaged {
-				sr.add(ClassStaticScratch, fmt.Sprintf("scratch word %d does not match boot pattern", w), Repaired)
-			}
-			h.ReinitStaticScratch()
-		}
-	})
-	// The frame table is the free list's reliable source; rebuild from it.
-	addGlobal("audit.heap-freelist", costFreeList, func(sr *Report) {
-		if probs := h.Heap.ValidateFreeList(); len(probs) > 0 {
-			for _, p := range probs {
-				sr.add(ClassHeapFreeList, p, Repaired)
-			}
-			h.Heap.Rebuild()
-		}
-	})
-	// Live heap objects: damage confined to an AppVM's struct domain is
-	// degradable (re-initialize the object, sacrifice the VM); anything
-	// else — PrivVM or a non-domain object — escalates, because both
-	// mechanisms reuse live objects in place (§VII-A failure cause 3).
-	addGlobal("audit.heap-objects", costHeapObjects, func(sr *Report) {
-		for _, o := range h.Heap.DamagedObjects() {
-			var owner *dom.Domain
-			for _, d := range doms {
-				if d.Obj == o {
-					owner = d
-					break
-				}
-			}
-			if owner != nil && !owner.IsPriv {
-				o.Repair()
-				owner.Fail("heap object corrupted; VM sacrificed by recovery audit")
-				sr.Sacrificed = append(sr.Sacrificed, owner.ID)
-				sr.add(ClassHeapObject, fmt.Sprintf("object %q re-initialized; d%d sacrificed", o.Tag, owner.ID), Degraded)
+	global := &w.plan.Levels[0]
+	global.Units = global.Units[:0]
+	for k, u := range w.globalUnits {
+		if k == gFrames {
+			if opts.SkipFrames {
 				continue
 			}
-			sr.add(ClassHeapObject, fmt.Sprintf("object %q damaged and not confinable", o.Tag), Escalate)
+			u.Cost = opts.FrameScanCost
 		}
-	})
-	if !opts.SkipFrames {
-		addGlobal("audit.pf-descriptors", opts.FrameScanCost, func(sr *Report) {
-			if bad := h.Frames.InconsistentFrames(); len(bad) > 0 {
-				fixed := h.Frames.ScanAndRepair()
-				sr.add(ClassFrames, fmt.Sprintf("%d inconsistent descriptors rewritten", fixed), Repaired)
-			}
-		})
+		global.Units = append(global.Units, u)
 	}
-	// Every owner thread was discarded, so any held lock is a leak. The
-	// basic ladder rungs may have released these already; the audit is the
-	// backstop.
-	addGlobal("audit.lock-table", costLocks, func(sr *Report) {
-		for _, l := range h.Locks.HeldLocks() {
-			l.ForceRelease()
-			sr.add(ClassLocks, fmt.Sprintf("%s lock %q held by discarded thread", l.Kind(), l.Name()), Repaired)
-		}
-	})
 
-	domains := recdomain.Level{Name: "domains"}
-	apicTouched := make([]bool, ncpu)
-	plans := make([]*evtchnPlan, len(owners))
-
+	domains := &w.plan.Levels[1]
+	domains.Units = domains.Units[:0]
 	if !opts.SkipSched {
-		sr := shard()
-		domains.Units = append(domains.Units, recdomain.Unit{
-			Dom: gdom, Name: "audit.sched", Cost: costSched, Run: func() {
-				if incs := h.Sched.CheckConsistency(); len(incs) > 0 {
-					fixed := h.Sched.RepairFromPerCPU()
-					sr.add(ClassSched, fmt.Sprintf("%d inconsistencies; %d fields rewritten from per-CPU state", len(incs), fixed), Repaired)
-				}
-			},
-		})
+		domains.Units = append(domains.Units, w.schedUnit)
 	}
-	for cpu := 0; cpu < ncpu; cpu++ {
-		cpu := cpu
-		sr := shard()
+	for cpu, name := range w.timerNames {
 		domains.Units = append(domains.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.PerCPU, ID: cpu},
-			Name: fmt.Sprintf("audit.timers.cpu%d", cpu), Cost: costTimersCPU,
-			Run: func() {
-				if probs := h.Timers.CheckHealthOn(cpu, now); len(probs) > 0 {
-					fixed := h.Timers.RepairHeapOn(cpu, now)
-					for _, p := range probs {
-						sr.add(ClassTimers, fmt.Sprintf("%s (clamped; %d deadlines fixed)", p, fixed), Repaired)
-					}
-					apicTouched[cpu] = true
-				}
-				if inactive := h.Timers.InactiveRecurringOn(cpu); len(inactive) > 0 {
-					names := make([]string, len(inactive))
-					for i, t := range inactive {
-						names[i] = t.Name
-					}
-					n := h.Timers.ReactivateRecurringOn(cpu, now)
-					sr.add(ClassTimers, fmt.Sprintf("cpu%d: %d recurring timers dead (%v); reactivated", cpu, n, names), Repaired)
-					apicTouched[cpu] = true
-				}
-			},
+			Name: name, Cost: costTimersCPU, Do: w.timersDo, Arg: cpu,
 		})
 	}
-	for i, o := range owners {
-		i, o := i, o
+	for i, o := range w.owners {
+		w.plans[i].owner = o
 		domains.Units = append(domains.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.PerGuest, ID: o},
-			Name: fmt.Sprintf("audit.evtchn.scan.d%d", o), Cost: costEvtchnScan,
-			Run: func() { plans[i] = scanEvtchnOwner(h, o) },
+			Name: unitName(w.scanNames, "audit.evtchn.scan.d%d", o), Cost: costEvtchnScan,
+			Do: w.scanDo, Arg: i,
 		})
 	}
-	for _, d := range doms {
-		d := d
+	for i, d := range w.doms {
 		if d.GrantTab == nil {
 			continue
 		}
-		sr := shard()
 		domains.Units = append(domains.Units, recdomain.Unit{
 			Dom:  recdomain.Domain{Kind: recdomain.PerGuest, ID: d.ID},
-			Name: fmt.Sprintf("audit.grants.d%d", d.ID), Cost: costGrantsGuest,
-			Run: func() { auditGrantsFor(d, doms, sr) },
+			Name: unitName(w.grantNames, "audit.grants.d%d", d.ID), Cost: costGrantsGuest,
+			Do: w.grantsDo, Arg: i,
 		})
 	}
 
-	linkage := recdomain.Level{Name: "linkage", Serial: true}
-	{
-		// The IO-APIC is shared hardware: its route check/reprogram runs at
-		// the serial linkage level, so the result is bit-identical at any
-		// worker count.
-		sr := shard()
-		linkage.Units = append(linkage.Units, recdomain.Unit{
-			Dom: gdom, Name: "audit.ioapic", Cost: costIOAPIC,
-			Run: func() { auditIOAPIC(h, sr) },
-		})
-	}
-	{
-		sr := shard()
-		linkage.Units = append(linkage.Units, recdomain.Unit{
-			Dom: gdom, Name: "audit.linkage.apply", Cost: costLinkApply,
-			Run: func() {
-				for cpu := 0; cpu < ncpu; cpu++ {
-					if apicTouched[cpu] {
-						h.Timers.ProgramAPIC(cpu)
-					}
-				}
-				applyEvtchnPlans(h, doms, plans, sr)
-			},
-		})
-	}
-
-	plan := recdomain.Plan{Levels: []recdomain.Level{global, domains, linkage}}
-	tm := plan.Execute(opts.RepairCPUs, min(opts.RepairCPUs, runtime.GOMAXPROCS(0)))
+	tm := w.plan.Execute(opts.RepairCPUs, min(opts.RepairCPUs, runtime.GOMAXPROCS(0)))
 
 	r := &Report{Timing: tm}
-	for _, s := range shards {
-		r.Violations = append(r.Violations, s.Violations...)
-		r.Repaired += s.Repaired
-		r.Escalations += s.Escalations
-		r.Sacrificed = append(r.Sacrificed, s.Sacrificed...)
+	for i := range w.global {
+		r.absorb(&w.global[i])
 	}
+	r.absorb(&w.sched)
+	for i := range w.timers {
+		r.absorb(&w.timers[i])
+	}
+	for i := range w.grants {
+		r.absorb(&w.grants[i])
+	}
+	r.absorb(&w.ioapic)
+	r.absorb(&w.linkage)
 
 	degraded := len(r.Violations) - r.Repaired - r.Escalations
 	h.Tel.Inc(telemetry.CtrAuditRuns)
@@ -260,30 +239,196 @@ func Run(h *hv.Hypervisor, opts Options) *Report {
 	return r
 }
 
-// scanEvtchnOwner finds one owner's broken inter-domain ports and the
-// backlink repair targets visible in the pre-repair state. Read-only over
-// every event-channel table, so scans for distinct owners may run
+// rewind clears what the previous pass left in the shards, the APIC marks
+// and the event-channel plans, and sizes the per-domain storage for this
+// pass's domains.
+func (w *Walker) rewind() {
+	for i := range w.global {
+		w.global[i].rewind()
+	}
+	w.sched.rewind()
+	for i := range w.timers {
+		w.timers[i].rewind()
+	}
+	w.grants = slices.Grow(w.grants[:0], len(w.doms))[:len(w.doms)]
+	for i := range w.grants {
+		w.grants[i].rewind()
+	}
+	w.ioapic.rewind()
+	w.linkage.rewind()
+	clear(w.apicTouched)
+	w.plans = slices.Grow(w.plans[:0], len(w.owners))[:len(w.owners)]
+	for i := range w.plans {
+		w.plans[i].broken = w.plans[i].broken[:0]
+		clear(w.plans[i].relink)
+	}
+}
+
+// rewind empties a shard, keeping its storage.
+func (r *Report) rewind() {
+	r.Violations = r.Violations[:0]
+	r.Repaired, r.Escalations = 0, 0
+	r.Sacrificed = r.Sacrificed[:0]
+}
+
+// absorb appends a shard's findings to r.
+func (r *Report) absorb(s *Report) {
+	r.Violations = append(r.Violations, s.Violations...)
+	r.Repaired += s.Repaired
+	r.Escalations += s.Escalations
+	r.Sacrificed = append(r.Sacrificed, s.Sacrificed...)
+}
+
+// unitName returns the unit name format renders for domain id, rendering
+// it only the first time: the same few domains recur in every pass.
+func unitName(names map[int]string, format string, id int) string {
+	n, ok := names[id]
+	if !ok {
+		n = fmt.Sprintf(format, id)
+		names[id] = n
+	}
+	return n
+}
+
+func (w *Walker) auditDomainList(int) {
+	h := w.h
+	if err := h.Domains.CheckLinks(); err != nil {
+		fixed := h.Domains.Rebuild()
+		w.global[gDomainList].add(ClassDomainList, fmt.Sprintf("relinked from %d preserved structures (%d links fixed)", len(w.doms), fixed), Repaired)
+	}
+}
+
+func (w *Walker) auditScratch(int) {
+	h := w.h
+	if damaged := h.StaticScratchDamage(); len(damaged) > 0 {
+		for _, word := range damaged {
+			w.global[gScratch].add(ClassStaticScratch, fmt.Sprintf("scratch word %d does not match boot pattern", word), Repaired)
+		}
+		h.ReinitStaticScratch()
+	}
+}
+
+// auditFreeList rebuilds the heap free list from the frame table, its
+// reliable source.
+func (w *Walker) auditFreeList(int) {
+	h := w.h
+	if probs := h.Heap.ValidateFreeList(); len(probs) > 0 {
+		for _, p := range probs {
+			w.global[gFreeList].add(ClassHeapFreeList, p, Repaired)
+		}
+		h.Heap.Rebuild()
+	}
+}
+
+// auditHeapObjects checks live heap objects: damage confined to an AppVM's
+// struct domain is degradable (re-initialize the object, sacrifice the
+// VM); anything else — PrivVM or a non-domain object — escalates, because
+// both mechanisms reuse live objects in place (§VII-A failure cause 3).
+func (w *Walker) auditHeapObjects(int) {
+	sr := &w.global[gHeapObjects]
+	for _, o := range w.h.Heap.DamagedObjects() {
+		var owner *dom.Domain
+		for _, d := range w.doms {
+			if d.Obj == o {
+				owner = d
+				break
+			}
+		}
+		if owner != nil && !owner.IsPriv {
+			o.Repair()
+			owner.Fail("heap object corrupted; VM sacrificed by recovery audit")
+			sr.Sacrificed = append(sr.Sacrificed, owner.ID)
+			sr.add(ClassHeapObject, fmt.Sprintf("object %q re-initialized; d%d sacrificed", o.Tag, owner.ID), Degraded)
+			continue
+		}
+		sr.add(ClassHeapObject, fmt.Sprintf("object %q damaged and not confinable", o.Tag), Escalate)
+	}
+}
+
+func (w *Walker) auditFrames(int) {
+	h := w.h
+	if bad := h.Frames.InconsistentFrames(); len(bad) > 0 {
+		fixed := h.Frames.ScanAndRepair()
+		w.global[gFrames].add(ClassFrames, fmt.Sprintf("%d inconsistent descriptors rewritten", fixed), Repaired)
+	}
+}
+
+// auditLocks releases every held lock: every owner thread was discarded,
+// so any hold is a leak. The basic ladder rungs may have released these
+// already; the audit is the backstop.
+func (w *Walker) auditLocks(int) {
+	for _, l := range w.h.Locks.HeldLocks() {
+		l.ForceRelease()
+		w.global[gLocks].add(ClassLocks, fmt.Sprintf("%s lock %q held by discarded thread", l.Kind(), l.Name()), Repaired)
+	}
+}
+
+func (w *Walker) auditSched(int) {
+	h := w.h
+	if incs := h.Sched.CheckConsistency(); len(incs) > 0 {
+		fixed := h.Sched.RepairFromPerCPU()
+		w.sched.add(ClassSched, fmt.Sprintf("%d inconsistencies; %d fields rewritten from per-CPU state", len(incs), fixed), Repaired)
+	}
+}
+
+// auditTimers repairs one CPU's timer heap and dead recurring timers,
+// marking the CPU for APIC reprogramming at the linkage level.
+func (w *Walker) auditTimers(cpu int) {
+	h, sr, now := w.h, &w.timers[cpu], w.now
+	if probs := h.Timers.CheckHealthOn(cpu, now); len(probs) > 0 {
+		fixed := h.Timers.RepairHeapOn(cpu, now)
+		for _, p := range probs {
+			sr.add(ClassTimers, fmt.Sprintf("%s (clamped; %d deadlines fixed)", p, fixed), Repaired)
+		}
+		w.apicTouched[cpu] = true
+	}
+	if inactive := h.Timers.InactiveRecurringOn(cpu); len(inactive) > 0 {
+		names := make([]string, len(inactive))
+		for i, t := range inactive {
+			names[i] = t.Name
+		}
+		n := h.Timers.ReactivateRecurringOn(cpu, now)
+		sr.add(ClassTimers, fmt.Sprintf("cpu%d: %d recurring timers dead (%v); reactivated", cpu, n, names), Repaired)
+		w.apicTouched[cpu] = true
+	}
+}
+
+// scanEvtchn finds owners[i]'s broken inter-domain ports and the backlink
+// repair targets visible in the pre-repair state, into plans[i]. Read-only
+// over every event-channel table, so scans for distinct owners may run
 // concurrently.
-func scanEvtchnOwner(h *hv.Hypervisor, o int) *evtchnPlan {
-	pl := &evtchnPlan{owner: o}
-	t := h.Broker.Table(o)
+func (w *Walker) scanEvtchn(i int) {
+	h, pl := w.h, &w.plans[i]
+	t := h.Broker.Table(pl.owner)
 	if t == nil {
-		return pl
+		return
 	}
 	for p := 1; p < t.Len(); p++ {
 		port, _ := t.Port(p)
-		if port.State != evtchn.Interdomain || linkIntact(h, o, p, port) {
+		if port.State != evtchn.Interdomain || linkIntact(h, pl.owner, p, port) {
 			continue
 		}
 		pl.broken = append(pl.broken, p)
-		if qd, q, ok := h.Broker.FindBacklink(o, p); ok {
+		if qd, q, ok := h.Broker.FindBacklink(pl.owner, p); ok {
 			if pl.relink == nil {
 				pl.relink = make(map[int][2]int)
 			}
 			pl.relink[p] = [2]int{qd, q}
 		}
 	}
-	return pl
+}
+
+func (w *Walker) auditGrants(i int) { auditGrantsFor(w.doms[i], w.doms, &w.grants[i]) }
+
+// applyLinkage reprograms the APICs of repaired timer CPUs and performs
+// the event-channel writes the scans planned.
+func (w *Walker) applyLinkage(int) {
+	for cpu, touched := range w.apicTouched {
+		if touched {
+			w.h.Timers.ProgramAPIC(cpu)
+		}
+	}
+	applyEvtchnPlans(w.h, w.doms, w.plans, &w.linkage)
 }
 
 // applyEvtchnPlans performs the writes the concurrent scans planned, in
@@ -296,13 +441,14 @@ func scanEvtchnOwner(h *hv.Hypervisor, o int) *evtchnPlan {
 // would destroy the only reliable source. Pass 2 closes ports still broken;
 // losing an I/O ring channel this way is fatal to the owning AppVM, which
 // is sacrificed.
-func applyEvtchnPlans(h *hv.Hypervisor, doms []*dom.Domain, plans []*evtchnPlan, r *Report) {
+func applyEvtchnPlans(h *hv.Hypervisor, doms []*dom.Domain, plans []evtchnPlan, r *Report) {
 	domByID := make(map[int]*dom.Domain, len(doms))
 	for _, d := range doms {
 		domByID[d.ID] = d
 	}
-	for _, pl := range plans {
-		if pl == nil || pl.relink == nil {
+	for i := range plans {
+		pl := &plans[i]
+		if len(pl.relink) == 0 {
 			continue
 		}
 		t := h.Broker.Table(pl.owner)
@@ -319,8 +465,9 @@ func applyEvtchnPlans(h *hv.Hypervisor, doms []*dom.Domain, plans []*evtchnPlan,
 			r.add(ClassEvtchn, fmt.Sprintf("d%d port %d relinked to d%d port %d via backlink", pl.owner, p, rl[0], rl[1]), Repaired)
 		}
 	}
-	for _, pl := range plans {
-		if pl == nil {
+	for i := range plans {
+		pl := &plans[i]
+		if len(pl.broken) == 0 {
 			continue
 		}
 		t := h.Broker.Table(pl.owner)

@@ -1,12 +1,14 @@
 package audit
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"nilihype/internal/evtchn"
 	"nilihype/internal/hv"
 	"nilihype/internal/recdomain"
 )
@@ -178,4 +180,89 @@ func TestPartitionedTimingScalesWithCPUs(t *testing.T) {
 	if r2.Timing.Serial != r8.Timing.Serial {
 		t.Fatalf("serialized totals differ with lane count: %v vs %v", r2.Timing.Serial, r8.Timing.Serial)
 	}
+}
+
+// apicArmed reads every CPU's APIC timer state: the linkage unit's
+// reprogramming leaves no finding in the Report, only this.
+func apicArmed(h *hv.Hypervisor) []bool {
+	out := make([]bool, h.NumCPUs())
+	for i, c := range h.Machine.CPUs() {
+		out[i] = c.TimerArmed()
+	}
+	return out
+}
+
+// TestWalkerReuseMatchesFresh: one walker audits two different damage sets
+// back to back, as a boot image's walker does across runs. Each pass's
+// Report and the APIC state its linkage step leaves must equal what a
+// fresh walker produces on an identical system, at one lane and at eight,
+// on one goroutine and on four: nothing the first pass left in the shards,
+// the APIC marks or the event-channel plans may reach the second.
+func TestWalkerReuseMatchesFresh(t *testing.T) {
+	// First pass: strand cpu3's recurring timers (the walk reactivates them
+	// and marks cpu3 for APIC reprogramming) and garble the AppVM's ring
+	// port while its peer still links back (relinked via the backlink).
+	first := func(t *testing.T, h *hv.Hypervisor) {
+		if len(h.Timers.PopDue(3, h.Clock.Now()+time.Second)) == 0 {
+			t.Fatal("cpu3 has no timer to strand")
+		}
+		ringPort(t, h).RemotePort += 13
+		h.CorruptStaticScratchWord(rng())
+	}
+	// Second pass: cpu3's timers are healthy but its APIC shot is gone
+	// (damage only the attempt's own reprogramming repairs, so the walk
+	// must leave it alone), and the ring port loses both halves.
+	second := func(t *testing.T, h *hv.Hypervisor) {
+		h.Machine.CPU(3).DisarmTimer()
+		port := ringPort(t, h)
+		if err := h.Broker.Table(port.RemoteDom).Close(port.RemotePort); err != nil {
+			t.Fatal(err)
+		}
+		port.RemotePort += 13
+		d, _ := h.Domain(1)
+		e, err := d.GrantTab.Entry(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.MapCount = 17
+	}
+	for _, cpus := range []int{1, 8} {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("cpus=%d/procs=%d", cpus, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				opts := Options{RepairCPUs: cpus, FrameScanCost: 700 * time.Microsecond}
+				reused, _ := newTarget(t)
+				fresh, _ := newTarget(t)
+				w := NewWalker(reused)
+				for pass, damage := range []func(*testing.T, *hv.Hypervisor){first, second} {
+					damage(t, reused)
+					damage(t, fresh)
+					got, want := w.Run(opts), Run(fresh, opts)
+					if len(want.Violations) == 0 {
+						t.Fatalf("pass %d: damage produced no findings", pass+1)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("pass %d: reused walker diverged from a fresh one:\nreused: %+v\nfresh:  %+v", pass+1, got, want)
+					}
+					if a, b := apicArmed(reused), apicArmed(fresh); !reflect.DeepEqual(a, b) {
+						t.Fatalf("pass %d: APICs armed %v after the reused walker, %v after a fresh one", pass+1, a, b)
+					}
+				}
+			})
+		}
+	}
+}
+
+// ringPort returns the AppVM's I/O ring event-channel port.
+func ringPort(t *testing.T, h *hv.Hypervisor) *evtchn.Port {
+	t.Helper()
+	d, err := h.Domain(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := h.Broker.Table(1).Port(d.RingPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return port
 }

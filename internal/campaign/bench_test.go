@@ -49,12 +49,13 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // packet, a block request or an interrupt passes through — runs on
 // recycled storage; what is left is per-run setup (RNGs, the engine, the
 // injector) and what a run that went wrong records about it (panic and
-// detection strings, the recovery plan, forensics). Ceilings sit ~25 %
-// above the means measured under the race detector (54, 56 and 271; a
-// plain build reads 48, 51 and 257, and `go run ./benchmark` reports that
-// figure plus the amortised image build as allocs_per_run): tight enough
-// that one stray allocation per packet or per interrupt (thousands per
-// run) trips them at once.
+// detection strings, the audit's findings, forensics). Ceilings sit
+// ~25 % above the means measured under the race detector (about 55, 57
+// and 85; a plain build reads 48, 51 and 79, and `go run ./benchmark`
+// reports that figure plus the amortised image build as allocs_per_run):
+// tight enough that one stray allocation per packet or per interrupt
+// (thousands per run), or the hypercall records a stuck CPU refused going
+// unrecycled again (~100 a ladder run), trips them at once.
 func TestForkedRunAllocBudget(t *testing.T) {
 	netbench := ThroughputBenchConfig()
 	netbench.Workload = guest.NetBench
@@ -73,7 +74,7 @@ func TestForkedRunAllocBudget(t *testing.T) {
 		{"3AppVM code faults, full ladder, 8 repair CPUs", RunConfig{
 			Setup: ThreeAppVM, Fault: inject.Code, Recovery: ladder,
 			Logging: true, BenchDuration: 3 * time.Second, MemoryMB: 1024,
-		}, 60, 340},
+		}, 60, 106},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {

@@ -90,6 +90,9 @@ type image struct {
 	h     *hv.Hypervisor
 	world *guest.World
 	det   *detect.Detector
+	// ws is the recovery workspace every run's engine reuses, handed over
+	// like det.
+	ws *core.Workspace
 
 	// engine is the CURRENT run's recovery engine. The detector is part
 	// of the image (its watchdog timers are snapshot state), so its hook
@@ -141,7 +144,7 @@ func buildImage(rc RunConfig) (*image, error) {
 	world := guest.NewWorld(h, rc.Seed^0x5eed)
 	world.StartPrivVM()
 
-	img := &image{clk: clk, h: h, world: world}
+	img := &image{clk: clk, h: h, world: world, ws: core.NewWorkspace(h)}
 	img.det = detect.New(h, func(e detect.Event) {
 		if img.engine != nil {
 			img.engine.OnDetection(e)

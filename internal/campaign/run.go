@@ -435,6 +435,7 @@ func (img *image) run(rc RunConfig) Result {
 	// timelines are untouched.
 	img.det.SetCriteria(rc.wantsMgmtWatchdog(), rc.wantsIRQCriterion())
 	engine.Det = img.det
+	engine.Workspace = img.ws
 	// The PrivVM-restart rung re-created Dom0 inside the hypervisor; the
 	// guest world re-arms its management service (housekeeping tick,
 	// domctl capability) against the fresh domain.

@@ -374,6 +374,10 @@ type Engine struct {
 	H   *hv.Hypervisor
 	Det *detect.Detector
 	Cfg Config
+	// Workspace is the storage the engine's audit and partitioned repair
+	// reuse; nil builds one for H on first use. A boot image shares one
+	// across its runs' engines.
+	Workspace *Workspace
 
 	// FirstDetection is the event that triggered recovery (nil if none).
 	FirstDetection *detect.Event

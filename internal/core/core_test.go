@@ -46,11 +46,13 @@ func newRig(t *testing.T, cfg Config, memoryMB int) *rig {
 	if err := h.CreateDomain(1, "app", 4096, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	engine := NewEngine(h, cfg)
-	det := detect.New(h, engine.OnDetection)
-	engine.Det = det
-	det.Start()
-	return &rig{h: h, clk: clk, det: det, engine: engine}
+	r := &rig{h: h, clk: clk, engine: NewEngine(h, cfg)}
+	// Detections reach whichever engine the rig holds, so a test can swap
+	// in the next run's engine the way a boot image does.
+	r.det = detect.New(h, func(e detect.Event) { r.engine.OnDetection(e) })
+	r.engine.Det = r.det
+	r.det.Start()
+	return r
 }
 
 // injectPanic arms a failstop injection that fires inside the next

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -441,5 +444,61 @@ func TestWorstCaseLatencyBoundsMeasured(t *testing.T) {
 	reboot := Config{Mechanism: Microreboot}.WorstCaseLatency(frames512MB)
 	if wc := hybrid.WorstCaseLatency(frames512MB); wc < single+reboot+hybrid.Escalation.GraceWindow {
 		t.Fatalf("hybrid worst case %v below rung sum", wc)
+	}
+}
+
+// TestWorkspaceReuseMatchesFresh: one hypervisor recovers from two
+// different damage sets back to back, each with its own engine, as a boot
+// image's runs do. Whether the second engine reuses the first one's
+// workspace or builds its own, its attempts — audit Reports and
+// recovery-domain Timing included — must be identical, at one repair lane
+// and at eight, on one goroutine and on four.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	for _, cpus := range []int{1, 8} {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("cpus=%d/procs=%d", cpus, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				cfg := DefaultConfig()
+				cfg.Escalation.Audit = true
+				cfg.RepairCPUs = cpus
+				recoverTwice := func(share bool) [][]Attempt {
+					r := newRig(t, cfg, 512)
+					rng := testRNG()
+					r.clk.RunUntil(50 * time.Millisecond)
+					r.h.CorruptStaticScratchWord(rng)
+					if len(r.h.Timers.PopDue(3, r.clk.Now()+time.Second)) == 0 {
+						t.Fatal("cpu3 has no timer to strand")
+					}
+					r.injectPanicAtBudget(t, 250)
+					r.clk.RunUntil(2 * time.Second)
+					first := r.engine
+					r.engine = NewEngine(r.h, cfg)
+					r.engine.Det = r.det
+					if share {
+						r.engine.Workspace = first.Workspace
+					}
+					r.h.Heap.CorruptFreeList(rng)
+					r.h.Broker.CorruptRandomLink(rng)
+					r.h.Locks.CorruptRandomHold(rng)
+					r.injectPanicAtPage(t, 250, 13)
+					r.clk.RunUntil(4 * time.Second)
+					for i, en := range []*Engine{first, r.engine} {
+						if len(en.Attempts) == 0 || en.Attempts[0].Audit == nil || len(en.Attempts[0].Audit.Violations) == 0 {
+							t.Fatalf("recovery %d ran no audit that found the damage", i+1)
+						}
+					}
+					return [][]Attempt{first.Attempts, r.engine.Attempts}
+				}
+				shared, fresh := recoverTwice(true), recoverTwice(false)
+				for i := range fresh {
+					if !reflect.DeepEqual(shared[i], fresh[i]) {
+						t.Fatalf("recovery %d: shared workspace diverged from a fresh one:\nshared: %+v\nfresh:  %+v", i+1, shared[i], fresh[i])
+					}
+				}
+				if cpus > 1 && fresh[1][0].Timing.Units == 0 {
+					t.Fatal("partitioned recovery reported no recovery-domain timing")
+				}
+			})
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"nilihype/internal/audit"
+	"nilihype/internal/hv"
 	"nilihype/internal/recdomain"
 	"nilihype/internal/telemetry"
 )
@@ -115,6 +117,54 @@ func (en *Engine) chargePlan(name string, tm recdomain.Timing) {
 	en.Breakdown = append(en.Breakdown, LatencyStep{Name: name, Dur: tm.Parallel})
 }
 
+// Workspace is the recovery engine's reusable storage for one hypervisor:
+// the audit walker and the partitioned repair plan, kept as data so that
+// an attempt rewinds them instead of rebuilding closures, names and
+// shards. A boot image keeps one and hands it to each run's engine
+// (Engine.Workspace); an engine without one builds its own on first use.
+// A workspace serves one engine at a time.
+type Workspace struct {
+	h      *hv.Hypervisor
+	walker *audit.Walker
+	repair recdomain.Plan
+	// irqUnits clear one CPU's local_irq_count each; schedUnit rewrites
+	// the scheduler metadata. Built once; each partitioned repair copies
+	// the ones its rung enables into the plan's single level.
+	irqUnits  []recdomain.Unit
+	schedUnit recdomain.Unit
+}
+
+// NewWorkspace builds the recovery workspace for h.
+func NewWorkspace(h *hv.Hypervisor) *Workspace {
+	ws := &Workspace{h: h, walker: audit.NewWalker(h)}
+	ncpu := h.NumCPUs()
+	per := clearIRQCost / time.Duration(ncpu)
+	clearIRQ := h.ClearIRQCountOn
+	for cpu := 0; cpu < ncpu; cpu++ {
+		ws.irqUnits = append(ws.irqUnits, recdomain.Unit{
+			Dom:  recdomain.Domain{Kind: recdomain.PerCPU, ID: cpu},
+			Name: fmt.Sprintf("repair.irq.cpu%d", cpu), Cost: per,
+			Do: clearIRQ, Arg: cpu,
+		})
+	}
+	ws.schedUnit = recdomain.Unit{
+		Dom:  recdomain.Domain{Kind: recdomain.Global},
+		Name: "repair.sched", Cost: schedRepairCost, Do: ws.repairSched,
+	}
+	ws.repair.Levels = []recdomain.Level{{Name: "repair"}}
+	return ws
+}
+
+func (ws *Workspace) repairSched(int) { ws.h.Sched.RepairFromPerCPU() }
+
+// workspace returns the engine's workspace, building one on first use.
+func (en *Engine) workspace() *Workspace {
+	if en.Workspace == nil {
+		en.Workspace = NewWorkspace(en.H)
+	}
+	return en.Workspace
+}
+
 // runRepairPlan executes the rung's IRQ and scheduler repairs as one
 // concurrent recovery-domain level: each CPU's local_irq_count clear is a
 // per-CPU unit and the scheduler-metadata rewrite a global-domain unit —
@@ -122,29 +172,17 @@ func (en *Engine) chargePlan(name string, tm recdomain.Timing) {
 // effects equal the serial blocks exactly; the charged latency is the
 // level's makespan on RepairCPUs simulated lanes.
 func (en *Engine) runRepairPlan(enh Enhancements) {
-	h := en.H
-	lv := recdomain.Level{Name: "repair"}
+	ws := en.workspace()
+	lv := &ws.repair.Levels[0]
+	lv.Units = lv.Units[:0]
 	if enh.Has(EnhClearIRQCount) {
-		ncpu := h.NumCPUs()
-		per := clearIRQCost / time.Duration(ncpu)
-		for cpu := 0; cpu < ncpu; cpu++ {
-			cpu := cpu
-			lv.Units = append(lv.Units, recdomain.Unit{
-				Dom:  recdomain.Domain{Kind: recdomain.PerCPU, ID: cpu},
-				Name: fmt.Sprintf("repair.irq.cpu%d", cpu), Cost: per,
-				Run: func() { h.ClearIRQCountOn(cpu) },
-			})
-		}
+		lv.Units = append(lv.Units, ws.irqUnits...)
 	}
 	if enh.Has(EnhSchedConsistency) {
-		lv.Units = append(lv.Units, recdomain.Unit{
-			Dom:  recdomain.Domain{Kind: recdomain.Global},
-			Name: "repair.sched", Cost: schedRepairCost,
-			Run: func() { h.Sched.RepairFromPerCPU() },
-		})
+		lv.Units = append(lv.Units, ws.schedUnit)
 	}
 	lanes := en.Cfg.RepairCPUs
-	tm := recdomain.Plan{Levels: []recdomain.Level{lv}}.Execute(lanes, min(lanes, runtime.GOMAXPROCS(0)))
+	tm := ws.repair.Execute(lanes, min(lanes, runtime.GOMAXPROCS(0)))
 	en.chargePlan("Parallel domain repair", tm)
 	cur := &en.Attempts[len(en.Attempts)-1]
 	cur.Timing.Merge(tm)

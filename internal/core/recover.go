@@ -186,7 +186,7 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 			// enhancement's.
 			aOpts.FrameScanCost = frameScanCost(h.Machine.PageFrames(), lanes)
 		}
-		rep := audit.Run(h, aOpts)
+		rep := en.workspace().walker.Run(aOpts)
 		cur := &en.Attempts[len(en.Attempts)-1]
 		cur.Audit = rep
 		en.AuditViolations += len(rep.Violations)

@@ -277,8 +277,7 @@ func (vm *AppVM) unixIteration() {
 		batch.Batch = append(batch.Batch, c)
 	}
 	vm.pinScratch = newPins
-	w.dispatch(cpu, batch)
-	w.putBatch(batch)
+	w.putBatch(batch, w.H.Dispatch(cpu, batch))
 	if vm.gone() {
 		return
 	}

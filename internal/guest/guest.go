@@ -277,8 +277,3 @@ func defaultIterPeriod(k Kind) time.Duration {
 		return time.Millisecond
 	}
 }
-
-// dispatch issues a hypercall from the VM's vCPU.
-func (w *World) dispatch(cpu int, call *hypercall.Call) {
-	w.H.Dispatch(cpu, call)
-}

@@ -5,10 +5,19 @@ import "nilihype/internal/hypercall"
 // The world's hypercall free list. Guests issue tens of thousands of calls
 // per run; almost all complete synchronously within the dispatch, so the
 // records can be recycled immediately instead of allocated fresh each time.
-// The recycling gate is Call.Done: the hypervisor core sets it only when a
-// call completes cleanly, so a call retained by recovery machinery (a
-// pause-deferred dispatch, a pending-retry record) is simply abandoned to
-// the garbage collector — rare, and never double-used.
+// A record comes back through one of two gates:
+//
+//   - Refusal: hv.Dispatch returned false. The hypervisor had failed or
+//     the CPU was stuck (wedged or spinning), and it never referenced the
+//     call. A guest keeps iterating on a stuck CPU until the watchdog
+//     fires, so in a run that wedges or spins this is most of the traffic.
+//   - Call.Done: the hypervisor core sets it only when an accepted call
+//     completes cleanly.
+//
+// An accepted call that is not Done may still be referenced by recovery
+// machinery (a pause-deferred dispatch, a pending-retry record), so it is
+// abandoned to the garbage collector and never double-used. Only a run
+// that a fault interrupted leaves such records behind.
 //
 // Worlds are confined to one campaign worker goroutine, so the free list
 // needs no locking.
@@ -34,9 +43,10 @@ func popCall(free *[]*hypercall.Call) *hypercall.Call {
 	return &hypercall.Call{}
 }
 
-// putCall recycles a dispatched call if the hypervisor marked it Done.
-func (w *World) putCall(c *hypercall.Call) {
-	if !c.Done {
+// putCall recycles a dispatched call if the hypervisor refused it or
+// marked it Done.
+func (w *World) putCall(c *hypercall.Call, accepted bool) {
+	if accepted && !c.Done {
 		return
 	}
 	resetCall(c)
@@ -45,9 +55,9 @@ func (w *World) putCall(c *hypercall.Call) {
 
 // putBatch recycles a dispatched multicall and its components. Components
 // are never marked Done individually — they live and die with the outer
-// batch, so the outer Done flag gates the whole group.
-func (w *World) putBatch(b *hypercall.Call) {
-	if !b.Done {
+// batch, so the outer batch's gate decides for the whole group.
+func (w *World) putBatch(b *hypercall.Call, accepted bool) {
+	if accepted && !b.Done {
 		return
 	}
 	for i, c := range b.Batch {
@@ -67,12 +77,12 @@ func resetCall(c *hypercall.Call) {
 }
 
 // call dispatches a simple (non-batched, spec-free) hypercall from a
-// pooled record and recycles it on completion — the guest fast path.
+// pooled record and recycles it on refusal or completion — the guest fast
+// path.
 func (w *World) call(cpu int, op hypercall.Op, domID int, args [4]uint64) {
 	c := w.getCall()
 	c.Op = op
 	c.Dom = domID
 	c.Args = args
-	w.H.Dispatch(cpu, c)
-	w.putCall(c)
+	w.putCall(c, w.H.Dispatch(cpu, c))
 }

@@ -98,7 +98,7 @@ func (w *World) PrivCreateDomain(spec hypercall.CreateSpec) bool {
 	if err != nil || d.Failed || w.privHung {
 		return false
 	}
-	w.dispatch(0, &hypercall.Call{
+	w.H.Dispatch(0, &hypercall.Call{
 		Op:     hypercall.OpDomctl,
 		Dom:    0,
 		Args:   [4]uint64{hypercall.DomctlCreate},

@@ -61,22 +61,28 @@ const RetrySetupCycles = 12
 // synchronous within the current clock event unless a fault injection, a
 // panic, or a spin interrupts it. While the hypervisor is paused for
 // recovery, dispatches are deferred to resume.
-func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) {
+//
+// Dispatch reports whether it took the call. It refuses (returns false)
+// only when the hypervisor has failed or the CPU is stuck (wedged or
+// spinning): those paths never reference the call, so the caller owns the
+// record again. An accepted call may be retained — deferred past a pause,
+// or left in flight for recovery to retry — until it is marked Done.
+func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) bool {
 	if h.failed {
-		return
+		return false
 	}
 	if h.paused {
 		h.afterResume = append(h.afterResume, func() { h.Dispatch(cpu, call) })
-		return
+		return true
 	}
 	pc := h.percpu[cpu]
 	if pc.Stuck() {
-		return // the CPU is gone; the guest makes no progress
+		return false // the CPU is gone; the guest makes no progress
 	}
 	if pc.Busy() {
 		// Cannot happen in the event-atomic model; guard for misuse.
 		h.Panic(cpu, fmt.Sprintf("re-entrant dispatch of %v", call))
-		return
+		return true
 	}
 	call.Seq = h.callSeq
 	call.Done = false
@@ -91,7 +97,7 @@ func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) {
 	prog, err := hypercall.Build(pc.Env, call)
 	if err != nil {
 		h.Panic(cpu, err.Error())
-		return
+		return true
 	}
 	h.Tel.Hists[telemetry.HistProgramSteps].Observe(uint64(len(prog)))
 	if pc.Env.RecoveryPrep {
@@ -102,6 +108,7 @@ func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) {
 	pc.CurrentStep = 0
 	pc.abandonedUnmitigated = false
 	h.runProgram(cpu)
+	return true
 }
 
 // runProgram executes the in-flight program on cpu from its current step.

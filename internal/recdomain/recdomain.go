@@ -11,8 +11,12 @@
 // non-serial level own disjoint state by construction and may execute
 // concurrently; serial levels express cross-domain writes that must not.
 //
+// Units are data: a body (a method value its owner binds once) applied to
+// an integer argument, so a plan kept across executions is rewound and
+// refilled without allocating.
+//
 // The executor keeps the simulation deterministic by separating the two
-// notions of time: unit closures run on real goroutines (bounded by
+// notions of time: unit bodies run on real goroutines (bounded by
 // workers), but the charged latency comes from a deterministic schedule —
 // longest-processing-time-first over simCPUs lanes, ties broken by unit
 // order — computed from the modeled costs alone. Running a plan with 1
@@ -21,8 +25,9 @@
 package recdomain
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,11 +89,20 @@ type Unit struct {
 	Name string
 	// Cost is the unit's modeled duration on one simulated CPU.
 	Cost time.Duration
-	// Run performs the state mutation; nil for latency-model-only units.
+	// Do performs the state mutation, applied to Arg (a CPU, a domain
+	// index, ...); nil for latency-model-only units. Owners bind bodies
+	// once as method values, so building a unit allocates nothing.
 	// Units sharing a non-serial level must touch disjoint state — and
 	// must not touch shared infrastructure (the virtual clock, telemetry,
 	// RNG streams): those belong in serial levels or to the caller.
-	Run func()
+	Do  func(arg int)
+	Arg int
+}
+
+func (u *Unit) run() {
+	if u.Do != nil {
+		u.Do(u.Arg)
+	}
 }
 
 // Level is one rung of the dependency graph. Units within a level may run
@@ -99,9 +113,14 @@ type Level struct {
 	Units  []Unit
 }
 
-// Plan is an ordered sequence of levels.
+// Plan is an ordered sequence of levels. The scheduler's scratch lives in
+// the plan, so a plan its owner keeps and refills executes without
+// allocating anything but the returned spans.
 type Plan struct {
 	Levels []Level
+
+	idx   []int
+	loads []time.Duration
 }
 
 // Span is one unit's interval in the simulated parallel timeline, offset
@@ -139,39 +158,51 @@ func (tm *Timing) Merge(o Timing) {
 	tm.Parallel += o.Parallel
 	tm.Units += o.Units
 	tm.Spans = append(tm.Spans, o.Spans...)
-	seen := make(map[Domain]struct{}, tm.Units)
-	for _, sp := range tm.Spans {
-		seen[sp.Dom] = struct{}{}
+	tm.Domains = countDomains(tm.Spans)
+}
+
+// countDomains returns the number of distinct domains among spans. Plans
+// hold tens of units, so a quadratic scan is cheaper than building a set.
+func countDomains(spans []Span) int {
+	n := 0
+	for i := range spans {
+		j := 0
+		for j < i && spans[j].Dom != spans[i].Dom {
+			j++
+		}
+		if j == i {
+			n++
+		}
 	}
-	tm.Domains = len(seen)
+	return n
 }
 
 // Execute runs every level in order — units within a non-serial level
 // concurrently on up to workers goroutines — and returns the plan's
 // deterministic timing on simCPUs simulated lanes. State effects, spans,
-// and charged latency are independent of workers.
-func (p Plan) Execute(simCPUs, workers int) Timing {
-	if simCPUs < 1 {
-		simCPUs = 1
+// and charged latency are independent of workers. The returned spans are
+// freshly allocated: the caller may keep them while the plan is reused.
+func (p *Plan) Execute(simCPUs, workers int) Timing {
+	simCPUs = max(simCPUs, 1)
+	workers = max(workers, 1)
+	n := 0
+	for _, lv := range p.Levels {
+		n += len(lv.Units)
 	}
-	if workers < 1 {
-		workers = 1
+	tm := Timing{Units: n}
+	if n > 0 {
+		tm.Spans = make([]Span, n)
 	}
-	tm := Timing{}
-	domains := make(map[Domain]struct{})
 	var offset time.Duration
+	at := 0
 	for _, lv := range p.Levels {
 		units := lv.Units
 		for i := range units {
-			domains[units[i].Dom] = struct{}{}
 			tm.Serial += units[i].Cost
 		}
-		tm.Units += len(units)
 		if lv.Serial || workers == 1 || len(units) < 2 {
 			for i := range units {
-				if fn := units[i].Run; fn != nil {
-					fn()
-				}
+				units[i].run()
 			}
 		} else {
 			runConcurrent(units, workers)
@@ -180,12 +211,12 @@ func (p Plan) Execute(simCPUs, workers int) Timing {
 		if lv.Serial {
 			lanes = 1
 		}
-		spans, makespan := schedule(units, lanes, offset)
-		tm.Spans = append(tm.Spans, spans...)
+		makespan := p.schedule(units, lanes, offset, tm.Spans[at:at+len(units)])
+		at += len(units)
 		tm.Parallel += makespan
 		offset += makespan
 	}
-	tm.Domains = len(domains)
+	tm.Domains = countDomains(tm.Spans)
 	return tm
 }
 
@@ -207,38 +238,37 @@ func runConcurrent(units []Unit, workers int) {
 				if i >= len(units) {
 					return
 				}
-				if fn := units[i].Run; fn != nil {
-					fn()
-				}
+				units[i].run()
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// schedule assigns units to lanes and returns each unit's span (indexed in
-// unit order) plus the level makespan. One lane schedules in unit order
-// (the serialized walk); multiple lanes use longest-processing-time-first
-// onto the least-loaded lane, with all ties broken by unit order, so the
-// schedule is a pure function of the costs.
-func schedule(units []Unit, lanes int, offset time.Duration) ([]Span, time.Duration) {
-	spans := make([]Span, len(units))
+// schedule assigns units to lanes, writes each unit's span into spans
+// (indexed in unit order) and returns the level makespan. One lane
+// schedules in unit order (the serialized walk); multiple lanes use
+// longest-processing-time-first onto the least-loaded lane, with all ties
+// broken by unit order, so the schedule is a pure function of the costs.
+func (p *Plan) schedule(units []Unit, lanes int, offset time.Duration, spans []Span) time.Duration {
 	if lanes <= 1 {
 		var at time.Duration
 		for i := range units {
 			spans[i] = Span{Name: units[i].Name, Dom: units[i].Dom, Start: offset + at, Dur: units[i].Cost}
 			at += units[i].Cost
 		}
-		return spans, at
+		return at
 	}
-	idx := make([]int, len(units))
-	for i := range idx {
-		idx[i] = i
+	idx := p.idx[:0]
+	for i := range units {
+		idx = append(idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return units[idx[a]].Cost > units[idx[b]].Cost
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Compare(units[b].Cost, units[a].Cost)
 	})
-	loads := make([]time.Duration, lanes)
+	loads := slices.Grow(p.loads[:0], lanes)[:lanes]
+	clear(loads)
+	p.idx, p.loads = idx, loads
 	for _, i := range idx {
 		lane := 0
 		for l := 1; l < lanes; l++ {
@@ -250,11 +280,5 @@ func schedule(units []Unit, lanes int, offset time.Duration) ([]Span, time.Durat
 			Start: offset + loads[lane], Dur: units[i].Cost, Lane: lane}
 		loads[lane] += units[i].Cost
 	}
-	var makespan time.Duration
-	for _, l := range loads {
-		if l > makespan {
-			makespan = l
-		}
-	}
-	return spans, makespan
+	return slices.Max(loads)
 }

@@ -8,7 +8,11 @@ import (
 )
 
 func unit(dom Domain, name string, cost time.Duration, fn func()) Unit {
-	return Unit{Dom: dom, Name: name, Cost: cost, Run: fn}
+	u := Unit{Dom: dom, Name: name, Cost: cost}
+	if fn != nil {
+		u.Do = func(int) { fn() }
+	}
+	return u
 }
 
 func TestScheduleSerialLevelKeepsUnitOrder(t *testing.T) {
@@ -35,7 +39,7 @@ func TestScheduleMakespanLPT(t *testing.T) {
 	for i, c := range []int{5, 4, 3, 3, 3} {
 		units = append(units, unit(Domain{Kind: PerCPU, ID: i}, "u", time.Duration(c)*time.Millisecond, nil))
 	}
-	tm := Plan{Levels: []Level{{Units: units}}}.Execute(2, 1)
+	tm := (&Plan{Levels: []Level{{Units: units}}}).Execute(2, 1)
 	if tm.Parallel != 10*time.Millisecond {
 		t.Fatalf("makespan = %v, want 10ms", tm.Parallel)
 	}
@@ -62,7 +66,7 @@ func TestLevelsAreBarriers(t *testing.T) {
 			unit(Domain{Kind: Global}, "read", time.Microsecond,
 				func() { sawAtSecond = append(sawAtSecond, first.Load()) }),
 		}}
-		Plan{Levels: []Level{lv1, lv2}}.Execute(8, workers)
+		(&Plan{Levels: []Level{lv1, lv2}}).Execute(8, workers)
 		if len(sawAtSecond) != 1 || sawAtSecond[0] != 16 {
 			t.Fatalf("workers=%d: level 2 saw %v level-1 effects, want [16]", workers, sawAtSecond)
 		}
@@ -70,13 +74,13 @@ func TestLevelsAreBarriers(t *testing.T) {
 }
 
 func TestTimingIndependentOfWorkers(t *testing.T) {
-	build := func() Plan {
+	build := func() *Plan {
 		var lv Level
 		for i := 0; i < 11; i++ {
 			lv.Units = append(lv.Units, unit(Domain{Kind: PerCPU, ID: i}, "u",
 				time.Duration(i+1)*100*time.Microsecond, func() {}))
 		}
-		return Plan{Levels: []Level{
+		return &Plan{Levels: []Level{
 			{Name: "global", Serial: true, Units: []Unit{unit(Domain{Kind: Global}, "g", time.Millisecond, nil)}},
 			lv,
 		}}
@@ -90,13 +94,13 @@ func TestTimingIndependentOfWorkers(t *testing.T) {
 
 func TestExecuteRunsEveryUnitExactlyOnce(t *testing.T) {
 	counts := make([]atomic.Int64, 32)
+	count := func(i int) { counts[i].Add(1) }
 	var lv Level
 	for i := 0; i < 32; i++ {
-		i := i
-		lv.Units = append(lv.Units, unit(Domain{Kind: PerGuest, ID: i}, "u", time.Microsecond,
-			func() { counts[i].Add(1) }))
+		lv.Units = append(lv.Units, Unit{Dom: Domain{Kind: PerGuest, ID: i}, Name: "u",
+			Cost: time.Microsecond, Do: count, Arg: i})
 	}
-	Plan{Levels: []Level{lv}}.Execute(8, 6)
+	(&Plan{Levels: []Level{lv}}).Execute(8, 6)
 	for i := range counts {
 		if n := counts[i].Load(); n != 1 {
 			t.Fatalf("unit %d ran %d times", i, n)
@@ -109,26 +113,57 @@ func TestSingleLaneParallelEqualsSerialSum(t *testing.T) {
 		unit(Domain{Kind: PerCPU, ID: 0}, "a", 2*time.Millisecond, nil),
 		unit(Domain{Kind: PerCPU, ID: 1}, "b", 3*time.Millisecond, nil),
 	}
-	tm := Plan{Levels: []Level{{Units: units}}}.Execute(1, 1)
+	tm := (&Plan{Levels: []Level{{Units: units}}}).Execute(1, 1)
 	if tm.Parallel != tm.Serial {
 		t.Fatalf("1 simulated CPU must serialize: Parallel=%v Serial=%v", tm.Parallel, tm.Serial)
 	}
 }
 
 func TestTimingMergeCountsDistinctDomains(t *testing.T) {
-	a := Plan{Levels: []Level{{Units: []Unit{
+	a := (&Plan{Levels: []Level{{Units: []Unit{
 		unit(Domain{Kind: PerCPU, ID: 0}, "a", time.Millisecond, nil),
 		unit(Domain{Kind: Global}, "g", time.Millisecond, nil),
-	}}}}.Execute(2, 1)
-	b := Plan{Levels: []Level{{Units: []Unit{
+	}}}}).Execute(2, 1)
+	b := (&Plan{Levels: []Level{{Units: []Unit{
 		unit(Domain{Kind: PerCPU, ID: 0}, "b", time.Millisecond, nil),
 		unit(Domain{Kind: PerGuest, ID: 1}, "d1", time.Millisecond, nil),
-	}}}}.Execute(2, 1)
+	}}}}).Execute(2, 1)
 	a.Merge(b)
 	if a.Domains != 3 {
 		t.Fatalf("merged domains = %d, want 3 (cpu0 shared)", a.Domains)
 	}
 	if a.Units != 4 || len(a.Spans) != 4 {
 		t.Fatalf("merged units/spans = %d/%d, want 4/4", a.Units, len(a.Spans))
+	}
+}
+
+// TestKeptPlanAllocatesOnlySpans: a plan kept across executions schedules
+// from its own scratch and counts domains without a set, so executing it
+// allocates the returned spans and nothing else, and merging timings into
+// storage with room allocates nothing.
+func TestKeptPlanAllocatesOnlySpans(t *testing.T) {
+	var lv Level
+	for i := 0; i < 12; i++ {
+		lv.Units = append(lv.Units, unit(Domain{Kind: PerCPU, ID: i % 5}, "u",
+			time.Duration(i%4+1)*time.Microsecond, nil))
+	}
+	p := Plan{Levels: []Level{
+		{Name: "global", Serial: true, Units: []Unit{unit(Domain{Kind: Global}, "g", time.Millisecond, nil)}},
+		lv,
+	}}
+	tm := p.Execute(4, 1)
+	if n := testing.AllocsPerRun(20, func() { tm = p.Execute(4, 1) }); n != 1 {
+		t.Fatalf("executing a kept plan allocates %.0f objects, want 1 (the spans)", n)
+	}
+	acc := Timing{Spans: make([]Span, 0, 2*len(tm.Spans))}
+	if n := testing.AllocsPerRun(20, func() {
+		acc = Timing{Spans: acc.Spans[:0]}
+		acc.Merge(tm)
+		acc.Merge(tm)
+	}); n != 0 {
+		t.Fatalf("Merge allocates %.0f objects into storage with room, want 0", n)
+	}
+	if acc.Domains != 6 || acc.Units != 26 {
+		t.Fatalf("merged domains/units = %d/%d, want 6/26", acc.Domains, acc.Units)
 	}
 }

@@ -18,7 +18,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -77,14 +78,18 @@ type Subsystem struct {
 	all map[*Timer]struct{}
 	// dueScratch backs PopDue's result between calls.
 	dueScratch []*Timer
+	// recurScratch[cpu] backs queuedRecurringOn(cpu)'s result; one buffer
+	// per CPU, because the audit's per-CPU units call it concurrently.
+	recurScratch [][]*Timer
 }
 
 // NewSubsystem creates the subsystem for the given CPU count.
 func NewSubsystem(cpus int, apic Programmer) *Subsystem {
 	return &Subsystem{
-		apic:  apic,
-		heaps: make([]timerHeap, cpus),
-		all:   make(map[*Timer]struct{}),
+		apic:         apic,
+		heaps:        make([]timerHeap, cpus),
+		all:          make(map[*Timer]struct{}),
+		recurScratch: make([][]*Timer, cpus),
 	}
 }
 
@@ -256,18 +261,22 @@ const stallDelta = time.Hour
 // queuedRecurringOn returns one CPU's queued recurring timers sorted by
 // name. Heap-slice layout is not deterministic across identical runs
 // (reactivation pushes in map order), so corruption and audit walks must
-// never use it for ordering. It reads only cpu's heap, so concurrent calls
-// for distinct CPUs are safe.
+// never use it for ordering. It reads only cpu's heap and writes only
+// cpu's scratch, so concurrent calls for distinct CPUs are safe. The
+// result is that scratch: valid until the next call for the same CPU.
 func (s *Subsystem) queuedRecurringOn(cpu int) []*Timer {
-	var out []*Timer
+	out := s.recurScratch[cpu][:0]
 	for _, t := range s.heaps[cpu] {
 		if t.Recurring() {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, byName)
+	s.recurScratch[cpu] = out
 	return out
 }
+
+func byName(a, b *Timer) int { return strings.Compare(a.Name, b.Name) }
 
 // CheckHealthOn audits one CPU's queued recurring timers against their
 // liveness bounds: a healthy queued recurring timer's deadline lies in
@@ -321,7 +330,7 @@ func (s *Subsystem) InactiveRecurringOn(cpu int) []*Timer {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, byName)
 	return out
 }
 

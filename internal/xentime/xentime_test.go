@@ -1,6 +1,7 @@
 package xentime
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -318,5 +319,28 @@ func TestReaddStaleActiveFlagGuard(t *testing.T) {
 	empty.Readd(orphan, 0, 5*time.Millisecond, 0)
 	if n := empty.heaps[0].Len(); n != 1 {
 		t.Fatalf("empty-subsystem Readd queued %d timers, want 1", n)
+	}
+}
+
+// TestPerCPUAuditWalksAllocateOnlyFindings: the audit's per-CPU timer walk
+// sorts into the CPU's own scratch, so checking and repairing a healthy
+// heap, and looking for dead recurring timers where there are none,
+// allocate nothing.
+func TestPerCPUAuditWalksAllocateOnlyFindings(t *testing.T) {
+	s := NewSubsystem(2, newFakeAPIC())
+	for _, name := range []string{"sched-tick", "watchdog-tick", "time-sync", "credit-acct"} {
+		s.AddTimer(1, name, 10*time.Millisecond, 10*time.Millisecond, nil)
+	}
+	now := 5 * time.Millisecond
+	if n := testing.AllocsPerRun(20, func() {
+		if len(s.CheckHealthOn(1, now)) != 0 || s.RepairHeapOn(1, now) != 0 || len(s.InactiveRecurringOn(1)) != 0 {
+			t.Fatal("healthy heap reported damage")
+		}
+	}); n != 0 {
+		t.Fatalf("auditing a healthy CPU allocates %.0f objects, want 0", n)
+	}
+	q := s.queuedRecurringOn(1)
+	if !slices.IsSortedFunc(q, byName) || len(q) != 4 {
+		t.Fatalf("queued recurring timers not sorted by name: %d timers", len(q))
 	}
 }
