@@ -64,7 +64,7 @@ func latencyCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		register(fs, "mechanism", "memory", "seed", "format")
 	sweep := fs.Bool("sweep", false, "sweep memory sizes 2-64 GB (page-frame-scan scaling)")
 	scanCPUs := 1
-	intVar(fs, &scanCPUs, "scan-cpus", 1, campaign.MachineCPUs, "parallelize the page-frame scan across N cores (§VII-B mitigation)")
+	intVar(fs, &scanCPUs, "scan-cpus", 1, campaign.MachineCPUs, "recover on N cores: shard the page-frame scan (§VII-B mitigation) and run the IRQ/scheduler repairs concurrently")
 
 	return func(stdout, _ io.Writer) error {
 		format, err := report.ParseFormat(rf.format)
@@ -104,7 +104,7 @@ func latencyCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		var totals []campaign.LatencyResult
 		for _, mech := range mechs {
 			cfg := oneShot(mech)
-			cfg.ScanCPUs = scanCPUs
+			cfg.RepairCPUs = scanCPUs
 			r, err := campaign.MeasureLatencyCfg(cfg, rf.memory, rf.seed)
 			if err != nil {
 				return err

@@ -48,7 +48,7 @@ var ErrLatencyRunFailed = errors.New("campaign: latency run did not recover")
 const measureLatencyAttempts = 8
 
 // MeasureLatencyCfg is MeasureLatency with a full recovery configuration
-// (e.g. a parallelized page-frame scan via Config.ScanCPUs). A run whose
+// (e.g. a parallelized page-frame scan via Config.RepairCPUs). A run whose
 // recovery fails (the fault drew an unrecoverable effect for this seed) is
 // retried with the next seed, up to measureLatencyAttempts seeds, so the
 // measurement is of a successful recovery — the paper measures successful

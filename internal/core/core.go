@@ -120,13 +120,6 @@ const (
 	// dominant latency component (Table III) whose removal costs ~4% of
 	// recovery rate (§VII-B).
 	EnhPFScan
-	// EnhReprogramIOAPIC rewrites every diverged IO-APIC redirection
-	// entry from the software copy recorded at boot — the device-
-	// corruption repair. Not part of AllEnhancements (the paper's ladder
-	// predates the device fault surface); the post-recovery audit performs
-	// the same repair, and reboot rungs get it from the APIC-setup boot
-	// step.
-	EnhReprogramIOAPIC
 )
 
 // AllEnhancements is the full production configuration.
@@ -199,22 +192,17 @@ type Config struct {
 	Enhancements Enhancements
 	Scope        DiscardScope
 
-	// ScanCPUs parallelizes the page-frame consistency scan across that
-	// many cores (0/1 = sequential). This is the mitigation §VII-B
-	// suggests for large-memory hosts, where the scan — proportional to
-	// memory size — dominates NiLiHype's recovery latency: "The problem
-	// could be mitigated by exploiting parallelism. For example, use
-	// multiple cores to perform the operation."
-	ScanCPUs int
-
 	// RepairCPUs > 1 partitions the repair and audit phases of non-reboot
 	// rungs into recovery domains — per-CPU state, per-guest-domain state,
 	// and a global domain with an explicit dependency order — and runs
 	// independent domains concurrently, charging the latency as the max
 	// over parallel domains plus the serialized global work on that many
-	// simulated CPUs. When ScanCPUs is unset it also parallelizes the
-	// page-frame scan. 0/1 is one recovery CPU: the serial repair blocks,
-	// and the audit's plan charged as the sum of its units.
+	// simulated CPUs. It also shards the page-frame scan across that many
+	// cores — the mitigation §VII-B suggests for large-memory hosts, where
+	// the scan dominates NiLiHype's recovery latency: "use multiple cores
+	// to perform the operation." 0/1 is one recovery CPU: every repair
+	// step charged on its own, and the audit's plan charged as the sum of
+	// its units.
 	RepairCPUs int
 	// Escalation enables multi-attempt recovery (zero value = one shot).
 	Escalation EscalationPolicy
@@ -374,7 +362,7 @@ type Engine struct {
 	H   *hv.Hypervisor
 	Det *detect.Detector
 	Cfg Config
-	// Workspace is the storage the engine's audit and partitioned repair
+	// Workspace is the storage the engine's audit and multi-lane repair
 	// reuse; nil builds one for H on first use. A boot image shares one
 	// across its runs' engines.
 	Workspace *Workspace
@@ -392,8 +380,6 @@ type Engine struct {
 	// terminally (all attempts exhausted, or failure outside the grace
 	// window).
 	FailReason string
-	// PFRepaired counts descriptors fixed by the consistency scan.
-	PFRepaired int
 	// AuditViolations/AuditRepaired total the audit findings across all
 	// attempts; SacrificedVMs lists the domains the audit failed to
 	// confine damage (in sacrifice order).

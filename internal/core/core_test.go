@@ -259,11 +259,11 @@ func TestMicroresetLatencyScalesWithMemory(t *testing.T) {
 }
 
 func TestParallelScanReducesLatency(t *testing.T) {
-	// The §VII-B mitigation: sharding the page-frame scan across cores
-	// cuts the dominant latency component near-linearly.
-	lat := func(scanCPUs int) time.Duration {
+	// The §VII-B mitigation: sharding the page-frame scan across the
+	// recovery CPUs cuts the dominant latency component near-linearly.
+	lat := func(repairCPUs int) time.Duration {
 		cfg := DefaultConfig()
-		cfg.ScanCPUs = scanCPUs
+		cfg.RepairCPUs = repairCPUs
 		r := newRig(t, cfg, 8192)
 		r.clk.RunUntil(50 * time.Millisecond)
 		r.injectPanicAtBudget(t, 250)

@@ -94,7 +94,9 @@ func TestInFlightCallNeverRecycledWhilePending(t *testing.T) {
 		t.Fatal("pending call recycled while the system was paused")
 	}
 
-	h.ClearIRQCounts()
+	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
+		h.ClearIRQCountOn(cpu)
+	}
 	h.ReenableCPUs()
 	h.RetryPendingCalls(pending)
 	h.ResumeRunnable()

@@ -38,7 +38,9 @@ func TestTraceRecordsFullRecoveryTimeline(t *testing.T) {
 		Args: [4]uint64{hypercall.MMUPin, uint64(d.MemStart + 7)}})
 	pending := h.DiscardAllThreads()
 	h.Locks.UnlockHeapLocks()
-	h.ClearIRQCounts()
+	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
+		h.ClearIRQCountOn(cpu)
+	}
 	h.ReenableCPUs()
 	h.RetryPendingCalls(pending)
 

@@ -399,7 +399,9 @@ func TestRetryAfterRollbackSucceeds(t *testing.T) {
 	pending := h.DiscardAllThreads()
 	h.Locks.UnlockHeapLocks()
 	h.Locks.UnlockStaticSegment()
-	h.ClearIRQCounts()
+	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
+		h.ClearIRQCountOn(cpu)
+	}
 	h.ReenableCPUs()
 	h.RetryPendingCalls(pending)
 	if !call.Done {
@@ -439,7 +441,9 @@ func TestRetryPoisonedCallAsserts(t *testing.T) {
 		t.Fatalf("pending = %+v, want poisoned", pending)
 	}
 	h.Locks.UnlockHeapLocks()
-	h.ClearIRQCounts()
+	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
+		h.ClearIRQCountOn(cpu)
+	}
 	h.ReenableCPUs()
 	h.RetryPendingCalls(pending)
 	// Poisoned retry: no rollback, the pin re-executes on an
@@ -478,7 +482,9 @@ func TestEnforceIRQInvariant(t *testing.T) {
 	if len(panics) != 1 || !strings.Contains(panics[0], "!in_irq") {
 		t.Fatalf("panics = %v", panics)
 	}
-	h.ClearIRQCounts()
+	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
+		h.ClearIRQCountOn(cpu)
+	}
 	if !h.EnforceIRQInvariant() {
 		t.Fatal("invariant failed after clear")
 	}
@@ -638,7 +644,9 @@ func TestMulticallDispatchAndRetrySkipsCompleted(t *testing.T) {
 	}
 	pending := h.DiscardAllThreads()
 	h.Locks.UnlockHeapLocks()
-	h.ClearIRQCounts()
+	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
+		h.ClearIRQCountOn(cpu)
+	}
 	h.ReenableCPUs()
 	h.RetryPendingCalls(pending)
 	if batch.Completed != 3 {

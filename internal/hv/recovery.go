@@ -193,18 +193,10 @@ func (h *Hypervisor) applySchedFlux() {
 	}
 }
 
-// ClearIRQCounts zeroes every CPU's local_irq_count — the "Clear IRQ
-// count" enhancement (§V-A).
-func (h *Hypervisor) ClearIRQCounts() {
-	for _, pc := range h.percpu {
-		pc.LocalIRQCount = 0
-	}
-}
-
-// ClearIRQCountOn zeroes one CPU's local_irq_count — the per-CPU slice of
-// ClearIRQCounts the recovery-domain-partitioned repair path schedules as
-// an independent unit. It writes only that CPU's private area, so
-// concurrent calls for distinct CPUs are safe.
+// ClearIRQCountOn zeroes one CPU's local_irq_count — the "Clear IRQ
+// count" enhancement (§V-A) applies it to every CPU, and multi-lane repair
+// schedules each CPU's call as an independent unit. It writes only that
+// CPU's private area, so concurrent calls for distinct CPUs are safe.
 func (h *Hypervisor) ClearIRQCountOn(cpu int) {
 	h.percpu[cpu].LocalIRQCount = 0
 }
