@@ -114,8 +114,9 @@ func TestParallelRepairSummaryFields(t *testing.T) {
 }
 
 // TestParallelRepairOffMatchesLegacySerialPath: RepairCPUs of 0 and 1
-// are the same one-lane configuration — serial repair blocks, audit plan
-// charged as the sum of its units — and produce bit-identical Summaries.
+// are the same one-lane configuration — one Breakdown row per repair
+// step, audit plan charged as the sum of its units — and produce
+// bit-identical Summaries.
 func TestParallelRepairOffMatchesLegacySerialPath(t *testing.T) {
 	run := func(repairCPUs int) Summary {
 		rc := fastCfg(inject.Register, core.Microreset)
