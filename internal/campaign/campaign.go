@@ -425,23 +425,14 @@ func (s *Summary) add(r Result) {
 }
 
 // classifyFailure buckets a failed run into the paper's failure-cause
-// categories (§VII-A). Hypervisor-level FailReason buckets are checked
-// first: a hypervisor panic or hang usually takes the PrivVM down with it,
-// and histogramming such a run as "PrivVM failed" would hide the root
-// cause — the PrivVM loss is the consequence, not the failure.
+// categories (§VII-A). A terminal failure's cause decides first: a
+// hypervisor panic or hang usually takes the PrivVM down with it, and
+// histogramming such a run as "PrivVM failed" would hide the root cause —
+// the PrivVM loss is the consequence, not the failure.
 func classifyFailure(r Result) string {
 	switch {
-	case strings.Contains(r.FailReason, "failed to be invoked"):
-		return "recovery routine not invoked"
-	case strings.Contains(r.FailReason, "corrupted"):
-		return "corrupted data structure"
-	case strings.Contains(r.FailReason, "ASSERT"):
-		return "post-recovery assertion"
-	case strings.Contains(r.FailReason, "hang") || strings.Contains(r.FailReason, "spinning") ||
-		strings.Contains(r.FailReason, "watchdog") || strings.Contains(r.FailReason, "waiting forever"):
-		return "post-recovery hang"
 	case r.FailReason != "":
-		return "other hypervisor failure"
+		return causeViews[r.Cause].bucket
 	case r.PrivVMFailed:
 		return "PrivVM failed"
 	case !r.NewVMOK:

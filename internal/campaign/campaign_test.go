@@ -355,12 +355,12 @@ func TestClassifyFailure(t *testing.T) {
 		r    Result
 		want string
 	}{
-		{Result{FailReason: "recovery routine failed to be invoked (x)"}, "recovery routine not invoked"},
+		{Result{FailReason: "x", Cause: hv.CausePathCorrupted}, "recovery routine not invoked"},
 		{Result{PrivVMFailed: true}, "PrivVM failed"},
-		{Result{FailReason: "post-recovery failure: reused heap object corrupted"}, "corrupted data structure"},
-		{Result{FailReason: "ASSERT !in_irq()"}, "post-recovery assertion"},
-		{Result{FailReason: "watchdog: spinning on lock"}, "post-recovery hang"},
-		{Result{FailReason: "something else"}, "other hypervisor failure"},
+		{Result{FailReason: "x", Cause: hv.CauseReusedHeapObject}, "corrupted data structure"},
+		{Result{FailReason: "x", Cause: hv.CauseAssertion}, "post-recovery assertion"},
+		{Result{FailReason: "x", Cause: hv.CauseHang}, "post-recovery hang"},
+		{Result{FailReason: "x", Cause: hv.CauseOther}, "other hypervisor failure"},
 		{Result{NewVMOK: false}, "new VM creation failed"},
 		{Result{NewVMOK: true, AppVMsFailed: 2}, "multiple AppVMs lost"},
 		{Result{NewVMOK: true, AppVMsFailed: 1}, "AppVM lost (1AppVM criterion)"},

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nilihype/internal/core"
+	"nilihype/internal/hv"
 	"nilihype/internal/inject"
 )
 
@@ -77,9 +78,9 @@ func TestLongBenchMicrorebootRun(t *testing.T) {
 	}
 }
 
-// TestClassifyFailureRootCauseWins pins the bucket ordering: a hypervisor
-// FailReason is the root cause, and consequence flags (PrivVM down, new VM
-// creation failed) must not shadow it.
+// TestClassifyFailureRootCauseWins pins the bucket ordering: a terminal
+// hypervisor failure's cause is the root cause, and consequence flags
+// (PrivVM down, new VM creation failed) must not shadow it.
 func TestClassifyFailureRootCauseWins(t *testing.T) {
 	tests := []struct {
 		name string
@@ -87,22 +88,22 @@ func TestClassifyFailureRootCauseWins(t *testing.T) {
 		want string
 	}{
 		{"corruption beats PrivVM", Result{
-			FailReason: "post-recovery failure: domain list corrupted", PrivVMFailed: true},
+			FailReason: "terminal", Cause: hv.CauseRebuiltStateReuse, PrivVMFailed: true},
 			"corrupted data structure"},
 		{"assert beats PrivVM", Result{
-			FailReason: "ASSERT !in_irq()", PrivVMFailed: true},
+			FailReason: "terminal", Cause: hv.CauseAssertion, PrivVMFailed: true},
 			"post-recovery assertion"},
 		{"hang beats PrivVM and NewVM", Result{
-			FailReason: "cpu3 waiting forever on lock", PrivVMFailed: true},
+			FailReason: "terminal", Cause: hv.CauseHang, PrivVMFailed: true},
 			"post-recovery hang"},
 		{"other hv failure beats NewVM", Result{
-			FailReason: "unexpected state", NewVMOK: false},
+			FailReason: "terminal", Cause: hv.CauseOther, NewVMOK: false},
 			"other hypervisor failure"},
 		{"not-invoked beats everything", Result{
-			FailReason: "recovery routine failed to be invoked (corrupted path)", PrivVMFailed: true},
+			FailReason: "terminal", Cause: hv.CausePathCorrupted, PrivVMFailed: true},
 			"recovery routine not invoked"},
-		{"PrivVM beats NewVM when no FailReason", Result{
-			PrivVMFailed: true, NewVMOK: false},
+		{"PrivVM beats NewVM when no terminal failure", Result{
+			Cause: hv.CauseAssertion, PrivVMFailed: true, NewVMOK: false},
 			"PrivVM failed"},
 	}
 	for _, tt := range tests {

@@ -6,15 +6,15 @@ import (
 	"strings"
 	"time"
 
+	"nilihype/internal/hv"
 	"nilihype/internal/journal"
 	"nilihype/internal/traffic"
 )
 
 // Root-cause classes. Each wrong run (failed, escalated, or degraded)
-// gets exactly one, from a deterministic rule chain over the run's
-// failure reason, journal and outcome fields — the buckets §VII-A's
-// failure-cause discussion enumerates, plus the broadened fault surface's
-// additions.
+// gets exactly one, from the failure cause the engine recorded and the
+// run's outcome fields — the buckets §VII-A's failure-cause discussion
+// enumerates, plus the broadened fault surface's additions.
 const (
 	// RootCausePathCorrupted: the corrupted state prevented the recovery
 	// routine from being invoked at all (failure cause 1 of §VII-A).
@@ -22,8 +22,9 @@ const (
 	// RootCauseReusedHeapObject: microreset reused a corrupted live heap
 	// object (failure cause 2).
 	RootCauseReusedHeapObject = "reused-heap-object"
-	// RootCauseStaticStateReuse: microreset reused corrupted static
-	// variables that a reboot rung would have re-initialized.
+	// RootCauseStaticStateReuse: microreset reused corrupted state that a
+	// reboot rung would have rebuilt: static scratch variables, the heap
+	// free list, or the domain list.
 	RootCauseStaticStateReuse = "static-state-reuse"
 	// RootCausePFDescriptorHang: the post-recovery mm path hit
 	// inconsistent page frame descriptors and hung (§VII-B).
@@ -50,42 +51,22 @@ const (
 	// recovered cleanly — transient cost, no lasting damage.
 	RootCauseTransientEscalation = "transient-escalation"
 	// RootCauseOtherHypervisorFailure: a terminal hypervisor failure that
-	// matches no more specific rule.
+	// no more specific cause names.
 	RootCauseOtherHypervisorFailure = "other-hypervisor-failure"
 )
 
-// causeFromReason maps a terminal or attempt failure reason onto a root
-// cause. Rules are ordered most-specific-first; returns "" when the
-// reason matches nothing (or is empty).
-func causeFromReason(reason string) string {
-	switch {
-	case reason == "":
-		return ""
-	case strings.Contains(reason, "failed to be invoked"):
-		return RootCausePathCorrupted
-	case strings.Contains(reason, "PrivVM restart failed"),
-		strings.Contains(reason, "PrivVM state corrupted"),
-		strings.Contains(reason, "management-call"):
-		return RootCausePrivVMLost
-	case strings.Contains(reason, "reused heap object"):
-		return RootCauseReusedHeapObject
-	case strings.Contains(reason, "corrupted static state reused"):
-		return RootCauseStaticStateReuse
-	case strings.Contains(reason, "inconsistent page frame descriptors"):
-		return RootCausePFDescriptorHang
-	case strings.Contains(reason, "irq-delivery"),
-		strings.Contains(reason, "redirection table"),
-		strings.Contains(reason, "pending route lost"):
-		return RootCauseDeviceRouteLoss
-	case strings.Contains(reason, "ASSERT"):
-		return RootCausePostRecoveryAssertion
-	case strings.Contains(reason, "hang"), strings.Contains(reason, "spinning"),
-		strings.Contains(reason, "watchdog"), strings.Contains(reason, "waiting forever"),
-		strings.Contains(reason, "stuck"):
-		return RootCausePostRecoveryHang
-	default:
-		return RootCauseOtherHypervisorFailure
-	}
+// causeViews is each failure cause's row in the two failure tables: its
+// §VII-A failure-cause bucket and its forensic root-cause label.
+var causeViews = [...]struct{ bucket, label string }{
+	hv.CausePathCorrupted:     {"recovery routine not invoked", RootCausePathCorrupted},
+	hv.CausePrivVMLost:        {"post-recovery hang", RootCausePrivVMLost},
+	hv.CauseReusedHeapObject:  {"corrupted data structure", RootCauseReusedHeapObject},
+	hv.CauseRebuiltStateReuse: {"corrupted data structure", RootCauseStaticStateReuse},
+	hv.CausePFDescriptorHang:  {"post-recovery hang", RootCausePFDescriptorHang},
+	hv.CauseDeviceRoute:       {"other hypervisor failure", RootCauseDeviceRouteLoss},
+	hv.CauseAssertion:         {"post-recovery assertion", RootCausePostRecoveryAssertion},
+	hv.CauseHang:              {"post-recovery hang", RootCausePostRecoveryHang},
+	hv.CauseOther:             {"other hypervisor failure", RootCauseOtherHypervisorFailure},
 }
 
 // classifyRootCause assigns one root-cause class to a wrong run — a run
@@ -94,51 +75,26 @@ func causeFromReason(reason string) string {
 // however the run was computed (forked or cold, any parallelism, any
 // seed-range split). Clean runs return "".
 func classifyRootCause(r Result) string {
-	if !r.WentWrong() {
+	switch {
+	case !r.WentWrong():
 		return ""
-	}
-
-	// Terminal failure reason first: it names the mechanism that ended
-	// the run.
-	if c := causeFromReason(r.FailReason); c != "" {
-		return c
-	}
-
-	// No terminal reason: the run ended recovered but still wrong.
-	// Hypervisor-state causes beat workload-collateral ones.
-	if r.PrivVMFailed {
+	case r.FailReason != "":
+		// A terminal failure's cause names the mechanism that ended the run.
+		return causeViews[r.Cause].label
+	// No terminal failure: the run ended recovered but still wrong, and
+	// r.Cause is its first failed attempt's. Hypervisor-state causes beat
+	// workload-collateral ones.
+	case r.PrivVMFailed:
 		return RootCausePrivVMLost
-	}
-	// A re-detection on the irq-delivery criterion after a resume means
-	// device routes were lost across an attempt.
-	seenResume := false
-	for _, e := range r.Journal {
-		switch e.Kind {
-		case "resume":
-			seenResume = true
-		case "detect":
-			if seenResume && strings.Contains(e.Detail, "irq-delivery") {
-				return RootCauseDeviceRouteLoss
-			}
-		}
-	}
-	if !r.Success {
-		// Recovered hypervisor, failed run: the workload verdicts decide.
+	case r.Cause == hv.CauseDeviceRoute:
+		return RootCauseDeviceRouteLoss
+	case !r.Success:
 		return RootCauseWorkloadCollateral
-	}
-	// Successful but escalated and/or degraded.
-	if len(r.SacrificedVMs) > 0 {
+	case len(r.SacrificedVMs) > 0:
 		return RootCauseDegradedService
-	}
-	// Escalated and clean: attribute the transient to the first attempt
-	// failure's own cause when it has a specific one.
-	for _, e := range r.Journal {
-		if e.Kind == "attempt-fail" {
-			if c := causeFromReason(e.Detail); c != "" && c != RootCauseOtherHypervisorFailure {
-				return c
-			}
-			break
-		}
+	case r.Cause != hv.CauseNone && r.Cause != hv.CauseOther:
+		// Escalated and clean: the first attempt failure's own cause.
+		return causeViews[r.Cause].label
 	}
 	return RootCauseTransientEscalation
 }

@@ -5,27 +5,61 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"nilihype/internal/core"
+	"nilihype/internal/hv"
 	"nilihype/internal/inject"
 )
 
-func TestCauseFromReason(t *testing.T) {
-	for _, tt := range []struct{ reason, want string }{
-		{"", ""},
-		{"recovery routine failed to be invoked (corrupted hypervisor state)", RootCausePathCorrupted},
-		{"PrivVM restart failed: boot image corrupted", RootCausePrivVMLost},
-		{"mgmt watchdog: no PrivVM management-call completions", RootCausePrivVMLost},
-		{"post-recovery failure: reused heap object corrupted", RootCauseReusedHeapObject},
-		{"corrupted static state reused by microreset", RootCauseStaticStateReuse},
-		{"post-recovery hang: inconsistent page frame descriptors hit by mm path", RootCausePFDescriptorHang},
-		{"irq-delivery: IO-APIC redirection table diverges from software copy", RootCauseDeviceRouteLoss},
-		{"ASSERT(frame refcount) failed", RootCausePostRecoveryAssertion},
-		{"cpu0 spinning on lock", RootCausePostRecoveryHang},
-		{"something unprecedented", RootCauseOtherHypervisorFailure},
+func TestRootCauseFromCause(t *testing.T) {
+	for _, tt := range []struct {
+		cause hv.Cause
+		want  string
+	}{
+		{hv.CausePathCorrupted, RootCausePathCorrupted},
+		{hv.CausePrivVMLost, RootCausePrivVMLost},
+		{hv.CauseReusedHeapObject, RootCauseReusedHeapObject},
+		{hv.CauseRebuiltStateReuse, RootCauseStaticStateReuse},
+		{hv.CausePFDescriptorHang, RootCausePFDescriptorHang},
+		{hv.CauseDeviceRoute, RootCauseDeviceRouteLoss},
+		{hv.CauseAssertion, RootCausePostRecoveryAssertion},
+		{hv.CauseHang, RootCausePostRecoveryHang},
+		{hv.CauseOther, RootCauseOtherHypervisorFailure},
 	} {
-		if got := causeFromReason(tt.reason); got != tt.want {
-			t.Errorf("causeFromReason(%q) = %q, want %q", tt.reason, got, tt.want)
+		r := Result{Detected: true, FailReason: "terminal", Cause: tt.cause}
+		if got := classifyRootCause(r); got != tt.want {
+			t.Errorf("terminal cause %d: root cause %q, want %q", tt.cause, got, tt.want)
+		}
+	}
+	// No terminal failure: the outcome fields decide.
+	if got := classifyRootCause(Result{Detected: true}); got != RootCauseWorkloadCollateral {
+		t.Errorf("failed run without a terminal cause: root cause %q, want %q", got, RootCauseWorkloadCollateral)
+	}
+}
+
+// TestEveryCauseHasAView: each failure cause has a row in both failure
+// tables, so no recorded cause can print as an empty bucket or label.
+func TestEveryCauseHasAView(t *testing.T) {
+	for c := hv.CauseNone + 1; c <= hv.CauseOther; c++ {
+		if int(c) >= len(causeViews) || causeViews[c].bucket == "" || causeViews[c].label == "" {
+			t.Errorf("cause %d has no row in causeViews", c)
+		}
+	}
+}
+
+// TestRebuiltStateWalkIsStaticStateReuse: in the postmortem campaign's
+// shape (3AppVM, code faults, microreset, 2 s, logging on), seed 164's
+// retried call walks a corrupted heap free list and seed 374's a corrupted
+// domain list after resume. Both are state a reboot rebuilds and
+// microreset reuses, so both tables must name it as such.
+func TestRebuiltStateWalkIsStaticStateReuse(t *testing.T) {
+	for _, seed := range []uint64{164, 374} {
+		r := Run(RunConfig{Seed: seed, Setup: ThreeAppVM, Fault: inject.Code, BenchDuration: 2 * time.Second,
+			Logging: true, Recovery: core.Config{Mechanism: core.Microreset, Enhancements: core.AllEnhancements}})
+		if r.RootCause != RootCauseStaticStateReuse || classifyFailure(r) != "corrupted data structure" {
+			t.Errorf("seed %d: root cause %q, §VII-A %q, want %q and %q (reason %q)", seed, r.RootCause,
+				classifyFailure(r), RootCauseStaticStateReuse, "corrupted data structure", r.FailReason)
 		}
 	}
 }

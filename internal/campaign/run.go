@@ -13,6 +13,7 @@ import (
 	"nilihype/internal/core"
 	"nilihype/internal/detect"
 	"nilihype/internal/guest"
+	"nilihype/internal/hv"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/inject"
 	"nilihype/internal/journal"
@@ -258,8 +259,11 @@ type Result struct {
 	// Detected/Recovered mirror the engine's state.
 	Detected  bool
 	Recovered bool
-	// FailReason is the recovery-failure reason, if any.
+	// FailReason is the recovery-failure reason, if any. Cause is the
+	// terminal failure's cause, or for a run that ended recovered, its
+	// first failed attempt's (hv.CauseNone if no attempt failed).
 	FailReason string
+	Cause      hv.Cause
 
 	// VMs are the initial AppVMs' verdicts; AppVMsFailed counts those
 	// that failed.
@@ -573,9 +577,10 @@ func (img *image) run(rc RunConfig) Result {
 	res.ParallelRepairLatency = engine.RepairTiming.Parallel
 	res.Detected = engine.FirstDetection != nil
 	res.Recovered = engine.Recovered()
-	res.FailReason = engine.FailReason
-	if failed, reason := h.Failed(); failed && res.FailReason == "" {
-		res.FailReason = reason
+	res.FailReason, res.Cause = engine.FailReason, engine.FailCause
+	if res.Cause == hv.CauseNone && len(engine.Attempts) > 0 {
+		// No terminal failure: an escalated run's first attempt failed.
+		res.Cause = engine.Attempts[0].FailCause
 	}
 	if engine.FirstDetection != nil {
 		res.RecoveryAt = engine.FirstDetection.At

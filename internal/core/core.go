@@ -344,9 +344,10 @@ type Attempt struct {
 	// Latency/Breakdown are the attempt's modeled recovery cost.
 	Latency   time.Duration
 	Breakdown []LatencyStep
-	// FailReason is why the attempt failed; empty for the attempt that
-	// recovered the system (or one still in flight).
+	// FailReason and FailCause say why the attempt failed; empty for the
+	// attempt that recovered the system (or one still in flight).
 	FailReason string
+	FailCause  hv.Cause
 	// Audit is the attempt's audit report (nil unless
 	// EscalationPolicy.Audit is set).
 	Audit *audit.Report
@@ -378,8 +379,9 @@ type Engine struct {
 	Breakdown []LatencyStep
 	// FailReason is set when recovery or the post-recovery system fails
 	// terminally (all attempts exhausted, or failure outside the grace
-	// window).
+	// window), and FailCause names its cause.
 	FailReason string
+	FailCause  hv.Cause
 	// AuditViolations/AuditRepaired total the audit findings across all
 	// attempts; SacrificedVMs lists the domains the audit failed to
 	// confine damage (in sacrifice order).
@@ -550,10 +552,10 @@ func (en *Engine) OnDetection(e detect.Event) {
 		return
 	}
 	if en.completing || e.At <= en.graceUntil {
-		en.attemptFailed("post-recovery failure: " + e.Reason)
+		en.attemptFailed(e.Cause, "post-recovery failure: "+e.Reason)
 		return
 	}
-	en.fail("post-recovery failure: " + e.Reason)
+	en.fail(e.Cause, "post-recovery failure: "+e.Reason)
 }
 
 // beginAttempt opens the next Attempt record and runs the recovery
@@ -576,15 +578,15 @@ func (en *Engine) beginAttempt(trigger string) {
 // attemptFailed records the current attempt's failure and escalates to the
 // next ladder rung — or fails the run terminally when the ladder is
 // exhausted.
-func (en *Engine) attemptFailed(reason string) {
+func (en *Engine) attemptFailed(cause hv.Cause, reason string) {
 	cur := &en.Attempts[len(en.Attempts)-1]
 	if cur.FailReason == "" {
-		cur.FailReason = reason
+		cur.FailReason, cur.FailCause = reason, cause
 	}
 	en.H.Tel.Record(en.lastEvent.CPU, telemetry.EvAttemptFail, en.H.Tel.Intern(reason))
 	en.H.Jrn.AttemptFail(en.H.Clock.Now(), en.lastEvent.CPU, reason)
 	if len(en.Attempts) >= en.Cfg.MaxAttempts() {
-		en.fail(reason)
+		en.fail(cause, reason)
 		return
 	}
 	en.H.Tel.Counters[telemetry.CtrEscalations]++
@@ -601,16 +603,16 @@ func (en *Engine) attemptFailed(reason string) {
 }
 
 // fail records terminal failure.
-func (en *Engine) fail(reason string) {
+func (en *Engine) fail(cause hv.Cause, reason string) {
 	if en.FailReason == "" {
-		en.FailReason = reason
+		en.FailReason, en.FailCause = reason, cause
 	}
 	if n := len(en.Attempts); n > 0 && en.Attempts[n-1].FailReason == "" {
-		en.Attempts[n-1].FailReason = reason
+		en.Attempts[n-1].FailReason, en.Attempts[n-1].FailCause = reason, cause
 		// Attempt failures routed through attemptFailed already recorded
 		// their flight event; this branch covers direct terminal paths.
 		en.H.Tel.Record(en.lastEvent.CPU, telemetry.EvAttemptFail, en.H.Tel.Intern(reason))
 		en.H.Jrn.AttemptFail(en.H.Clock.Now(), en.lastEvent.CPU, reason)
 	}
-	en.H.MarkFailed(reason)
+	en.H.MarkFailed(cause, reason)
 }

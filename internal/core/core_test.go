@@ -295,8 +295,8 @@ func TestBasicMicroresetAlwaysFails(t *testing.T) {
 		if r.engine.Status() != StatusFailed {
 			t.Fatalf("basic recovery succeeded (must never, §V-A)")
 		}
-		if !strings.Contains(r.engine.FailReason, "in_irq") {
-			t.Fatalf("FailReason = %q, want the !in_irq assertion", r.engine.FailReason)
+		if !strings.Contains(r.engine.FailReason, "in_irq") || r.engine.FailCause != hv.CauseAssertion {
+			t.Fatalf("FailReason = %q (cause %d), want the !in_irq assertion", r.engine.FailReason, r.engine.FailCause)
 		}
 	}
 }
@@ -309,8 +309,8 @@ func TestRecoveryPathCorruptionAbortsRecovery(t *testing.T) {
 	if r.engine.Status() != StatusFailed {
 		t.Fatalf("status = %v", r.engine.Status())
 	}
-	if !strings.Contains(r.engine.FailReason, "failed to be invoked") {
-		t.Fatalf("FailReason = %q", r.engine.FailReason)
+	if !strings.Contains(r.engine.FailReason, "failed to be invoked") || r.engine.FailCause != hv.CausePathCorrupted {
+		t.Fatalf("FailReason = %q (cause %d)", r.engine.FailReason, r.engine.FailCause)
 	}
 }
 
@@ -515,7 +515,7 @@ func TestSecondFaultAfterRecoveryFails(t *testing.T) {
 	if r.engine.Status() != StatusRecovered {
 		t.Fatalf("first recovery failed: %s", r.engine.FailReason)
 	}
-	r.h.Panic(2, "second fault")
+	r.h.Panic(2, hv.CauseOther, "second fault")
 	if r.engine.Status() != StatusFailed {
 		t.Fatal("second detection did not fail the run")
 	}

@@ -88,8 +88,8 @@ func TestHybridEscalatesStaticScratchCorruption(t *testing.T) {
 	if a0.Mechanism != Microreset || a1.Mechanism != Microreboot {
 		t.Fatalf("ladder rungs = %v, %v", a0.Mechanism, a1.Mechanism)
 	}
-	if !strings.Contains(a0.FailReason, "static") {
-		t.Fatalf("attempt 1 FailReason = %q, want static-scratch cause", a0.FailReason)
+	if !strings.Contains(a0.FailReason, "static") || a0.FailCause != hv.CauseRebuiltStateReuse {
+		t.Fatalf("attempt 1 FailReason = %q (cause %d), want static-scratch cause", a0.FailReason, a0.FailCause)
 	}
 	if a1.FailReason != "" {
 		t.Fatalf("successful attempt has FailReason %q", a1.FailReason)
@@ -133,8 +133,8 @@ func TestEscalationExhaustionAllocObject(t *testing.T) {
 	if failed, _ := r.h.Failed(); !failed {
 		t.Fatal("hypervisor not marked failed after exhaustion")
 	}
-	if !strings.Contains(r.engine.FailReason, "heap object") {
-		t.Fatalf("FailReason = %q", r.engine.FailReason)
+	if !strings.Contains(r.engine.FailReason, "heap object") || r.engine.FailCause != hv.CauseReusedHeapObject {
+		t.Fatalf("FailReason = %q (cause %d)", r.engine.FailReason, r.engine.FailCause)
 	}
 }
 

@@ -33,7 +33,7 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 		// recovery routine from even being invoked — no ladder rung can
 		// run (the audit never gets to execute either), so this is
 		// terminal regardless of escalation policy.
-		en.fail("recovery routine failed to be invoked (corrupted hypervisor state)")
+		en.fail(hv.CausePathCorrupted, "recovery routine failed to be invoked (corrupted hypervisor state)")
 		return
 	}
 	en.recovering = true
@@ -294,7 +294,7 @@ func (en *Engine) synthesizeSingleDiscardHazards(detectCPU int) {
 		})
 	}
 	if h.RNG.Float64() < globalClashProb {
-		h.PanicAtNextStep(other, "non-discarded thread hit state changed by recovery")
+		h.PanicAtNextStep(other, hv.CauseOther, "non-discarded thread hit state changed by recovery")
 	}
 }
 
@@ -367,7 +367,7 @@ func (en *Engine) complete(mech Mechanism) {
 	// attempt's failure (typically terminal: this is the last rung).
 	if err := en.privRestartErr; err != nil {
 		en.privRestartErr = nil
-		en.attemptFailed("PrivVM restart failed: " + err.Error())
+		en.attemptFailed(hv.CausePrivVMLost, "PrivVM restart failed: "+err.Error())
 		return
 	}
 
@@ -378,14 +378,14 @@ func (en *Engine) complete(mech Mechanism) {
 	// (the reboot preserves allocated pages, so the next attempt hits the
 	// same wall) and then fails terminally.
 	if len(h.Heap.DamagedObjects()) > 0 {
-		en.attemptFailed("post-recovery failure: reused heap object corrupted")
+		en.attemptFailed(hv.CauseReusedHeapObject, "post-recovery failure: reused heap object corrupted")
 		return
 	}
 	// Static scratch corruption: the reboot re-initialized it; the
 	// microreset reuses it and fails — the escalation case the hybrid
 	// ladder exists for (and one the audit repairs in place).
 	if len(h.StaticScratchDamage()) > 0 && !reboot {
-		en.attemptFailed("post-recovery failure: corrupted static state reused by microreset")
+		en.attemptFailed(hv.CauseRebuiltStateReuse, "post-recovery failure: corrupted static state reused by microreset")
 		return
 	}
 
@@ -466,7 +466,7 @@ func (en *Engine) complete(mech Mechanism) {
 	// is latent damage.
 	if failed, _ := h.Failed(); !failed {
 		if len(h.Frames.InconsistentFrames()) > 0 && h.RNG.Float64() < pfInconsistencyHangProb {
-			en.attemptFailed("post-recovery hang: inconsistent page frame descriptors hit by mm path")
+			en.attemptFailed(hv.CausePFDescriptorHang, "post-recovery hang: inconsistent page frame descriptors hit by mm path")
 			return
 		}
 	}

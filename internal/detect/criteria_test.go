@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nilihype/internal/hv"
 	"nilihype/internal/hw"
 	"nilihype/internal/telemetry"
 )
@@ -19,7 +20,7 @@ func TestMgmtWatchdogFiresOnSilence(t *testing.T) {
 		t.Fatal("mgmt watchdog never fired on a silent system")
 	}
 	e := (*events)[0]
-	if e.Kind != MgmtWatchdog || e.CPU != 0 {
+	if e.Kind != MgmtWatchdog || e.CPU != 0 || e.Cause != hv.CausePrivVMLost {
 		t.Fatalf("event = %+v", e)
 	}
 	// Silence is declared after MgmtStaleChecks+1 NMI periods at most
@@ -62,7 +63,7 @@ func TestIRQDeliveryDetectsRouteDivergence(t *testing.T) {
 		t.Fatal("route divergence never detected")
 	}
 	e := (*events)[0]
-	if e.Kind != IRQDelivery || e.CPU != 0 {
+	if e.Kind != IRQDelivery || e.CPU != 0 || e.Cause != hv.CauseDeviceRoute {
 		t.Fatalf("event = %+v", e)
 	}
 	if e.At > at+2*Period {
@@ -82,7 +83,7 @@ func TestIRQDeliveryDetectsStuckLine(t *testing.T) {
 		t.Fatal("stuck line never detected")
 	}
 	e := (*events)[0]
-	if e.Kind != IRQDelivery {
+	if e.Kind != IRQDelivery || e.Cause != hv.CauseDeviceRoute {
 		t.Fatalf("event = %+v", e)
 	}
 	if e.At > at+time.Duration(IRQStuckChecks+2)*Period {

@@ -53,10 +53,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one detection.
+// Event is one detection. Cause is what the detection names as the
+// failure, set where Reason is written.
 type Event struct {
 	CPU    int
 	Kind   Kind
+	Cause  hv.Cause
 	Reason string
 	At     time.Duration
 }
@@ -147,8 +149,8 @@ func (d *Detector) resetCriteria() {
 // Start arms both detectors: the panic hook, the per-CPU watchdog soft
 // timers, and the per-CPU performance-counter NMIs.
 func (d *Detector) Start() {
-	d.h.SetPanicHook(func(cpu int, reason string) {
-		d.fire(Event{CPU: cpu, Kind: Panic, Reason: reason, At: d.h.Clock.Now()})
+	d.h.SetPanicHook(func(cpu int, cause hv.Cause, reason string) {
+		d.fire(Event{CPU: cpu, Kind: Panic, Cause: cause, Reason: reason, At: d.h.Clock.Now()})
 	})
 	d.h.SetNMIHook(d.checkHang)
 	now := d.h.Clock.Now()
@@ -178,7 +180,7 @@ func (d *Detector) checkHang(cpu int) {
 			} else if pc.Wedged {
 				reason = "watchdog: CPU wedged"
 			}
-			d.fire(Event{CPU: cpu, Kind: Hang, Reason: reason, At: d.h.Clock.Now()})
+			d.fire(Event{CPU: cpu, Kind: Hang, Cause: hv.CauseHang, Reason: reason, At: d.h.Clock.Now()})
 		}
 	}
 	if cpu == 0 {
@@ -203,7 +205,7 @@ func (d *Detector) checkMgmt() {
 	d.mgmtStale++
 	if d.mgmtStale >= MgmtStaleChecks {
 		d.mgmtStale = 0
-		d.fire(Event{CPU: 0, Kind: MgmtWatchdog,
+		d.fire(Event{CPU: 0, Kind: MgmtWatchdog, Cause: hv.CausePrivVMLost,
 			Reason: "mgmt watchdog: no PrivVM management-call completions",
 			At:     d.h.Clock.Now()})
 	}
@@ -214,7 +216,7 @@ func (d *Detector) checkMgmt() {
 func (d *Detector) checkIRQDelivery() {
 	io := d.h.Machine.IOAPIC()
 	if io.RouteDamage() > 0 {
-		d.fire(Event{CPU: 0, Kind: IRQDelivery,
+		d.fire(Event{CPU: 0, Kind: IRQDelivery, Cause: hv.CauseDeviceRoute,
 			Reason: "irq-delivery: IO-APIC redirection table diverges from software copy",
 			At:     d.h.Clock.Now()})
 		return
@@ -227,7 +229,7 @@ func (d *Detector) checkIRQDelivery() {
 		d.svcStuck[l]++
 		if d.svcStuck[l] >= IRQStuckChecks {
 			d.svcStuck[l] = 0
-			d.fire(Event{CPU: 0, Kind: IRQDelivery,
+			d.fire(Event{CPU: 0, Kind: IRQDelivery, Cause: hv.CauseDeviceRoute,
 				Reason: "irq-delivery: interrupt line stuck in service (pending route lost)",
 				At:     d.h.Clock.Now()})
 		}

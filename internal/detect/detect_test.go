@@ -50,12 +50,12 @@ func TestNoFalseDetectionsDuringNormalOperation(t *testing.T) {
 func TestPanicDetectedImmediately(t *testing.T) {
 	h, clk, events, _ := newDetected(t)
 	clk.RunUntil(50 * time.Millisecond)
-	h.Panic(2, "test fatal exception")
+	h.Panic(2, hv.CauseAssertion, "test fatal exception")
 	if len(*events) != 1 {
 		t.Fatalf("events = %v", *events)
 	}
 	e := (*events)[0]
-	if e.Kind != Panic || e.CPU != 2 || e.At != clk.Now() {
+	if e.Kind != Panic || e.CPU != 2 || e.At != clk.Now() || e.Cause != hv.CauseAssertion {
 		t.Fatalf("event = %+v", e)
 	}
 	if !strings.Contains(e.String(), "panic on cpu2") {
@@ -81,7 +81,7 @@ func TestHangDetectedWithinWatchdogWindow(t *testing.T) {
 		t.Fatal("hang not detected")
 	}
 	e := (*events)[0]
-	if e.Kind != Hang || e.CPU != 1 {
+	if e.Kind != Hang || e.CPU != 1 || e.Cause != hv.CauseHang {
 		t.Fatalf("event = %+v", e)
 	}
 	if !strings.Contains(e.Reason, "console_lock") {
@@ -155,7 +155,7 @@ func TestKindString(t *testing.T) {
 
 func TestDetectionsCounter(t *testing.T) {
 	h, _, _, det := newDetected(t)
-	h.Panic(0, "a")
+	h.Panic(0, hv.CauseOther, "a")
 	if det.Detections != 1 {
 		t.Fatalf("Detections = %d", det.Detections)
 	}

@@ -63,7 +63,7 @@ func TestInFlightCallNeverRecycledWhilePending(t *testing.T) {
 	clk.RunUntil(50 * time.Millisecond)
 
 	var pending []*hv.PendingCall
-	h.SetPanicHook(func(int, string) {
+	h.SetPanicHook(func(int, hv.Cause, string) {
 		h.Pause()
 		pending = h.DiscardAllThreads()
 	})

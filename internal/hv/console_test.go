@@ -71,8 +71,8 @@ func TestConsoleIOLandsInRing(t *testing.T) {
 
 func TestPanicLogsToConsole(t *testing.T) {
 	h, _ := newBooted(t)
-	h.SetPanicHook(func(int, string) {})
-	h.Panic(2, "something broke")
+	h.SetPanicHook(func(int, Cause, string) {})
+	h.Panic(2, CauseOther, "something broke")
 	msgs := h.Cons.Drain()
 	found := false
 	for _, m := range msgs {

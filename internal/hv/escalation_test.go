@@ -36,7 +36,7 @@ func TestResumeStopsDeferredWorkOnFailure(t *testing.T) {
 	h.Pause()
 	h.WhenRunnable(func() {
 		order = append(order, "first")
-		h.MarkFailed("mid-resume fault")
+		h.MarkFailed(CauseOther, "mid-resume fault")
 	})
 	h.WhenRunnable(func() { order = append(order, "second") })
 	h.ResumeRunnable()
@@ -55,7 +55,7 @@ func TestResumeStopsDeferredWorkOnFailure(t *testing.T) {
 func TestClearFailedRevivesSimulation(t *testing.T) {
 	h, clk := newBooted(t)
 	before := h.Stats.TimerIRQs
-	h.MarkFailed("attempt failed")
+	h.MarkFailed(CauseOther, "attempt failed")
 	clk.RunUntil(clk.Now() + 50*time.Millisecond)
 	if h.Stats.TimerIRQs != before {
 		t.Fatal("clock advanced events while failed")

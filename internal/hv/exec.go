@@ -7,6 +7,7 @@ import (
 	"nilihype/internal/dom"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/locking"
+	"nilihype/internal/mm"
 	"nilihype/internal/telemetry"
 )
 
@@ -39,6 +40,37 @@ const (
 	// effectively off, until the watchdog detects the hang.
 	ActionWedge
 )
+
+// Cause names why the hypervisor, or a recovery attempt, failed. The
+// failing site passes it with its report text, so reports read the cause
+// rather than parse the text.
+type Cause uint8
+
+// Failure causes. The zero value, CauseNone, means nothing failed.
+// CauseOther stays last: the campaign's failure tables have a row for
+// every cause up to it.
+const (
+	CauseNone              Cause = iota
+	CausePathCorrupted           // the recovery routine could not be invoked
+	CausePrivVMLost              // Dom0 stopped serving management calls or could not restart
+	CauseReusedHeapObject        // a corrupted live heap object, which every mechanism reuses
+	CauseRebuiltStateReuse       // static scratch, heap free list or domain list: a reboot rebuilds them
+	CausePFDescriptorHang        // the mm path hung on inconsistent page frame descriptors
+	CauseDeviceRoute             // IO-APIC routes diverged or a pending route was lost
+	CauseAssertion               // a hypervisor assertion tripped
+	CauseHang                    // a CPU stopped making progress
+	CauseOther                   // a fatal exception no other cause names
+)
+
+// stepCause names the cause of a failed program step: a walk into a
+// corrupted domain list or heap free list is rebuilt-state reuse, and any
+// other step error is a tripped assertion.
+func stepCause(err error) Cause {
+	if errors.Is(err, dom.ErrListCorrupted) || errors.Is(err, mm.ErrFreeListCorrupted) {
+		return CauseRebuiltStateReuse
+	}
+	return CauseAssertion
+}
 
 // InjectFunc decides a fault's effect at an injection point.
 type InjectFunc func(pt InjectionPoint) (InjectAction, string)
@@ -81,7 +113,7 @@ func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) bool {
 	}
 	if pc.Busy() {
 		// Cannot happen in the event-atomic model; guard for misuse.
-		h.Panic(cpu, fmt.Sprintf("re-entrant dispatch of %v", call))
+		h.Panic(cpu, CauseOther, fmt.Sprintf("re-entrant dispatch of %v", call))
 		return true
 	}
 	call.Seq = h.callSeq
@@ -96,7 +128,7 @@ func (h *Hypervisor) Dispatch(cpu int, call *hypercall.Call) bool {
 	pc.Env.ResetProgramState()
 	prog, err := hypercall.Build(pc.Env, call)
 	if err != nil {
-		h.Panic(cpu, err.Error())
+		h.Panic(cpu, stepCause(err), err.Error())
 		return true
 	}
 	h.Tel.Hists[telemetry.HistProgramSteps].Observe(uint64(len(prog)))
@@ -123,7 +155,7 @@ func (h *Hypervisor) runProgram(cpu int) {
 			reason := pc.PendingPanic
 			pc.PendingPanic = ""
 			h.abandonAt(pc, step.Unmitigated)
-			h.Panic(cpu, reason)
+			h.Panic(cpu, pc.PendingCause, reason)
 			return
 		}
 
@@ -137,7 +169,7 @@ func (h *Hypervisor) runProgram(cpu int) {
 				switch action {
 				case ActionPanic:
 					h.abandonAt(pc, step.Unmitigated)
-					h.Panic(cpu, reason)
+					h.Panic(cpu, CauseOther, reason)
 					return
 				case ActionWedge:
 					h.abandonAt(pc, step.Unmitigated)
@@ -163,7 +195,7 @@ func (h *Hypervisor) runProgram(cpu int) {
 				return
 			}
 			h.abandonAt(pc, step.Unmitigated)
-			h.Panic(cpu, err.Error())
+			h.Panic(cpu, stepCause(err), err.Error())
 			return
 		}
 		pc.CurrentStep++
@@ -276,7 +308,7 @@ func (h *Hypervisor) wedge(cpu int) {
 // Exception entry raises the interrupt nesting level — which is why the
 // detecting CPU always has a nonzero local_irq_count at recovery time
 // (the mechanistic root of the "Clear IRQ count" enhancement, §V-A).
-func (h *Hypervisor) Panic(cpu int, reason string) {
+func (h *Hypervisor) Panic(cpu int, cause Cause, reason string) {
 	if h.failed {
 		return
 	}
@@ -286,17 +318,17 @@ func (h *Hypervisor) Panic(cpu int, reason string) {
 	h.Tel.Record(cpu, telemetry.EvPanic, h.Tel.Intern(reason))
 	h.Cons.Write(fmt.Sprintf("(XEN) cpu%d panic: %s", cpu, reason))
 	if h.panicHook != nil {
-		h.panicHook(cpu, reason)
+		h.panicHook(cpu, cause, reason)
 		return
 	}
-	h.MarkFailed("panic: " + reason)
+	h.MarkFailed(cause, "panic: "+reason)
 }
 
 // PanicAtNextStep arranges for a panic to fire when cpu next executes a
 // program step — used by the injector to model detections that land inside
 // subsequent hypervisor activity (error propagation with latency).
-func (h *Hypervisor) PanicAtNextStep(cpu int, reason string) {
-	h.percpu[cpu].PendingPanic = reason
+func (h *Hypervisor) PanicAtNextStep(cpu int, cause Cause, reason string) {
+	h.percpu[cpu].PendingCause, h.percpu[cpu].PendingPanic = cause, reason
 }
 
 // --- cross-CPU synchronous operations --------------------------------------

@@ -28,7 +28,7 @@ func flight(h *Hypervisor, keep ...telemetry.EventCode) []telemetry.Event {
 func TestTraceRecordsFullRecoveryTimeline(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 
 	d, _ := h.Domain(1)
 	h.ArmInjection(250, func(InjectionPoint) (InjectAction, string) {
@@ -68,7 +68,7 @@ func TestTraceRecordsFullRecoveryTimeline(t *testing.T) {
 func TestTraceDropAndSpinEvents(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 
 	h.Statics.Console.TryAcquire(3)
 	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpConsoleIO, Dom: 1})

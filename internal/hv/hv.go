@@ -130,8 +130,9 @@ type Hypervisor struct {
 
 	// failure state
 	failed     bool
+	failCause  Cause
 	failReason string
-	panicHook  func(cpu int, reason string)
+	panicHook  func(cpu int, cause Cause, reason string)
 	nmiHook    func(cpu int)
 	eventHook  func(domID, port int)
 	nicRxHook  func(hw.Packet)
@@ -510,12 +511,12 @@ func (h *Hypervisor) WakeVCPU(v *sched.VCPU) {
 func (h *Hypervisor) Failed() (bool, string) { return h.failed, h.failReason }
 
 // MarkFailed records terminal hypervisor failure and halts the simulation.
-func (h *Hypervisor) MarkFailed(reason string) {
+func (h *Hypervisor) MarkFailed(cause Cause, reason string) {
 	if h.failed {
 		return
 	}
 	h.failed = true
-	h.failReason = reason
+	h.failCause, h.failReason = cause, reason
 	h.Clock.Halt()
 }
 
@@ -526,13 +527,13 @@ func (h *Hypervisor) MarkFailed(reason string) {
 // only when another attempt is about to start.
 func (h *Hypervisor) ClearFailed() {
 	h.failed = false
-	h.failReason = ""
+	h.failCause, h.failReason = CauseNone, ""
 	h.Clock.Resume()
 }
 
 // SetPanicHook installs the detection callback invoked on hypervisor
 // panic (assertion failure / fatal exception).
-func (h *Hypervisor) SetPanicHook(fn func(cpu int, reason string)) { h.panicHook = fn }
+func (h *Hypervisor) SetPanicHook(fn func(cpu int, cause Cause, reason string)) { h.panicHook = fn }
 
 // SetNMIHook installs the watchdog NMI callback.
 func (h *Hypervisor) SetNMIHook(fn func(cpu int)) { h.nmiHook = fn }

@@ -1,13 +1,17 @@
 package hv
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"nilihype/internal/dom"
 	"nilihype/internal/hw"
 	"nilihype/internal/hypercall"
 	"nilihype/internal/locking"
+	"nilihype/internal/mm"
 	"nilihype/internal/sched"
 	"nilihype/internal/simclock"
 	"nilihype/internal/telemetry"
@@ -150,23 +154,45 @@ func TestDispatchAssertionPanics(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
 	var panics []string
-	h.SetPanicHook(func(cpu int, reason string) { panics = append(panics, reason) })
+	var causes []Cause
+	h.SetPanicHook(func(cpu int, cause Cause, reason string) {
+		panics, causes = append(panics, reason), append(causes, cause)
+	})
 	// Pin an out-of-range frame: the handler asserts.
 	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1, Args: [4]uint64{hypercall.MMUPin, 1 << 40}})
-	if len(panics) != 1 || !strings.Contains(panics[0], "ASSERT") {
-		t.Fatalf("panics = %v", panics)
+	if len(panics) != 1 || !strings.Contains(panics[0], "ASSERT") || causes[0] != CauseAssertion {
+		t.Fatalf("panics = %v, causes = %v", panics, causes)
 	}
 	if h.percpu[1].LocalIRQCount == 0 {
 		t.Fatal("panic did not raise local_irq_count (exception context)")
 	}
 }
 
+// TestStepCause: a step error that wraps a corrupted domain list or heap
+// free list names state a reboot rebuilds; any other is an assertion.
+func TestStepCause(t *testing.T) {
+	for _, tt := range []struct {
+		err  error
+		want Cause
+	}{
+		{fmt.Errorf("ASSERT: domctl_create: %w", dom.ErrListCorrupted), CauseRebuiltStateReuse},
+		{dom.ErrListCorrupted, CauseRebuiltStateReuse},
+		{fmt.Errorf("%w: entry 5 (frame 9)", mm.ErrFreeListCorrupted), CauseRebuiltStateReuse},
+		{errors.New("ASSERT: mmu_pin: refcount 2 on validate"), CauseAssertion},
+		{errors.New("dom: no domain 5"), CauseAssertion},
+	} {
+		if got := stepCause(tt.err); got != tt.want {
+			t.Errorf("stepCause(%v) = %d, want %d", tt.err, got, tt.want)
+		}
+	}
+}
+
 func TestPanicWithoutHookFailsTerminally(t *testing.T) {
 	h, clk := newBooted(t)
-	h.Panic(0, "unhandled")
+	h.Panic(0, CauseHang, "unhandled")
 	failed, reason := h.Failed()
-	if !failed || !strings.Contains(reason, "unhandled") {
-		t.Fatalf("failed=%v reason=%q", failed, reason)
+	if !failed || !strings.Contains(reason, "unhandled") || h.failCause != CauseHang {
+		t.Fatalf("failed=%v reason=%q cause=%d", failed, reason, h.failCause)
 	}
 	if clk.Step() {
 		t.Fatal("clock still dispatching after terminal failure")
@@ -271,7 +297,7 @@ func TestInjectionPanicAbandonsCall(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
 	detected := ""
-	h.SetPanicHook(func(cpu int, reason string) { detected = reason })
+	h.SetPanicHook(func(cpu int, _ Cause, reason string) { detected = reason })
 	h.ArmInjection(200, func(p InjectionPoint) (InjectAction, string) {
 		return ActionPanic, "failstop"
 	})
@@ -354,7 +380,7 @@ func TestSnapshotRefusesBusyCPU(t *testing.T) {
 func TestDiscardThreadPreservesPendingCall(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 	h.ArmInjection(250, func(InjectionPoint) (InjectAction, string) { return ActionPanic, "x" })
 	d, _ := h.Domain(1)
 	frame := d.MemStart + 5
@@ -390,7 +416,7 @@ func TestDiscardThreadPreservesPendingCall(t *testing.T) {
 func TestRetryAfterRollbackSucceeds(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 	h.ArmInjection(250, func(InjectionPoint) (InjectAction, string) { return ActionPanic, "x" })
 	d, _ := h.Domain(1)
 	frame := d.MemStart + 5
@@ -420,7 +446,7 @@ func TestRetryPoisonedCallAsserts(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
 	var panics []string
-	h.SetPanicHook(func(cpu int, reason string) { panics = append(panics, reason) })
+	h.SetPanicHook(func(cpu int, _ Cause, reason string) { panics = append(panics, reason) })
 	// Inject inside the unmitigated window: entry+lock+inc+write+validate
 	// = 150+40+60+120+80 = 450; budget 455 lands in "window" (8).
 	h.ArmInjection(455, func(pt InjectionPoint) (InjectAction, string) {
@@ -456,7 +482,7 @@ func TestRetryPoisonedCallAsserts(t *testing.T) {
 func TestDropPendingCallsFailsGuest(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 	h.ArmInjection(250, func(InjectionPoint) (InjectAction, string) { return ActionPanic, "x" })
 	d, _ := h.Domain(1)
 	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1,
@@ -474,7 +500,7 @@ func TestDropPendingCallsFailsGuest(t *testing.T) {
 func TestEnforceIRQInvariant(t *testing.T) {
 	h, _ := newBooted(t)
 	var panics []string
-	h.SetPanicHook(func(cpu int, reason string) { panics = append(panics, reason) })
+	h.SetPanicHook(func(cpu int, _ Cause, reason string) { panics = append(panics, reason) })
 	h.PerCPU(2).LocalIRQCount = 1
 	if h.EnforceIRQInvariant() {
 		t.Fatal("invariant passed with stale irq count")
@@ -494,7 +520,7 @@ func TestEnforceSchedInvariantsPanicOrVMFail(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
 	var panics []string
-	h.SetPanicHook(func(cpu int, reason string) { panics = append(panics, reason) })
+	h.SetPanicHook(func(cpu int, _ Cause, reason string) { panics = append(panics, reason) })
 	d, _ := h.Domain(1)
 	// State mismatch => deterministic panic.
 	v := d.VCPUs[0]
@@ -510,7 +536,7 @@ func TestEnforceSchedInvariantsPanicOrVMFail(t *testing.T) {
 func TestEnforceSchedInvariantsStarvedFailsVM(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 	d, _ := h.Domain(1)
 	v := d.VCPUs[0]
 	// Make the vCPU runnable-but-unqueued: discard it from curr without
@@ -528,7 +554,7 @@ func TestEnforceSchedInvariantsStarvedFailsVM(t *testing.T) {
 func TestEnforceCrossCPUWaits(t *testing.T) {
 	h, _ := newBooted(t)
 	var panics []string
-	h.SetPanicHook(func(cpu int, reason string) { panics = append(panics, reason) })
+	h.SetPanicHook(func(cpu int, _ Cause, reason string) { panics = append(panics, reason) })
 	if !h.EnforceCrossCPUWaits() {
 		t.Fatal("empty wait list failed")
 	}
@@ -609,8 +635,8 @@ func TestPanicAtNextStep(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
 	var panics []string
-	h.SetPanicHook(func(cpu int, reason string) { panics = append(panics, reason) })
-	h.PanicAtNextStep(1, "latent corruption")
+	h.SetPanicHook(func(cpu int, _ Cause, reason string) { panics = append(panics, reason) })
+	h.PanicAtNextStep(1, CauseOther, "latent corruption")
 	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpVCPUOp, Dom: 1})
 	if len(panics) != 1 || panics[0] != "latent corruption" {
 		t.Fatalf("panics = %v", panics)
@@ -623,7 +649,7 @@ func TestPanicAtNextStep(t *testing.T) {
 func TestMulticallDispatchAndRetrySkipsCompleted(t *testing.T) {
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 	d, _ := h.Domain(1)
 	base := d.MemStart + 20
 	batch := &hypercall.Call{Op: hypercall.OpMulticall, Dom: 1}
@@ -680,7 +706,7 @@ func TestFSGSLossOnRebootWithoutSave(t *testing.T) {
 	// register state and its domain fails.
 	h, _ := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 	d, _ := h.Domain(1)
 	h.ArmInjection(250, func(hv InjectionPoint) (InjectAction, string) { return ActionPanic, "x" })
 	h.Dispatch(1, &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1,
@@ -699,7 +725,7 @@ func TestFSGSLossOnRebootWithoutSave(t *testing.T) {
 	// With the save, nothing is lost.
 	h2, _ := newBooted(t)
 	addAppVM(t, h2, 1, 1)
-	h2.SetPanicHook(func(int, string) {})
+	h2.SetPanicHook(func(int, Cause, string) {})
 	d2, _ := h2.Domain(1)
 	h2.ArmInjection(250, func(hv InjectionPoint) (InjectAction, string) { return ActionPanic, "x" })
 	h2.Dispatch(1, &hypercall.Call{Op: hypercall.OpMMUUpdate, Dom: 1,

@@ -105,7 +105,7 @@ func TestTimerIRQHousekeepingIsHazardless(t *testing.T) {
 func TestDeviceIRQInServiceWindow(t *testing.T) {
 	h, clk := newBooted(t)
 	addAppVM(t, h, 1, 1)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, Cause, string) {})
 	// A persistent step probe: re-arms itself until it reaches the eoi
 	// step of a block-device IRQ, then wedges the CPU there.
 	fired := false

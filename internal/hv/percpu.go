@@ -35,9 +35,10 @@ type PerCPU struct {
 	InIRQProgram bool
 	IRQActivity  string
 
-	// PendingPanic, when non-empty, fires a panic at the next program
-	// step (injector-scheduled delayed detection).
+	// PendingPanic, when non-empty, fires a panic of PendingCause at the
+	// next program step (injector-scheduled delayed detection).
 	PendingPanic string
+	PendingCause Cause
 
 	// Wedged marks a CPU stuck making no progress (wild jump / infinite
 	// loop after a fault). Interrupts are implicitly disabled.

@@ -271,7 +271,7 @@ func (h *Hypervisor) DropPendingCalls(pending []*PendingCall) {
 func (h *Hypervisor) EnforceIRQInvariant() bool {
 	for cpu, pc := range h.percpu {
 		if pc.LocalIRQCount != 0 {
-			h.Panic(cpu, fmt.Sprintf("ASSERT !in_irq(): local_irq_count=%d on resume", pc.LocalIRQCount))
+			h.Panic(cpu, CauseAssertion, fmt.Sprintf("ASSERT !in_irq(): local_irq_count=%d on resume", pc.LocalIRQCount))
 			return false
 		}
 	}
@@ -289,11 +289,11 @@ func (h *Hypervisor) EnforceSchedInvariants() bool {
 	for _, inc := range incs {
 		switch inc.Kind {
 		case sched.KindStateMismatch, sched.KindQueuedRunning:
-			h.Panic(inc.CPU, "ASSERT scheduler: "+inc.Desc)
+			h.Panic(inc.CPU, CauseAssertion, "ASSERT scheduler: "+inc.Desc)
 			return false
 		case sched.KindWrongCPU:
 			if h.RNG.Float64() < wrongCPUPanicProb {
-				h.Panic(inc.CPU, "scheduler restored wrong context: "+inc.Desc)
+				h.Panic(inc.CPU, CauseOther, "scheduler restored wrong context: "+inc.Desc)
 				return false
 			}
 			if d, err := h.Domains.ByID(inc.VCPU.Domain); err == nil {
@@ -320,7 +320,7 @@ func (h *Hypervisor) EnforceCrossCPUWaits() bool {
 		return true
 	}
 	w := h.crossCPUWaits[0]
-	h.Panic(w.Requester, fmt.Sprintf("hang: cpu%d waiting forever for IPI response from cpu%d (%s)",
+	h.Panic(w.Requester, CauseHang, fmt.Sprintf("hang: cpu%d waiting forever for IPI response from cpu%d (%s)",
 		w.Requester, w.Responder, w.Desc))
 	return false
 }

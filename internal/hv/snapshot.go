@@ -20,6 +20,7 @@ type percpuSaved struct {
 	localIRQCount        int
 	irqActivity          string
 	pendingPanic         string
+	pendingCause         Cause
 	wedged               bool
 	spinning             *locking.Lock
 	fsgsSaved            bool
@@ -69,9 +70,10 @@ type Snapshot struct {
 	injectFn     InjectFunc
 
 	failed     bool
+	failCause  Cause
 	failReason string
 
-	panicHook func(cpu int, reason string)
+	panicHook func(cpu int, cause Cause, reason string)
 	nmiHook   func(cpu int)
 	eventHook func(domID, port int)
 	nicRxHook func(hw.Packet)
@@ -131,6 +133,7 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 		injectFn:     h.injectFn,
 
 		failed:     h.failed,
+		failCause:  h.failCause,
 		failReason: h.failReason,
 
 		panicHook: h.panicHook,
@@ -154,6 +157,7 @@ func (h *Hypervisor) Snapshot() *Snapshot {
 			localIRQCount:        pc.LocalIRQCount,
 			irqActivity:          pc.IRQActivity,
 			pendingPanic:         pc.PendingPanic,
+			pendingCause:         pc.PendingCause,
 			wedged:               pc.Wedged,
 			spinning:             pc.Spinning,
 			fsgsSaved:            pc.FSGSSaved,
@@ -198,7 +202,7 @@ func (h *Hypervisor) Restore(s *Snapshot) {
 	h.injectFn = s.injectFn
 
 	h.failed = s.failed
-	h.failReason = s.failReason
+	h.failCause, h.failReason = s.failCause, s.failReason
 
 	h.panicHook = s.panicHook
 	h.nmiHook = s.nmiHook
@@ -226,7 +230,7 @@ func (h *Hypervisor) Restore(s *Snapshot) {
 		pc.CurrentStep = 0
 		pc.InIRQProgram = false
 		pc.IRQActivity = st.irqActivity
-		pc.PendingPanic = st.pendingPanic
+		pc.PendingPanic, pc.PendingCause = st.pendingPanic, st.pendingCause
 		pc.Wedged = st.wedged
 		pc.Spinning = st.spinning
 		pc.FSGSSaved = st.fsgsSaved

@@ -211,7 +211,7 @@ func doMMUDecRef(e *Env, st *Step) error {
 	}
 	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "mmu_unpin: undo dec_refcount", Kind: UndoFrameUseDelta, Frame: f, Arg: 1})
 	if err := f.DecUse(); err != nil {
-		return assertf("mmu_unpin: %v", err)
+		return assertf("mmu_unpin: %w", err)
 	}
 	if f.UseCount == 0 {
 		f.Type = mm.FrameGuest
@@ -309,7 +309,7 @@ func doGrantMapTrack(e *Env, st *Step) error {
 	frame := int(st.C.Args[2])
 	en, err := dm.GrantTab.Entry(ref)
 	if err != nil {
-		return assertf("grant_map: %v", err)
+		return assertf("grant_map: %w", err)
 	}
 	if !en.InUse || en.Frame != frame {
 		return assertf("grant_map: ref %d not granted for frame %d in d%d", ref, frame, dm.ID)
@@ -321,7 +321,7 @@ func doGrantMapTrack(e *Env, st *Step) error {
 	}
 	h, _, err := dm.Maptrack.Map(dm.GrantTab, ref)
 	if err != nil {
-		return assertf("grant_map: %v", err)
+		return assertf("grant_map: %w", err)
 	}
 	e.logWriteRecord(LogCostGrant, UndoRecord{Desc: "grant_map: undo map_track", Kind: UndoMaptrackUnmap, Dom: dm, Arg: int(h)})
 	return nil
@@ -350,7 +350,7 @@ func doGrantUnmapTrack(e *Env, st *Step) error {
 	}
 	mp, err := dm.Maptrack.Unmap(h, dm.GrantTab)
 	if err != nil {
-		return assertf("grant_unmap: %v", err)
+		return assertf("grant_unmap: %w", err)
 	}
 	e.logWriteRecord(LogCostGrant, UndoRecord{Desc: "grant_unmap: undo unmap_track", Kind: UndoMaptrackMap, Dom: dm, Arg: mp.Ref})
 	return nil
@@ -364,7 +364,7 @@ func doGrantDecMap(e *Env, st *Step) error {
 	f := e.Frames.Frame(frame)
 	e.logWriteRecord(LogCostGrant, UndoRecord{Desc: "grant_unmap: undo dec_mapcount", Kind: UndoFrameUseDelta, Frame: f, Arg: 1})
 	if err := f.DecUse(); err != nil {
-		return assertf("grant_unmap: %v", err)
+		return assertf("grant_unmap: %w", err)
 	}
 	return nil
 }
@@ -409,7 +409,7 @@ func doEvtSetPending(e *Env, st *Step) error {
 	port := int(st.C.Args[2])
 	who, err := e.Broker.Send(st.C.Dom, port)
 	if err != nil {
-		return assertf("evtchn_send: %v", err)
+		return assertf("evtchn_send: %w", err)
 	}
 	e.scr.notified = who
 	dm, err := e.targetDomain(who)
@@ -704,7 +704,7 @@ func doDomctlEntry(e *Env, st *Step) error {
 
 func doDomctlCheckExists(e *Env, st *Step) error {
 	if err := e.Domains.CheckLinks(); err != nil {
-		return assertf("domctl_create: %v", err)
+		return assertf("domctl_create: %w", err)
 	}
 	if _, err := e.Domains.ByID(st.C.Create.ID); err == nil {
 		if e.scr.created {
@@ -722,7 +722,7 @@ func doDomctlInsert(e *Env, st *Step) error {
 	spec := st.C.Create
 	e.logWriteRecord(LogCostDomctl, UndoRecord{Desc: "domctl_create: undo insert", Kind: UndoDomctlCreate, Env: e, Arg: spec.ID})
 	if err := e.CreateDomain(*spec); err != nil {
-		return assertf("domctl_create: %v", err)
+		return assertf("domctl_create: %w", err)
 	}
 	e.scr.created = true
 	return nil
@@ -731,7 +731,7 @@ func doDomctlInsert(e *Env, st *Step) error {
 func doDomctlDestroy(e *Env, st *Step) error {
 	target := int(st.C.Args[1])
 	if _, err := e.Domains.ByID(target); err != nil {
-		return assertf("domctl_destroy: %v", err)
+		return assertf("domctl_destroy: %w", err)
 	}
 	return e.DestroyDomain(target)
 }
@@ -827,7 +827,7 @@ func doEPTDecMap(e *Env, st *Step) error {
 	}
 	e.logWriteRecord(LogCostMMU, UndoRecord{Desc: "ept_unmap: undo dec_mapcount", Kind: UndoFrameUseDelta, Frame: f, Arg: 1})
 	if err := f.DecUse(); err != nil {
-		return assertf("ept_unmap: %v", err)
+		return assertf("ept_unmap: %w", err)
 	}
 	if f.UseCount == 0 {
 		f.Type = mm.FrameGuest

@@ -301,8 +301,8 @@ func TestMemoryOpFailsOnCorruptedHeap(t *testing.T) {
 		t.Fatal("could not land free-list damage in the check window")
 	}
 	call := &Call{Op: OpMemoryOp, Dom: 1, Args: [4]uint64{MemPopulate, 1}}
-	if err := fx.run(call, -1); err == nil {
-		t.Fatal("memory_op succeeded on corrupted heap")
+	if err := fx.run(call, -1); !errors.Is(err, mm.ErrFreeListCorrupted) {
+		t.Fatalf("memory_op on corrupted heap: err = %v, want mm.ErrFreeListCorrupted", err)
 	}
 }
 
@@ -602,8 +602,8 @@ func TestDomctlCreateOnCorruptedListAsserts(t *testing.T) {
 	}
 	create := &Call{Op: OpDomctl, Dom: 0, Create: &CreateSpec{ID: 9},
 		Args: [4]uint64{DomctlCreate}}
-	if err := fx.run(create, -1); err == nil {
-		t.Fatal("create on corrupted list succeeded")
+	if err := fx.run(create, -1); !errors.Is(err, dom.ErrListCorrupted) {
+		t.Fatalf("create on corrupted list: err = %v, want dom.ErrListCorrupted", err)
 	}
 }
 

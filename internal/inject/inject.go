@@ -705,7 +705,7 @@ func (inj *Injector) scheduleDetection(cpu int, lo, hi time.Duration) {
 		if inj.H.RecoveryEpoch() != epoch {
 			return
 		}
-		inj.H.PanicAtNextStep(cpu, fmt.Sprintf("%v fault: corrupted state hit (%v)",
+		inj.H.PanicAtNextStep(cpu, hv.CauseOther, fmt.Sprintf("%v fault: corrupted state hit (%v)",
 			inj.params.Type, inj.Corruptions))
 	})
 }

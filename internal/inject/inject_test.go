@@ -85,7 +85,7 @@ func TestParseFaultTypeRoundTrip(t *testing.T) {
 func TestFailstopAlwaysDetectedImmediately(t *testing.T) {
 	h, clk := newTarget(t, 1)
 	var panics []string
-	h.SetPanicHook(func(cpu int, reason string) { panics = append(panics, reason) })
+	h.SetPanicHook(func(cpu int, _ hv.Cause, reason string) { panics = append(panics, reason) })
 	inj := New(h, nil, prng.New(1, 2), Params{
 		Type: Failstop, WindowLo: 10 * time.Millisecond, WindowHi: 50 * time.Millisecond,
 	})
@@ -105,13 +105,13 @@ func TestFailstopAlwaysDetectedImmediately(t *testing.T) {
 func TestTriggerFiresInsideWindow(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		h, clk := newTarget(t, seed)
-		h.SetPanicHook(func(int, string) {})
+		h.SetPanicHook(func(int, hv.Cause, string) {})
 		var firedAt time.Duration
 		h.SetNMIHook(func(int) {}) // quiet
 		inj := New(h, nil, prng.New(seed, 2), Params{
 			Type: Failstop, WindowLo: 100 * time.Millisecond, WindowHi: 200 * time.Millisecond,
 		})
-		origHook := func(cpu int, reason string) { firedAt = clk.Now() }
+		origHook := func(int, hv.Cause, string) { firedAt = clk.Now() }
 		h.SetPanicHook(origHook)
 		inj.Schedule()
 		clk.RunUntil(time.Second)
@@ -128,7 +128,7 @@ func TestTriggerFiresInsideWindow(t *testing.T) {
 
 func TestRegisterFaultFlipsExactlyOneBit(t *testing.T) {
 	h, clk := newTarget(t, 3)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, hv.Cause, string) {})
 	var before [hw.NumRegs]uint64
 	inj := New(h, &corruptRecorder{}, prng.New(3, 2), Params{
 		Type: Register, WindowLo: 10 * time.Millisecond, WindowHi: 20 * time.Millisecond,
@@ -205,7 +205,7 @@ func TestSDCCorruptsIssuingDomain(t *testing.T) {
 	// corruption must land on an AppVM.
 	for seed := uint64(1); seed < 200; seed++ {
 		h, clk := newTarget(t, seed)
-		h.SetPanicHook(func(int, string) {})
+		h.SetPanicHook(func(int, hv.Cause, string) {})
 		rec := &corruptRecorder{}
 		inj := New(h, rec, prng.New(seed, 7), Params{
 			Type: Register, WindowLo: 10 * time.Millisecond, WindowHi: 30 * time.Millisecond,
@@ -231,7 +231,7 @@ func TestLatentCorruptionIsDetectedLater(t *testing.T) {
 		h, clk := newTarget(t, seed)
 		var panicAt time.Duration
 		var reason string
-		h.SetPanicHook(func(cpu int, r string) {
+		h.SetPanicHook(func(cpu int, _ hv.Cause, r string) {
 			if panicAt == 0 {
 				panicAt = clk.Now()
 				reason = r
@@ -264,7 +264,7 @@ func TestLatentCorruptionIsDetectedLater(t *testing.T) {
 func TestWedgeEffectStopsCPU(t *testing.T) {
 	for seed := uint64(1); seed < 600; seed++ {
 		h, clk := newTarget(t, seed)
-		h.SetPanicHook(func(int, string) {})
+		h.SetPanicHook(func(int, hv.Cause, string) {})
 		inj := New(h, &corruptRecorder{}, prng.New(seed, 7), Params{
 			Type: Code, WindowLo: 10 * time.Millisecond, WindowHi: 30 * time.Millisecond,
 			AppDomains: []int{1},
@@ -299,7 +299,7 @@ func TestLatentCorruptionClassesHitRealState(t *testing.T) {
 		"timer-heap", "evtchn", "grant", "lock"}
 	for seed := uint64(1); seed < 8000 && len(seen) < len(want); seed++ {
 		h, clk := newTarget(t, seed)
-		h.SetPanicHook(func(int, string) {})
+		h.SetPanicHook(func(int, hv.Cause, string) {})
 		inj := New(h, &corruptRecorder{}, prng.New(seed, 7), Params{
 			Type: Code, WindowLo: 10 * time.Millisecond, WindowHi: 30 * time.Millisecond,
 			AppDomains: []int{1},
@@ -398,7 +398,7 @@ func TestScheduleNormalizesReversedWindow(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		h, clk := newTarget(t, seed)
 		var firedAt time.Duration
-		h.SetPanicHook(func(int, string) {
+		h.SetPanicHook(func(int, hv.Cause, string) {
 			if firedAt == 0 {
 				firedAt = clk.Now()
 			}
@@ -423,7 +423,7 @@ func TestScheduleNormalizesReversedWindow(t *testing.T) {
 // than asking the clock to schedule in the past.
 func TestScheduleClampsNegativeWindow(t *testing.T) {
 	h, clk := newTarget(t, 3)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, hv.Cause, string) {})
 	inj := New(h, nil, prng.New(3, 2), Params{
 		Type: Failstop, WindowLo: -30 * time.Millisecond, WindowHi: -10 * time.Millisecond,
 	})
@@ -440,7 +440,7 @@ func TestScheduleClampsNegativeWindow(t *testing.T) {
 func TestScheduleDetectionDegenerateBounds(t *testing.T) {
 	h, clk := newTarget(t, 11)
 	var reasons []string
-	h.SetPanicHook(func(_ int, r string) { reasons = append(reasons, r) })
+	h.SetPanicHook(func(_ int, _ hv.Cause, r string) { reasons = append(reasons, r) })
 	inj := New(h, nil, prng.New(11, 2), Params{Type: Code})
 	inj.Corruptions = []string{"synthetic"}
 	inj.scheduleDetection(1, 20*time.Millisecond, 20*time.Millisecond) // hi == lo
@@ -462,7 +462,7 @@ func TestScheduleDetectionDegenerateBounds(t *testing.T) {
 func TestBurstFaultFires(t *testing.T) {
 	for seed := uint64(1); seed < 100; seed++ {
 		h, clk := newTarget(t, seed)
-		h.SetPanicHook(func(int, string) {})
+		h.SetPanicHook(func(int, hv.Cause, string) {})
 		inj := New(h, &corruptRecorder{}, prng.New(seed, 7), Params{
 			Type: Register, WindowLo: 10 * time.Millisecond, WindowHi: 30 * time.Millisecond,
 			AppDomains: []int{1}, BurstWindow: 50 * time.Millisecond, BurstFault: Failstop,
@@ -485,7 +485,7 @@ func TestBurstFaultFires(t *testing.T) {
 func TestBurstDefaultsToPrimaryType(t *testing.T) {
 	for seed := uint64(1); seed < 100; seed++ {
 		h, clk := newTarget(t, seed)
-		h.SetPanicHook(func(int, string) {})
+		h.SetPanicHook(func(int, hv.Cause, string) {})
 		inj := New(h, &corruptRecorder{}, prng.New(seed, 7), Params{
 			Type: Failstop, WindowLo: 10 * time.Millisecond, WindowHi: 30 * time.Millisecond,
 			AppDomains: []int{1}, BurstWindow: 50 * time.Millisecond,
@@ -507,7 +507,7 @@ func TestBurstDefaultsToPrimaryType(t *testing.T) {
 // hypervisor activity — not before any pause happens.
 func TestFaultDuringRecoveryArmsAtPause(t *testing.T) {
 	h, clk := newTarget(t, 5)
-	h.SetPanicHook(func(int, string) {})
+	h.SetPanicHook(func(int, hv.Cause, string) {})
 	inj := New(h, nil, prng.New(5, 7), Params{
 		Type: Failstop, WindowLo: 10 * time.Millisecond, WindowHi: 30 * time.Millisecond,
 		FaultDuringRecovery: true,

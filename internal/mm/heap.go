@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -204,6 +205,10 @@ func (h *Heap) Rebuild() {
 	}
 }
 
+// ErrFreeListCorrupted is returned when Check finds a damaged free-list
+// entry. The hypervisor treats it as a fatal error (panic).
+var ErrFreeListCorrupted = errors.New("mm: heap free list corrupted")
+
 // Check validates the hot end of the free list — the entries the allocator
 // will hand out next. Hypervisor code paths that touch the allocator call
 // this; the error becomes a panic (detected failure) in the hypervisor
@@ -216,7 +221,7 @@ func (h *Heap) Check() error {
 	for i := 0; i < k; i++ {
 		if !h.entryValid(i) {
 			fi := h.free[len(h.free)-1-i]
-			return fmt.Errorf("mm: heap free list corrupted: entry %d (frame %d)", i, fi)
+			return fmt.Errorf("%w: entry %d (frame %d)", ErrFreeListCorrupted, i, fi)
 		}
 	}
 	return nil

@@ -41,6 +41,14 @@ grep -q 'device-route-loss' "$work/out"
 grep -q 'root cause: device-route-loss' "$work/out"
 hr postmortem -fault privvm-crash -mechanism hybrid -runs 5 -bundles 0 > "$work/out"
 grep -q 'privvm-lost' "$work/out"
+# Every code-fault failure names a cause: a post-recovery walk into a
+# corrupted heap free list (seed 164) is static-state reuse, not residue.
+# At 400 runs this campaign reaches corruption classes the allowlist keeps
+# as rare model branches, so its coverage stays out of the reading.
+mkdir -p "$work/cov-pm"
+GOCOVERDIR=$work/cov-pm hr postmortem -fault code -mechanism nilihype -runs 400 -bundles 0 > "$work/out"
+# set -e ignores a negated command's status, hence the explicit exit.
+! grep -q 'other-hypervisor-failure' "$work/out" || exit 1
 hr postmortem -fault ioapic -runs 5 -bundles 1 -format json > "$work/out"
 python3 -m json.tool "$work/out" > /dev/null
 # The forensic loop: the bundle's seed replays under trace.
