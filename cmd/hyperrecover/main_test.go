@@ -40,6 +40,7 @@ func TestGoldenStdout(t *testing.T) {
 		{"campaign-lanes8", "campaign -repair-cpus 8 -mechanism full-ladder -fault code -setup 3appvm -runs 60 -duration 2s"},
 		{"ladder", "ladder -runs 6 -duration 2s"},
 		{"latency", "latency"},
+		{"latency-checkpoint", "latency -mechanism checkpoint"},
 		{"overhead", "overhead"},
 		{"hybrid", "hybrid -runs-per-fault 5 -memory 1024 -duration 2s"},
 		{"audit", "audit -runs-per-fault 5 -memory 1024 -duration 2s"},

@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// TestLegacyWorstCaseLatencyUnchanged pins the pre-existing configurations'
-// worst-case bounds to their exact values from before the PrivVM-restart
-// rung and the IO-APIC reprogram enhancement existed. The campaign's run
+// TestLegacyWorstCaseLatencyUnchanged pins every recovery configuration's
+// worst-case bound to its exact value: the first three from before the
+// PrivVM-restart rung and the IO-APIC reprogram enhancement existed, the
+// rest from before the boot costs became table rows. The campaign's run
 // horizon is derived from these bounds, so any drift here silently shifts
-// every legacy run's simulated-time budget and can flip marginal
-// FailReasons — this test turns that into a loud failure.
+// every run's simulated-time budget and can flip marginal FailReasons —
+// this test turns that into a loud failure.
 func TestLegacyWorstCaseLatencyUnchanged(t *testing.T) {
 	const frames512MB = 512 * 256
 	for _, tt := range []struct {
@@ -21,6 +22,9 @@ func TestLegacyWorstCaseLatencyUnchanged(t *testing.T) {
 		{"default-microreset", DefaultConfig(), 2312500 * time.Nanosecond},
 		{"microreboot", Config{Mechanism: Microreboot}, 463625 * time.Microsecond},
 		{"hybrid-ladder", HybridConfig(), 965937500 * time.Nanosecond},
+		{"checkpoint", Config{Mechanism: CheckpointRestore}, 101625 * time.Microsecond},
+		{"privvm-restart", Config{Mechanism: PrivVMRestart}, 1822312500 * time.Nanosecond},
+		{"full-ladder", FullLadderConfig(), 3297137500 * time.Nanosecond},
 	} {
 		if got := tt.cfg.WorstCaseLatency(frames512MB); got != tt.want {
 			t.Errorf("%s: WorstCaseLatency = %v, want %v (legacy horizon shifted)", tt.name, got, tt.want)

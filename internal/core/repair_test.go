@@ -127,3 +127,92 @@ func TestRepairStateIdenticalAcrossLanes(t *testing.T) {
 		}
 	}
 }
+
+// bootRowState is the state a reboot re-initializes whatever the
+// enhancement set, read at resume.
+type bootRowState struct {
+	IRQCounts         []int
+	SchedInconsistent []string
+	HeldStatic        []string
+	InactiveTimers    int
+	DisarmedAPICs     []int
+	LostContexts      []string
+}
+
+// TestRebootRunsBootRowsAtEveryRung: microreboot and checkpoint restore
+// re-initialize IRQ counts, scheduler metadata, static locks, recurring
+// timers and the APICs as part of the boot, for every Table I
+// enhancement set; FS/GS is lost exactly when the ReHype save is off.
+func TestRebootRunsBootRowsAtEveryRung(t *testing.T) {
+	for _, mech := range []Mechanism{Microreboot, CheckpointRestore} {
+		for _, rung := range Ladder() {
+			t.Run(fmt.Sprintf("%v/%s", mech, rung.Label), func(t *testing.T) {
+				r := newRig(t, Config{Mechanism: mech, Enhancements: rung.Enh}, 512)
+				r.clk.RunUntil(50 * time.Millisecond)
+				h := r.h
+				rng := testRNG()
+				for _, cpu := range []int{2, 5, 7} {
+					h.PerCPU(cpu).LocalIRQCount = 1 + cpu%2
+				}
+				for i := 0; i < 3 || len(h.Sched.CheckConsistency()) == 0; i++ {
+					if i == 50 {
+						t.Fatal("no scheduler damage after 50 corruptions")
+					}
+					h.Sched.CorruptRandom(rng)
+				}
+				for i := 0; len(h.Locks.HeldLocks(locking.Static)) == 0; i++ {
+					if i == 200 {
+						t.Fatal("could not hold a static lock")
+					}
+					h.Locks.CorruptRandomHold(rng)
+				}
+				if len(h.Timers.PopDue(3, r.clk.Now()+time.Second)) == 0 || len(h.Timers.InactiveRecurring()) == 0 {
+					t.Fatal("no recurring timer to strand on cpu3")
+				}
+				h.Machine.CPU(4).DisarmTimer()
+
+				// The read is the first work the resume runs, before any
+				// deferred call or pending interrupt executes.
+				var st *bootRowState
+				r.engine.OnPause = func() {
+					h.WhenRunnable(func() {
+						s := bootRowState{}
+						for cpu := 0; cpu < h.NumCPUs(); cpu++ {
+							s.IRQCounts = append(s.IRQCounts, h.PerCPU(cpu).LocalIRQCount)
+							if !h.Machine.CPU(cpu).TimerArmed() {
+								s.DisarmedAPICs = append(s.DisarmedAPICs, cpu)
+							}
+						}
+						for _, in := range h.Sched.CheckConsistency() {
+							s.SchedInconsistent = append(s.SchedInconsistent, in.Desc)
+						}
+						for _, l := range h.Locks.HeldLocks(locking.Static) {
+							s.HeldStatic = append(s.HeldStatic, l.Name())
+						}
+						s.InactiveTimers = len(h.Timers.InactiveRecurring())
+						for _, d := range h.Domains.Preserved() {
+							for _, v := range d.VCPUs {
+								if !v.ContextValid {
+									s.LostContexts = append(s.LostContexts, v.Name())
+								}
+							}
+						}
+						st = &s
+					})
+				}
+				r.injectPanicAtBudget(t, 250)
+				r.clk.RunUntil(2 * time.Second)
+				if st == nil {
+					t.Fatalf("no resume: status %v (%s)", r.engine.Status(), r.engine.FailReason)
+				}
+				want := bootRowState{IRQCounts: make([]int, h.NumCPUs())}
+				if !rung.Enh.Has(EnhReHypeMechanisms) {
+					want.LostContexts = []string{"d1v0"}
+				}
+				if !reflect.DeepEqual(*st, want) {
+					t.Fatalf("state at resume %+v, want %+v", *st, want)
+				}
+			})
+		}
+	}
+}
