@@ -58,26 +58,52 @@ const (
 	auditFixedBound = 1650 * time.Microsecond
 )
 
-// ReHype (microreboot) step costs from Table II, measured at 8 GB / 8
-// CPUs. Memory-initialization entries scale with memory size.
-const (
-	rbEarlyBootCPU = 12 * time.Millisecond
-	rbCPUsOnline   = 150 * time.Millisecond
-	rbAPICSetup    = 200 * time.Millisecond
-	rbTSCCalibrate = 50 * time.Millisecond
-	rbRecordAlloc  = 21 * time.Millisecond  // scales with memory
-	rbPFRestore    = 21 * time.Millisecond  // scales with memory (the shared scan)
-	rbReinitDescs  = 13 * time.Millisecond  // scales with memory
-	rbRecreateHeap = 211 * time.Millisecond // scales with memory
-	rbSMPInit      = 20 * time.Millisecond
-	rbRelocateMods = 2 * time.Millisecond
-	rbMiscOthers   = 13 * time.Millisecond
-)
+// bootStep is one row of a boot table, its cost measured at 8 GB / 8 CPUs.
+// scan marks the page-frame scan, which runs only with EnhPFScan.
+type bootStep struct {
+	name string
+	cost time.Duration
+	scan bool
+}
 
-// beginLatency resets the breakdown.
-func (en *Engine) beginLatency() {
-	en.Breakdown = nil
-	en.Latency = 0
+// memReintegration is Table II's memory initialization, in both tables.
+var memReintegration = []bootStep{
+	{name: "Record allocated pages of old heap", cost: 21 * time.Millisecond},
+	{name: "Restore and check consistency of page frame entries", cost: pfScanCostAt8GB, scan: true},
+	{name: "Re-initialize the page frame descriptor for un-preserved pages", cost: 13 * time.Millisecond},
+	{name: "Recreate the new heap", cost: 211 * time.Millisecond},
+}
+
+// bootTables holds each reboot rung's boot costs by group, and whether a
+// group's costs scale with memory size: Table II, and the checkpoint
+// restore that replaces its hardware initialization (§II-B).
+var bootTables = [len(mechanismNames)][]struct {
+	name   string
+	scales bool
+	steps  []bootStep
+}{
+	Microreboot: {
+		{"Hardware initialization", false, []bootStep{
+			{name: "Early initialize of the boot CPU", cost: 12 * time.Millisecond},
+			{name: "Initialize and wait for other CPUs to come online", cost: 150 * time.Millisecond},
+			{name: "Verify, connect and setup local APIC and setup IO APIC", cost: 200 * time.Millisecond},
+			{name: "Initialize and calibrate TSC timer", cost: 50 * time.Millisecond},
+		}},
+		{"Memory initialization", true, memReintegration},
+		{"Misc", false, []bootStep{
+			{name: "SMP initialization", cost: 20 * time.Millisecond},
+			{name: "Identify valid page frame, relocate boot up modules", cost: 2 * time.Millisecond},
+			{name: "Others", cost: 13 * time.Millisecond},
+		}},
+	},
+	CheckpointRestore: {
+		{"Checkpoint restore (replaces hardware init)", false, []bootStep{
+			{name: "Restore post-boot memory image", cost: 55 * time.Millisecond},
+			{name: "Revive local APICs and IO-APIC state", cost: 18 * time.Millisecond},
+			{name: "Misc", cost: 12 * time.Millisecond},
+		}},
+		{"State re-integration (as in microreboot)", true, memReintegration},
+	},
 }
 
 // charge appends one itemized step. The repair work executes while the
@@ -173,54 +199,21 @@ func (en *Engine) chargeGroup(name string, members ...LatencyStep) {
 	en.Breakdown = append(en.Breakdown, members...)
 }
 
-// Checkpoint-restore costs (§II-B alternative): restoring the post-boot
-// memory image replaces the hardware initialization, but the state
-// re-integration (Table II's memory-initialization block) remains.
-const (
-	cpImageRestore = 55 * time.Millisecond // copy-in the post-boot image
-	cpAPICRevive   = 18 * time.Millisecond // re-arm local APICs / IO-APIC state
-	cpMisc         = 12 * time.Millisecond
-)
-
-// chargeBootTable charges a reboot rung's breakdown: Table II's hardware
-// initialization, or the checkpoint restore that replaces it (§II-B), then
-// the memory re-integration both share. The page-frame scan row is charged
-// when the engine performs the scan (EnhPFScan), itself a repair step.
+// chargeBootTable charges reboot rung m's boot table; the scan row only
+// when the engine performs the scan, itself a repair row.
 func (en *Engine) chargeBootTable(m Mechanism) {
 	frames := en.H.Machine.PageFrames()
-	memGroup := "Memory initialization"
-	if m == CheckpointRestore {
-		en.chargeGroup("Checkpoint restore (replaces hardware init)",
-			LatencyStep{Name: "Restore post-boot memory image", Dur: cpImageRestore},
-			LatencyStep{Name: "Revive local APICs and IO-APIC state", Dur: cpAPICRevive},
-			LatencyStep{Name: "Misc", Dur: cpMisc},
-		)
-		memGroup = "State re-integration (as in microreboot)"
-	} else {
-		en.chargeGroup("Hardware initialization",
-			LatencyStep{Name: "Early initialize of the boot CPU", Dur: rbEarlyBootCPU},
-			LatencyStep{Name: "Initialize and wait for other CPUs to come online", Dur: rbCPUsOnline},
-			LatencyStep{Name: "Verify, connect and setup local APIC and setup IO APIC", Dur: rbAPICSetup},
-			LatencyStep{Name: "Initialize and calibrate TSC timer", Dur: rbTSCCalibrate},
-		)
-	}
-	mem := [...]LatencyStep{
-		{Name: "Record allocated pages of old heap", Dur: scaleByFrames(rbRecordAlloc, frames)},
-		{Name: "Restore and check consistency of page frame entries", Dur: scaleByFrames(rbPFRestore, frames)},
-		{Name: "Re-initialize the page frame descriptor for un-preserved pages", Dur: scaleByFrames(rbReinitDescs, frames)},
-		{Name: "Recreate the new heap", Dur: scaleByFrames(rbRecreateHeap, frames)},
-	}
-	steps := mem[:]
-	if !en.Cfg.Enhancements.Has(EnhPFScan) {
-		steps = append(mem[:1], mem[2:]...)
-	}
-	en.chargeGroup(memGroup, steps...)
-	if m != CheckpointRestore {
-		en.chargeGroup("Misc",
-			LatencyStep{Name: "SMP initialization", Dur: rbSMPInit},
-			LatencyStep{Name: "Identify valid page frame, relocate boot up modules", Dur: rbRelocateMods},
-			LatencyStep{Name: "Others", Dur: rbMiscOthers},
-		)
+	for _, g := range bootTables[m] {
+		steps := make([]LatencyStep, 0, 4)
+		for _, s := range g.steps {
+			if g.scales {
+				s.cost = scaleByFrames(s.cost, frames)
+			}
+			if !s.scan || en.Cfg.Enhancements.Has(EnhPFScan) {
+				steps = append(steps, LatencyStep{Name: s.name, Dur: s.cost})
+			}
+		}
+		en.chargeGroup(g.name, steps...)
 	}
 }
 
@@ -249,26 +242,31 @@ func (c Config) WorstCaseLatency(frames int) time.Duration {
 const privVMMaxReattachVMs = 8
 
 // mechanismWorstLatency upper-bounds one attempt's latency for a
-// mechanism at a memory size, assuming every enhancement runs.
-func mechanismWorstLatency(m Mechanism, frames int) time.Duration {
-	inPlace := resumeSetupCost
-	for i := range repairSteps {
-		inPlace += repairSteps[i].costOn(frames, 1)
+// mechanism at a memory size, assuming every enhancement runs: on a reboot
+// rung every boot row, the scan included.
+func mechanismWorstLatency(m Mechanism, frames int) (total time.Duration) {
+	for _, g := range bootTables[m] {
+		var sum time.Duration
+		for _, s := range g.steps {
+			sum += s.cost
+		}
+		if g.scales {
+			sum = scaleByFrames(sum, frames)
+		}
+		total += sum
 	}
-	reintegrate := scaleByFrames(rbRecordAlloc+rbPFRestore+rbReinitDescs+rbRecreateHeap, frames)
-	switch {
-	case m == CheckpointRestore:
-		return cpImageRestore + cpAPICRevive + cpMisc + reintegrate
-	case m.Reboots():
-		return rbEarlyBootCPU + rbCPUsOnline + rbAPICSetup + rbTSCCalibrate +
-			rbSMPInit + rbRelocateMods + rbMiscOthers + reintegrate
-	case m == PrivVMRestart:
+	if !m.Reboots() {
+		total += resumeSetupCost
+		for i := range repairSteps {
+			total += repairSteps[i].costOn(frames, 1)
+		}
+	}
+	if m == PrivVMRestart {
 		// The in-place repairs run first, then the Dom0 reboot and the
 		// ring re-attach of every surviving AppVM.
-		return inPlace + privVMBootCost + privVMMaxReattachVMs*privVMReattachPerVM
-	default:
-		return inPlace
+		total += privVMBootCost + privVMMaxReattachVMs*privVMReattachPerVM
 	}
+	return total
 }
 
 // totalLatency sums the non-group steps.

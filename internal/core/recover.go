@@ -60,7 +60,6 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 	}
 	en.mergePending(pending)
 
-	enh := en.Cfg.Enhancements
 	reboot := mech.Reboots()
 	// lanes is the number of simulated recovery CPUs the rung's repairs and
 	// audit run on: RepairCPUs on in-place rungs, one on a reboot rung, which
@@ -73,11 +72,11 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 
 	// --- state repair, charged to the latency breakdown ------------------
 
-	en.beginLatency()
+	en.Breakdown, en.Latency = nil, 0
 	if reboot {
 		en.rebootStateReinit(mech)
 	}
-	en.runRepairSteps(reboot, lanes)
+	ran := en.runRepairSteps(false, mech, lanes)
 
 	if mech == PrivVMRestart {
 		// The rung's distinguishing step: reboot the PrivVM from its boot
@@ -93,8 +92,8 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 	// it only pays for (and finds) what they missed.
 	if en.Cfg.Escalation.Audit {
 		aOpts := audit.Options{
-			SkipFrames: enh.Has(EnhPFScan),
-			SkipSched:  enh.Has(EnhSchedConsistency) || reboot,
+			SkipFrames: ran.Has(EnhPFScan),
+			SkipSched:  ran.Has(EnhSchedConsistency),
 			RepairCPUs: lanes,
 		}
 		if !aOpts.SkipFrames {
@@ -145,18 +144,20 @@ func (en *Engine) recover(e detect.Event, mech Mechanism) {
 	h.Clock.After(en.Latency, "recovery-complete", func() { en.complete(mech) })
 }
 
-// repairStep is one row of the repair sequence: the enhancement that
+// repairStep is one row of the recovery sequence: the enhancement that
 // enables it (0: always), its Breakdown label and cost, and its body. A
-// reboot rung runs the enabled rows that are not inPlace, uncharged; the
-// boot itself re-initializes what the inPlace rows repair
-// (rebootStateReinit). A row with a unit name is recovery-domain work: at
-// more than one lane, adjacent unit rows run as one concurrent level, a
-// perCPU row as one unit per CPU costing its share of the row.
+// reboot rung runs the enabled rows and, whatever the enhancement set, the
+// boot rows, uncharged: booting a fresh image performs those (§III-B,
+// §V-A). Resume rows run when the attempt completes, the rest at
+// detection. A row with a unit name is recovery-domain work: at more than
+// one lane, adjacent unit rows run as one concurrent level, a perCPU row
+// as one unit per CPU costing its share of the row.
 type repairStep struct {
-	enh     Enhancements
-	inPlace bool
-	label   string
-	cost    time.Duration
+	enh    Enhancements
+	boot   bool
+	resume bool
+	label  string
+	cost   time.Duration
 	// scan marks the page-frame walk, whose cost scales with memory and
 	// shards over the lanes (§VII-B).
 	scan   bool
@@ -165,12 +166,12 @@ type repairStep struct {
 	do     func(h *hv.Hypervisor, arg int)
 }
 
-// repairSteps is the repair sequence in execution order; its in-place
+// repairSteps is the recovery sequence in execution order; its in-place
 // costs itemize Table III. The three ReHype mechanisms NiLiHype reuses
 // (§III-B, §IV) release heap-embedded locks, acknowledge pending and
 // in-service interrupts, and save FS/GS, which only a reboot clobbers.
 var repairSteps = [...]repairStep{
-	{inPlace: true, label: "Interrupt all CPUs and discard hypervisor stacks", cost: 150 * time.Microsecond},
+	{label: "Interrupt all CPUs and discard hypervisor stacks", cost: 150 * time.Microsecond},
 	{enh: EnhReHypeMechanisms, label: "Release heap locks", cost: 120 * time.Microsecond,
 		do: func(h *hv.Hypervisor, _ int) { h.Locks.UnlockHeapLocks() }},
 	{enh: EnhReHypeMechanisms, label: "Acknowledge pending/in-service interrupts", cost: 60 * time.Microsecond,
@@ -183,12 +184,17 @@ var repairSteps = [...]repairStep{
 	{enh: EnhReHypeMechanisms, do: func(h *hv.Hypervisor, _ int) { h.SaveFSGS() }},
 	{enh: EnhPFScan, label: "Restore and check consistency of page frame entries", scan: true,
 		do: func(h *hv.Hypervisor, _ int) { h.Frames.ScanAndRepair() }},
-	{enh: EnhClearIRQCount, inPlace: true, label: "Clear IRQ counts", cost: 10 * time.Microsecond,
+	{enh: EnhClearIRQCount, boot: true, label: "Clear IRQ counts", cost: 10 * time.Microsecond,
 		unit: "repair.irq", perCPU: true, do: (*hv.Hypervisor).ClearIRQCountOn},
-	{enh: EnhSchedConsistency, inPlace: true, label: "Ensure consistency within scheduling metadata", cost: 280 * time.Microsecond,
+	{enh: EnhSchedConsistency, boot: true, label: "Ensure consistency within scheduling metadata", cost: 280 * time.Microsecond,
 		unit: "repair.sched", do: func(h *hv.Hypervisor, _ int) { h.Sched.RepairFromPerCPU() }},
-	{enh: EnhUnlockStaticLocks, inPlace: true, label: "Unlock static locks (iterate lock segment)", cost: 40 * time.Microsecond,
+	{enh: EnhUnlockStaticLocks, boot: true, label: "Unlock static locks (iterate lock segment)", cost: 40 * time.Microsecond,
 		do: func(h *hv.Hypervisor, _ int) { h.Locks.UnlockStaticSegment() }},
+	// Reactivating a recurring timer reprograms its CPU's APIC (the
+	// normal timer-add path).
+	{enh: EnhReactivateTimers, boot: true, resume: true,
+		do: func(h *hv.Hypervisor, _ int) { h.Timers.ReactivateRecurring(h.Clock.Now()) }},
+	{enh: EnhReprogramTimer, boot: true, resume: true, do: func(h *hv.Hypervisor, _ int) { h.ReprogramAllAPICs() }},
 }
 
 func (s *repairStep) enabled(enh Enhancements) bool { return s.enh == 0 || enh.Has(s.enh) }
@@ -201,21 +207,28 @@ func (s *repairStep) costOn(frames, lanes int) time.Duration {
 	return s.cost
 }
 
-// runRepairSteps runs the enabled rows of repairSteps. At one lane each
-// row charges its own Breakdown step; at more than one, each run of
+// runRepairSteps runs rung mech's rows of one half of repairSteps, resume
+// or detection, and returns the configured enhancement set plus the bits
+// of the boot rows that ran. A reboot charges no row. In place, at one
+// lane each row charges its own Breakdown step; at more, each run of
 // adjacent unit rows is one recovery-domain level, and the scan shards
 // over the lanes.
-func (en *Engine) runRepairSteps(reboot bool, lanes int) {
+func (en *Engine) runRepairSteps(resume bool, mech Mechanism, lanes int) (ran Enhancements) {
 	h := en.H
+	ran = en.Cfg.Enhancements
 	for i := 0; i < len(repairSteps); i++ {
 		s := &repairSteps[i]
+		if s.resume != resume {
+			continue
+		}
 		if s.unit != "" && lanes > 1 {
 			i = en.runRepairLevel(i, lanes)
 			continue
 		}
-		if !s.enabled(en.Cfg.Enhancements) || reboot && s.inPlace {
+		if !s.enabled(en.Cfg.Enhancements) && !(s.boot && mech.Reboots()) {
 			continue
 		}
+		ran |= s.enh
 		if s.perCPU {
 			for cpu := 0; cpu < h.NumCPUs(); cpu++ {
 				s.do(h, cpu)
@@ -223,7 +236,7 @@ func (en *Engine) runRepairSteps(reboot bool, lanes int) {
 		} else if s.do != nil {
 			s.do(h, 0)
 		}
-		if reboot || s.label == "" {
+		if mech.Reboots() || s.label == "" {
 			continue
 		}
 		label := s.label
@@ -232,6 +245,7 @@ func (en *Engine) runRepairSteps(reboot bool, lanes int) {
 		}
 		en.charge(label, s.costOn(h.Machine.PageFrames(), lanes))
 	}
+	return ran
 }
 
 // runRepairLevel runs the enabled units of the adjacent unit rows starting
@@ -322,13 +336,12 @@ func (en *Engine) restartPrivVM() {
 	)
 }
 
-// rebootStateReinit applies the state effects of booting a new hypervisor
-// instance and re-integrating preserved state (§III-B): a fresh heap free
-// list, a relinked domain list, re-initialized static scratch state and
-// static locks, cleared IRQ counts, rebuilt scheduler metadata, and
-// re-initialized hardware. This is exactly the state microreset reuses in
-// place — and the reason microreboot survives some corruptions microreset
-// does not (§VII-A).
+// rebootStateReinit applies the state effects only booting a new
+// hypervisor instance has (§III-B): a fresh heap free list, a relinked
+// domain list, re-initialized static scratch state and re-initialized
+// hardware; the boot rows of repairSteps do the rest. This is state
+// microreset reuses in place — the reason microreboot survives some
+// corruptions microreset does not (§VII-A).
 func (en *Engine) rebootStateReinit(mech Mechanism) {
 	h := en.H
 	en.chargeBootTable(mech)
@@ -340,13 +353,6 @@ func (en *Engine) rebootStateReinit(mech Mechanism) {
 	if h.Machine.IOAPIC().ReprogramFromBoot() > 0 {
 		h.Tel.Inc(telemetry.CtrIOAPICRepairs)
 	}
-	// Boot unlocks static locks (§V-A), resets the per-CPU areas and
-	// rebuilds the scheduler while re-integrating vCPUs.
-	h.Locks.ReinitStatic()
-	for cpu := 0; cpu < h.NumCPUs(); cpu++ {
-		h.ClearIRQCountOn(cpu)
-	}
-	h.Sched.RepairFromPerCPU()
 }
 
 // complete finishes a recovery attempt after the latency elapses:
@@ -359,9 +365,6 @@ func (en *Engine) complete(mech Mechanism) {
 	att := len(en.Attempts)
 	en.recovering = false
 	en.completing = true
-	enh := en.Cfg.Enhancements
-	reboot := mech.Reboots()
-	now := h.Clock.Now()
 
 	// A PrivVM re-creation failure during the restart rung is the
 	// attempt's failure (typically terminal: this is the last rung).
@@ -384,29 +387,19 @@ func (en *Engine) complete(mech Mechanism) {
 	// Static scratch corruption: the reboot re-initialized it; the
 	// microreset reuses it and fails — the escalation case the hybrid
 	// ladder exists for (and one the audit repairs in place).
-	if len(h.StaticScratchDamage()) > 0 && !reboot {
+	if len(h.StaticScratchDamage()) > 0 && !mech.Reboots() {
 		en.attemptFailed(hv.CauseRebuiltStateReuse, "post-recovery failure: corrupted static state reused by microreset")
 		return
 	}
 
-	// FS/GS: the reboot clobbered them; without the detection-time save
-	// the affected vCPUs lose their register state (§IV).
-	if reboot && !enh.Has(EnhReHypeMechanisms) {
+	// FS/GS: the reboot clobbered them; the vCPUs whose FS/GS the
+	// detection-time save did not capture lose their register state (§IV).
+	if mech.Reboots() {
 		h.ApplyFSGSLoss()
 	}
-
-	// Recurring timer events: reboot re-creates them during hypervisor
-	// initialization; microreset reactivates them explicitly (§V-A).
-	// Reactivation reprograms the APICs of the CPUs it touches (normal
-	// timer-add path).
-	if enh.Has(EnhReactivateTimers) || reboot {
-		h.Timers.ReactivateRecurring(now)
-	}
-	// Timer hardware: reboot re-initializes the APICs; microreset must
-	// reprogram them explicitly (§V-A).
-	if enh.Has(EnhReprogramTimer) || reboot {
-		h.ReprogramAllAPICs()
-	}
+	// Recurring timer events and the timer hardware: reboot re-creates and
+	// re-initializes them; microreset re-arms them explicitly (§V-A).
+	en.runRepairSteps(true, mech, 1)
 
 	h.ReenableCPUs()
 
@@ -436,7 +429,7 @@ func (en *Engine) complete(mech Mechanism) {
 	// attempt's discard.
 	pending := en.pending
 	en.pending = nil
-	if enh.Has(EnhReHypeMechanisms) {
+	if en.Cfg.Enhancements.Has(EnhReHypeMechanisms) {
 		h.RetryPendingCalls(pending)
 	} else {
 		h.DropPendingCalls(pending)

@@ -212,7 +212,8 @@ func (h *Hypervisor) SaveFSGS() {
 }
 
 // ApplyFSGSLoss invalidates the context of vCPUs whose FS/GS were
-// clobbered: used by microreboot when the save was not performed.
+// clobbered. Every reboot applies it; CPUs whose FS/GS SaveFSGS captured
+// keep their context.
 func (h *Hypervisor) ApplyFSGSLoss() {
 	for cpu, pc := range h.percpu {
 		if pc.FSGSSaved || !pc.WasBusyAtDiscard {

@@ -217,14 +217,6 @@ func (r *Registry) UnlockHeapLocks() int {
 	return n
 }
 
-// ReinitStatic restores every static lock to its boot-time (released)
-// state. Microreboot gets this as a side effect of booting a fresh image.
-func (r *Registry) ReinitStatic() {
-	for _, l := range r.static {
-		l.ForceRelease()
-	}
-}
-
 // Counts returns the population sizes (static, heap).
 func (r *Registry) Counts() (staticN, heapN int) {
 	return len(r.static), len(r.heap)

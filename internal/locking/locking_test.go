@@ -123,16 +123,6 @@ func TestUnlockHeapLocksReleasesOnlyHeap(t *testing.T) {
 	}
 }
 
-func TestReinitStatic(t *testing.T) {
-	r := NewRegistry()
-	s := r.NewStatic("a")
-	s.TryAcquire(3)
-	r.ReinitStatic()
-	if s.held {
-		t.Fatal("static lock held after reinit")
-	}
-}
-
 func TestHeldLocksFiltersByKind(t *testing.T) {
 	r := NewRegistry()
 	s := r.NewStatic("s")

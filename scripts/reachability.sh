@@ -43,8 +43,8 @@ hr postmortem -fault privvm-crash -mechanism hybrid -runs 5 -bundles 0 > "$work/
 grep -q 'privvm-lost' "$work/out"
 # Every code-fault failure names a cause: a post-recovery walk into a
 # corrupted heap free list (seed 164) is static-state reuse, not residue.
-# At 400 runs this campaign reaches corruption classes the allowlist keeps
-# as rare model branches, so its coverage stays out of the reading.
+# At 400 runs this campaign also reaches rare latent-corruption classes;
+# the reading includes its coverage directory.
 mkdir -p "$work/cov-pm"
 GOCOVERDIR=$work/cov-pm hr postmortem -fault code -mechanism nilihype -runs 400 -bundles 0 > "$work/out"
 # set -e ignores a negated command's status, hence the explicit exit.
@@ -101,7 +101,7 @@ step "benchmark -quick, untraced and traced"
 step "reading"
 # covdata prints "nilihype/internal/hv/hv.go:42:<tabs>Type.Method<tabs>0.0%";
 # the gate keys each function as "internal/hv.Type.Method".
-go tool covdata func -i "$GOCOVERDIR" |
+go tool covdata func -i "$GOCOVERDIR,$work/cov-pm" |
 	awk -F'\t+' '$1 ~ /^nilihype\/internal\// && $NF == "0.0%" {
 		sub(/^nilihype\//, "", $1); sub(/\/[^\/]*$/, "", $1); print $1 "." $2 }' |
 	sort > "$work/zero.txt"
