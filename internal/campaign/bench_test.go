@@ -105,9 +105,9 @@ func TestForkedRunAllocBudget(t *testing.T) {
 
 // BenchmarkCampaignThroughputTraffic is BenchmarkCampaignThroughput with a
 // million-user open-loop population armed: the acceptance gate is that
-// runs/sec stays within 10% of the traffic-off number (the timing wheel's
-// one-event-per-5ms-tick batching makes the population cost ~400 events
-// per run regardless of user count).
+// runs/sec stays within 10% of the traffic-off number (the population is
+// scored arithmetically at the end of the run and adds no simulation
+// events, whatever the user count).
 func BenchmarkCampaignThroughputTraffic(b *testing.B) {
 	const runs = 24
 	base := throughputConfig()

@@ -55,7 +55,7 @@ func (h *Hist) Observe(v uint64) {
 
 // ObserveN records n observations of the same value v in O(1) — the batch
 // form the traffic engine's cohort accounting depends on: a million users
-// arriving in one wheel slot cost one bucket add, not a million. Exactly
+// arriving in one slot cost one bucket add, not a million. Exactly
 // equivalent to calling Observe(v) n times (all fields are integer adds
 // plus a max), so batched and per-request recording stay bit-identical.
 func (h *Hist) ObserveN(v, n uint64) {

@@ -134,7 +134,7 @@ const (
 	GaugeClockQueueHighWater // peak pending-event queue depth
 	GaugeHypervisorCycles    // cycles spent in hypervisor code
 	GaugeTrafficUsers        // simulated open-loop users offered against the host
-	GaugeTrafficGoodput      // traffic goodput of the last closed SLO interval, ‰
+	GaugeTrafficGoodput      // the run's traffic goodput at traffic.Engine.Finish, ‰
 	NumGauges
 )
 
