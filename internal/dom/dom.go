@@ -41,16 +41,8 @@ type Domain struct {
 	// IsPriv marks the privileged VM (Dom0).
 	IsPriv bool
 
-	// VCPUs are the domain's virtual CPUs (one per domain in the paper's
-	// setups, §VI-A).
-	VCPUs []*sched.VCPU
-
 	// MemStart/MemCount delimit the domain's physical frame range.
 	MemStart, MemCount int
-
-	// TotPages is the accounting counter hypercalls adjust (a critical
-	// variable in the paper's sense — logged for undo).
-	TotPages int
 
 	// Obj is the backing heap allocation.
 	Obj *mm.Object
@@ -63,18 +55,10 @@ type Domain struct {
 	// Events is the domain's event-channel port table.
 	Events *evtchn.Table
 
-	// RingPort is the inter-domain event channel to the PrivVM backend
-	// (I/O ring notifications).
-	RingPort int
-
 	// GrantTab is the domain's guest-visible grant table; Maptrack is
 	// the hypervisor-side bookkeeping of its active mappings.
 	GrantTab *grant.Table
 	Maptrack *grant.Maptrack
-
-	// WakeupTimer is the domain's singleton set_timer_op timer (Xen
-	// keeps one per vCPU; setting it replaces the previous deadline).
-	WakeupTimer *xentime.Timer
 
 	// WakeupPool caches the wakeup Timer record across set_timer_op
 	// calls: each set replaces the schedule, so the handler re-adds the
@@ -83,15 +67,37 @@ type Domain struct {
 	// never consulted for semantics, so it is not snapshotted.
 	WakeupPool *xentime.Timer
 
+	domainState
+
+	// next chains the domain into the global list (Xen's
+	// next_in_list). Corruption damages this link, not a flag.
+	next *Domain
+}
+
+// domainState is a domain's mutable fields. The sub-tables snapshot
+// themselves, and the list link is rebuilt from the saved order.
+type domainState struct {
+	// VCPUs are the domain's virtual CPUs (one per domain in the paper's
+	// setups, §VI-A).
+	VCPUs []*sched.VCPU
+
+	// TotPages is the accounting counter hypercalls adjust (a critical
+	// variable in the paper's sense — logged for undo).
+	TotPages int
+
+	// RingPort is the inter-domain event channel to the PrivVM backend
+	// (I/O ring notifications).
+	RingPort int
+
+	// WakeupTimer is the domain's singleton set_timer_op timer (Xen
+	// keeps one per vCPU; setting it replaces the previous deadline).
+	WakeupTimer *xentime.Timer
+
 	// Failed marks the domain as crashed (its guest kernel died). The
 	// campaign layer reads this to classify outcomes.
 	Failed bool
 	// FailReason records why, for reports.
 	FailReason string
-
-	// next chains the domain into the global list (Xen's
-	// next_in_list). Corruption damages this link, not a flag.
-	next *Domain
 }
 
 // Fail marks the domain failed with a reason (first reason wins).

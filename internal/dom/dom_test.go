@@ -22,7 +22,8 @@ func TestUpcallVCPU(t *testing.T) {
 	reg := locking.NewRegistry()
 	s := sched.NewScheduler(1, reg)
 	v := s.AddVCPU(1, 0, 0)
-	d := &Domain{ID: 1, VCPUs: []*sched.VCPU{v}}
+	d := &Domain{ID: 1}
+	d.VCPUs = []*sched.VCPU{v}
 	if got := d.UpcallVCPU(); got != v {
 		t.Fatalf("UpcallVCPU = %v, want vcpu", got)
 	}

@@ -1,25 +1,18 @@
 package dom
 
 import (
+	"slices"
+
 	"nilihype/internal/evtchn"
 	"nilihype/internal/grant"
-	"nilihype/internal/sched"
-	"nilihype/internal/xentime"
+	"nilihype/internal/snap"
 )
 
-// domainState is one domain's captured mutable fields plus the snapshots
-// of its owned sub-tables. The *Domain pointer is part of the snapshot:
-// the rest of the hypervisor references domains by pointer, so restore
-// revives the same structures in place.
-type domainState struct {
-	d          *Domain
-	vcpus      []*sched.VCPU
-	totPages   int
-	ringPort   int
-	wakeup     *xentime.Timer
-	failed     bool
-	failReason string
-
+// savedDomain is one domain's state value plus the snapshots of its
+// owned sub-tables, which every domain the hypervisor creates has. The rest of the hypervisor references domains by
+// pointer, so restore revives the same structures in place.
+type savedDomain struct {
+	snap.Obj[Domain, domainState]
 	events   *evtchn.TableSnapshot
 	grants   *grant.TableSnapshot
 	maptrack *grant.MaptrackSnapshot
@@ -27,63 +20,37 @@ type domainState struct {
 
 // Snapshot captures the domain list: the preserved structures in insertion
 // order (link state is implied — a snapshot is only taken while the links
-// are intact, so restore relinks from the order) and each domain's mutable
-// fields and sub-tables.
+// are intact, so restore relinks from the order) and each domain's state
+// and sub-tables.
 type Snapshot struct {
-	domains []domainState
+	domains []savedDomain
 }
 
 // Snapshot captures the list state.
 func (l *List) Snapshot() *Snapshot {
-	s := &Snapshot{domains: make([]domainState, len(l.domains))}
+	s := &Snapshot{make([]savedDomain, len(l.domains))}
 	for i, d := range l.domains {
-		st := domainState{
-			d:          d,
-			vcpus:      append([]*sched.VCPU(nil), d.VCPUs...),
-			totPages:   d.TotPages,
-			ringPort:   d.RingPort,
-			wakeup:     d.WakeupTimer,
-			failed:     d.Failed,
-			failReason: d.FailReason,
-		}
-		if d.Events != nil {
-			st.events = d.Events.Snapshot()
-		}
-		if d.GrantTab != nil {
-			st.grants = d.GrantTab.Snapshot()
-		}
-		if d.Maptrack != nil {
-			st.maptrack = d.Maptrack.Snapshot()
-		}
-		s.domains[i] = st
+		st := d.domainState
+		st.VCPUs = slices.Clone(st.VCPUs)
+		s.domains[i] = savedDomain{snap.Obj[Domain, domainState]{P: d, S: st},
+			d.Events.Snapshot(), d.GrantTab.Snapshot(), d.Maptrack.Snapshot()}
 	}
 	return s
 }
 
 // Restore rewinds the list: domains created after the snapshot drop out,
-// snapshot domains regain their saved fields and sub-table contents, and
+// snapshot domains regain their saved state and sub-table contents, and
 // the linked list is rebuilt from the saved insertion order (undoing any
 // link corruption inflicted since).
 func (l *List) Restore(s *Snapshot) {
 	l.domains = l.domains[:0]
 	for i := range s.domains {
-		st := &s.domains[i]
-		d := st.d
-		d.VCPUs = append(d.VCPUs[:0], st.vcpus...)
-		d.TotPages = st.totPages
-		d.RingPort = st.ringPort
-		d.WakeupTimer = st.wakeup
-		d.Failed = st.failed
-		d.FailReason = st.failReason
-		if st.events != nil {
-			d.Events.Restore(st.events)
-		}
-		if st.grants != nil {
-			d.GrantTab.Restore(st.grants)
-		}
-		if st.maptrack != nil {
-			d.Maptrack.Restore(st.maptrack)
-		}
+		sd := &s.domains[i]
+		d := sd.P
+		d.domainState, d.VCPUs = sd.S, snap.Slice(d.VCPUs, sd.S.VCPUs)
+		d.Events.Restore(sd.events)
+		d.GrantTab.Restore(sd.grants)
+		d.Maptrack.Restore(sd.maptrack)
 		l.domains = append(l.domains, d)
 	}
 	l.relink()

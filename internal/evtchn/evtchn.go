@@ -69,8 +69,11 @@ type Port struct {
 // Table is a domain's event channel table.
 type Table struct {
 	owner int
-	ports []Port
+	tableState
 }
+
+// tableState is the port contents; the table never resizes.
+type tableState struct{ ports []Port }
 
 // DefaultPorts is the per-domain port table size.
 const DefaultPorts = 64
@@ -80,7 +83,7 @@ func NewTable(owner, size int) *Table {
 	if size <= 0 {
 		size = DefaultPorts
 	}
-	return &Table{owner: owner, ports: make([]Port, size)}
+	return &Table{owner, tableState{make([]Port, size)}}
 }
 
 // Len returns the table size.
@@ -174,13 +177,14 @@ func (t *Table) setPending(p int) error {
 
 // Broker connects domains' tables and routes sends. The hypervisor owns
 // one broker; its routing state is part of the reused recovery state.
-type Broker struct {
-	tables map[int]*Table
-}
+type Broker struct{ brokerState }
+
+// brokerState is the registration set, keyed by owner.
+type brokerState struct{ tables map[int]*Table }
 
 // NewBroker returns an empty broker.
 func NewBroker() *Broker {
-	return &Broker{tables: make(map[int]*Table)}
+	return &Broker{brokerState{make(map[int]*Table)}}
 }
 
 // Register adds a domain's table.

@@ -1,47 +1,33 @@
 package evtchn
 
-// TableSnapshot is one domain's captured port table (the owner and table
-// size are immutable).
-type TableSnapshot struct {
-	ports []Port
-}
+import (
+	"maps"
+	"slices"
+
+	"nilihype/internal/snap"
+)
+
+// TableSnapshot is one domain's captured port table.
+type TableSnapshot struct{ tableState }
 
 // Snapshot captures the table's ports.
 func (t *Table) Snapshot() *TableSnapshot {
-	return &TableSnapshot{ports: append([]Port(nil), t.ports...)}
+	return &TableSnapshot{tableState{slices.Clone(t.ports)}}
 }
 
-// Restore rewrites the table's ports from the snapshot (tables never
-// resize, so this is a pure copy).
-func (t *Table) Restore(s *TableSnapshot) {
-	copy(t.ports, s.ports)
-}
+// Restore rewrites the table's ports from the snapshot.
+func (t *Table) Restore(s *TableSnapshot) { copy(t.ports, s.ports) }
 
 // BrokerSnapshot captures the broker's registration set. Port contents are
 // restored per-table by the domain layer; the broker only tracks which
 // tables exist.
-type BrokerSnapshot struct {
-	tables []*Table // owner order
-}
+type BrokerSnapshot struct{ brokerState }
 
-// Snapshot captures the registered tables in owner order.
+// Snapshot captures the registered tables.
 func (b *Broker) Snapshot() *BrokerSnapshot {
-	s := &BrokerSnapshot{tables: make([]*Table, 0, len(b.tables))}
-	for _, o := range b.Owners() {
-		s.tables = append(s.tables, b.tables[o])
-	}
-	return s
+	return &BrokerSnapshot{brokerState{maps.Clone(b.tables)}}
 }
 
 // Restore rewinds the registration set: tables registered after the
-// snapshot drop out, snapshot tables are re-registered. The clear-then-
-// refill loop reuses the map's buckets, so a steady-state restore does not
-// allocate.
-func (b *Broker) Restore(s *BrokerSnapshot) {
-	for o := range b.tables {
-		delete(b.tables, o)
-	}
-	for _, t := range s.tables {
-		b.tables[t.owner] = t
-	}
-}
+// snapshot drop out, snapshot tables are re-registered.
+func (b *Broker) Restore(s *BrokerSnapshot) { snap.Map(b.tables, s.tables) }

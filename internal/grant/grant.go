@@ -35,9 +35,12 @@ type Entry struct {
 
 // Table is a domain's grant table.
 type Table struct {
-	owner   int
-	entries []Entry
+	owner int
+	tableState
 }
+
+// tableState is the entry contents; the table never resizes.
+type tableState struct{ entries []Entry }
 
 // DefaultRefs is the default grant table size.
 const DefaultRefs = 128
@@ -47,7 +50,7 @@ func NewTable(owner, size int) *Table {
 	if size <= 0 {
 		size = DefaultRefs
 	}
-	return &Table{owner: owner, entries: make([]Entry, size)}
+	return &Table{owner, tableState{make([]Entry, size)}}
 }
 
 // Len returns the table size.
@@ -119,13 +122,18 @@ type Mapping struct {
 // grant mappings.
 type Maptrack struct {
 	owner int
-	maps  map[Handle]Mapping
-	next  Handle
+	maptrackState
+}
+
+// maptrackState is the active mappings and the handle counter.
+type maptrackState struct {
+	maps map[Handle]Mapping
+	next Handle
 }
 
 // NewMaptrack builds the maptrack for a mapping domain.
 func NewMaptrack(owner int) *Maptrack {
-	return &Maptrack{owner: owner, maps: make(map[Handle]Mapping)}
+	return &Maptrack{owner, maptrackState{maps: make(map[Handle]Mapping)}}
 }
 
 // Map maps granted entry ref of the granter's table, returning the handle

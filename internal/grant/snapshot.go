@@ -1,66 +1,37 @@
 package grant
 
-// TableSnapshot is one domain's captured grant table (the owner and table
-// size are immutable).
-type TableSnapshot struct {
-	entries []Entry
-}
+import (
+	"maps"
+	"slices"
+
+	"nilihype/internal/snap"
+)
+
+// TableSnapshot is one domain's captured grant table.
+type TableSnapshot struct{ tableState }
 
 // Snapshot captures the table's entries.
 func (t *Table) Snapshot() *TableSnapshot {
-	return &TableSnapshot{entries: append([]Entry(nil), t.entries...)}
+	return &TableSnapshot{tableState{slices.Clone(t.entries)}}
 }
 
-// Restore rewrites the table's entries from the snapshot (tables never
-// resize, so this is a pure copy).
-func (t *Table) Restore(s *TableSnapshot) {
-	copy(t.entries, s.entries)
-}
+// Restore rewrites the table's entries from the snapshot.
+func (t *Table) Restore(s *TableSnapshot) { copy(t.entries, s.entries) }
 
-// MaptrackSnapshot captures a mapper domain's active mappings in handle
-// order plus the handle counter.
-type MaptrackSnapshot struct {
-	handles []Handle
-	maps    []Mapping
-	next    Handle
-}
+// MaptrackSnapshot captures a mapper domain's active mappings and the
+// handle counter.
+type MaptrackSnapshot struct{ maptrackState }
 
 // Snapshot captures the maptrack state.
 func (m *Maptrack) Snapshot() *MaptrackSnapshot {
-	s := &MaptrackSnapshot{next: m.next}
-	handles := make([]Handle, 0, len(m.maps))
-	for h := range m.maps {
-		handles = append(handles, h)
-	}
-	sortHandles(handles)
-	s.handles = handles
-	s.maps = make([]Mapping, len(handles))
-	for i, h := range handles {
-		s.maps[i] = m.maps[h]
-	}
-	return s
+	s := m.maptrackState
+	s.maps = maps.Clone(s.maps)
+	return &MaptrackSnapshot{s}
 }
 
 // Restore rewinds the maptrack: mappings created after the snapshot drop
 // out, snapshot mappings regain their saved handles, and the handle
-// counter rewinds. The clear-then-refill loop reuses the map's buckets, so
-// a steady-state restore does not allocate.
+// counter rewinds.
 func (m *Maptrack) Restore(s *MaptrackSnapshot) {
-	for h := range m.maps {
-		delete(m.maps, h)
-	}
-	for i, h := range s.handles {
-		m.maps[h] = s.maps[i]
-	}
-	m.next = s.next
-}
-
-// sortHandles is an insertion sort — handle sets are tiny (a few I/O ring
-// slots) and this avoids pulling in sort's interface allocations.
-func sortHandles(hs []Handle) {
-	for i := 1; i < len(hs); i++ {
-		for j := i; j > 0 && hs[j] < hs[j-1]; j-- {
-			hs[j], hs[j-1] = hs[j-1], hs[j]
-		}
-	}
+	m.maptrackState, m.maps = s.maptrackState, snap.Map(m.maps, s.maps)
 }

@@ -13,7 +13,32 @@ import (
 type AppVM struct {
 	W   *World
 	Cfg Config
+	appvmState
 
+	// Files is BlkBench's file model with its golden-copy comparison.
+	// SeedAppVM resets it every run, keeping its map.
+	Files *FileStore
+
+	// procs and inFlight are run state kept as pools: resetForRun
+	// empties them and keeps their capacity.
+	procs    procTable // UnixBench process lifecycle (pins page tables)
+	inFlight map[int]int
+
+	// iterFn/runFn are the iterate entry points cached as method values
+	// (set in Start): taking vm.iterate fresh at every reschedule would
+	// allocate a closure per benchmark iteration.
+	iterFn func()
+	runFn  func()
+	// pinScratch is reused across iterations for the fork batch's frame
+	// exclusion list (never retained past the iteration).
+	pinScratch []int
+	// gotScratch is reused across HVM iterations for the frames that
+	// actually mapped (copied into the forked process's record).
+	gotScratch []int
+}
+
+// appvmState is the workload's run state; resetForRun zeroes it.
+type appvmState struct {
 	// OpsCompleted counts finished benchmark operations (file ops for
 	// BlkBench, iterations for UnixBench, replies for NetBench).
 	OpsCompleted int
@@ -28,27 +53,10 @@ type AppVM struct {
 	// OutputCorrupted models failed golden-copy comparison (SDC).
 	OutputCorrupted bool
 
-	// Files is BlkBench's file model with its golden-copy comparison.
-	Files *FileStore
-
-	rng      *rand.Rand
+	rng      *rand.Rand // drawn per run by SeedAppVM
 	finishAt time.Duration
-	procs    procTable // UnixBench process lifecycle (pins page tables)
-	nextRef  int       // grant ref allocator
-	inFlight map[int]int
+	nextRef  int // grant ref allocator
 	reserved int // outstanding memory_op populate pages
-
-	// iterFn/runFn are the iterate entry points cached as method values
-	// (set in Start): taking vm.iterate fresh at every reschedule would
-	// allocate a closure per benchmark iteration.
-	iterFn func()
-	runFn  func()
-	// pinScratch is reused across iterations for the fork batch's frame
-	// exclusion list (never retained past the iteration).
-	pinScratch []int
-	// gotScratch is reused across HVM iterations for the frames that
-	// actually mapped (copied into the forked process's record).
-	gotScratch []int
 }
 
 // Start launches the benchmark: it runs for Cfg.Duration of virtual time.

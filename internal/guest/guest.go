@@ -80,6 +80,8 @@ const DefaultMemPages = 16384
 type World struct {
 	H *hv.Hypervisor
 
+	// apps is the AppVM set; a snapshot saves its membership and a
+	// restore resets each VM for the next run.
 	apps   map[int]*AppVM
 	Sender *NetSender
 
@@ -96,6 +98,11 @@ type World struct {
 	privTickFn     func()
 	privTickBodyFn func()
 
+	worldState
+}
+
+// worldState is the PrivVM guest's health.
+type worldState struct {
 	// privHung marks the PrivVM guest as hung: management hypercalls
 	// stall (the housekeeping tick goes silent, domctl requests cannot be
 	// issued) even though Dom0's hypervisor-side structures are intact.
@@ -185,11 +192,8 @@ func (w *World) AttachAppVM(cfg Config) *AppVM {
 	if cfg.IterPeriod == 0 {
 		cfg.IterPeriod = defaultIterPeriod(cfg.Kind)
 	}
-	vm := &AppVM{
-		W:   w,
-		Cfg: cfg,
-		rng: prng.New(w.rng.Uint64(), uint64(cfg.Dom)),
-	}
+	vm := &AppVM{W: w, Cfg: cfg}
+	vm.rng = prng.New(w.rng.Uint64(), uint64(cfg.Dom))
 	if cfg.Kind == BlkBench {
 		vm.Files = NewFileStore(w.rng.Uint64())
 	}

@@ -12,27 +12,31 @@ import (
 // keeps running during hypervisor recovery — which is exactly how the
 // paper measures recovery latency as service interruption (§VII-B).
 type NetSender struct {
-	w *World
-
-	flow    int
-	period  time.Duration
-	startAt time.Duration
-	stopAt  time.Duration
-	seq     uint64
+	w           *World
+	period      time.Duration
+	intervalLen time.Duration
 	// sendFn is s.send as a method value, taken once: the send chain
 	// reschedules itself every period.
 	sendFn func()
+	senderState
+}
+
+// senderState is one run's flow and measurements; reset zeroes it.
+type senderState struct {
+	flow    int
+	startAt time.Duration
+	stopAt  time.Duration
+	seq     uint64
 
 	// Sent/Received count packets and replies.
 	Sent     uint64
 	Received uint64
 
-	lastReply   time.Duration
-	gotReply    bool
-	maxGap      time.Duration
-	replyTimes  []time.Duration
-	exclusions  []window
-	intervalLen time.Duration
+	lastReply  time.Duration
+	gotReply   bool
+	maxGap     time.Duration
+	replyTimes []time.Duration
+	exclusions []window
 }
 
 type window struct{ start, end time.Duration }

@@ -1,77 +1,48 @@
 package guest
 
-// WorldSnapshot captures the guest world's structure: which AppVMs exist.
-// Per-run workload state (counters, RNGs, file stores) is not saved —
-// Restore resets it and the campaign re-arms each VM with SeedAppVM, the
-// same way a cold boot would.
+import (
+	"maps"
+
+	"nilihype/internal/snap"
+)
+
+// WorldSnapshot captures the guest world's structure: which AppVMs exist,
+// and the PrivVM's health. Per-run workload state (counters, RNGs, file
+// stores) is not saved — Restore resets it and the campaign re-arms each
+// VM with SeedAppVM, the same way a cold boot would.
 type WorldSnapshot struct {
-	doms []int
-	vms  []*AppVM
+	worldState
+	apps map[int]*AppVM
 }
 
-// Snapshot captures the world's AppVM set in domain-ID order.
+// Snapshot captures the world's AppVM set.
 func (w *World) Snapshot() *WorldSnapshot {
-	s := &WorldSnapshot{}
-	for _, vm := range w.Apps() {
-		s.doms = append(s.doms, vm.Cfg.Dom)
-		s.vms = append(s.vms, vm)
-	}
-	return s
+	return &WorldSnapshot{w.worldState, maps.Clone(w.apps)}
 }
 
 // Restore rewinds the world: AppVMs attached after the snapshot (the
 // 3AppVM setup's post-recovery BlkBench VM) drop out, the snapshot VMs
 // reset to their pre-Start state, and the external sender's measurements
-// clear. Callers must Reseed and SeedAppVM afterwards to arm the next run.
+// clear. The PrivVM's housekeeping tick chain is armed again by the paired
+// clock restore. Callers must Reseed and SeedAppVM afterwards to arm the
+// next run.
 func (w *World) Restore(s *WorldSnapshot) {
-	for d := range w.apps {
-		delete(w.apps, d)
-	}
-	for i, d := range s.doms {
-		vm := s.vms[i]
+	w.worldState = s.worldState
+	for _, vm := range snap.Map(w.apps, s.apps) {
 		vm.resetForRun()
-		w.apps[d] = vm
 	}
-	w.Sender.reset()
-	// At image-build time the PrivVM is healthy and its housekeeping tick
-	// chain is armed (the queued tick event is clock-snapshot state that
-	// the paired clock restore revives).
-	w.privHung = false
-	w.privTickLive = true
+	w.Sender.senderState = senderState{
+		replyTimes: w.Sender.replyTimes[:0], exclusions: w.Sender.exclusions[:0]}
 }
 
 // resetForRun returns the VM to a state indistinguishable (to the
-// workload) from freshly created: all benchmark-visible state rewinds,
-// while allocation pools — the process free list, the in-flight map, the
-// file store's map, the cached iterate method values — keep their capacity
-// for the next run. SeedAppVM reseeds rng and Files afterwards, so a
-// forked run draws exactly what a cold boot would.
+// workload) from freshly created: its run state zeroes, while allocation
+// pools — the process free list, the in-flight map, the file store's map,
+// the cached iterate method values — keep their capacity for the next
+// run. SeedAppVM reseeds rng and Files afterwards, so a forked run draws
+// exactly what a cold boot would.
 func (vm *AppVM) resetForRun() {
-	vm.OpsCompleted = 0
-	vm.OpsAfterMark = 0
-	vm.Started = false
-	vm.Finished = false
-	vm.OutputCorrupted = false
-	vm.rng = nil
-	vm.finishAt = 0
+	vm.appvmState = appvmState{}
 	vm.procs.reset()
-	vm.nextRef = 0
 	clear(vm.inFlight)
-	vm.reserved = 0
-}
-
-// reset returns the sender to its pre-Start state, keeping the slice
-// capacity of its measurement buffers.
-func (s *NetSender) reset() {
-	s.flow = 0
-	s.startAt = 0
-	s.stopAt = 0
-	s.seq = 0
-	s.Sent = 0
-	s.Received = 0
-	s.lastReply = 0
-	s.gotReply = false
-	s.maxGap = 0
-	s.replyTimes = s.replyTimes[:0]
-	s.exclusions = s.exclusions[:0]
 }

@@ -8,8 +8,13 @@ import "fmt"
 // here too, which is why a held console lock after a failed recovery is
 // so deadly — even the panic path wants it.
 type Console struct {
+	cap int
+	consoleState
+}
+
+// consoleState is the ring contents and counters.
+type consoleState struct {
 	ring  []consLine
-	cap   int
 	start int
 
 	// Written counts all messages ever accepted; Dropped counts ring

@@ -13,15 +13,45 @@ import (
 type PerCPU struct {
 	ID int
 
+	// Env is this CPU's handler execution environment.
+	Env *hypercall.Env
+
+	percpuState
+
+	// schedTick is this CPU's standing scheduler-tick timer (boot-time
+	// wiring), whose expiry expands into preemption steps inside the
+	// timer IRQ program.
+	schedTick *xentime.Timer
+
+	// irqFixedSteps caches the timer- and device-IRQ program steps whose
+	// closures capture only per-CPU state. The handlers are rebuilt on
+	// every interrupt; without the cache each rebuild re-allocates these
+	// closures.
+	irqFixedSteps irqFixedSteps
+
+	// irqProg is the reusable step buffer the timer and device interrupt
+	// handlers are built into on every interrupt (the hypercall analogue
+	// is Env's program buffer). Safe to recycle because at most one
+	// program is in flight per CPU — a busy or stuck CPU refuses further
+	// interrupts — and an interrupted IRQ program is discarded by
+	// recovery, never resumed.
+	irqProg hypercall.Program
+
+	// irqPkts is the RX batch the NIC handler in irqProg is delivering;
+	// its post_nic_event steps index it through Step.Arg.
+	irqPkts []hw.Packet
+}
+
+// percpuState is a CPU's hypervisor-private run state. The program
+// fields are zero whenever the CPU is not Busy, which is the only time a
+// snapshot is taken.
+type percpuState struct {
 	// LocalIRQCount is the interrupt nesting level. Incremented on every
 	// interrupt/exception entry, decremented on exit. Because error
 	// detection always happens in an exception or NMI context, the
 	// detecting CPU's count is nonzero at recovery time; if recovery
 	// does not clear it, post-recovery assertions (!in_irq()) fail.
 	LocalIRQCount int
-
-	// Env is this CPU's handler execution environment.
-	Env *hypercall.Env
 
 	// Current is the in-flight call, nil between requests. A call still
 	// present at recovery time was interrupted and needs retry.
@@ -62,29 +92,6 @@ type PerCPU struct {
 	// was interrupted inside an unmitigated window (§IV residual): its
 	// retry is poisoned — the undo log cannot be trusted.
 	abandonedUnmitigated bool
-
-	// schedTick is this CPU's standing scheduler-tick timer (boot-time
-	// wiring), whose expiry expands into preemption steps inside the
-	// timer IRQ program.
-	schedTick *xentime.Timer
-
-	// irqFixedSteps caches the timer- and device-IRQ program steps whose
-	// closures capture only per-CPU state. The handlers are rebuilt on
-	// every interrupt; without the cache each rebuild re-allocates these
-	// closures.
-	irqFixedSteps irqFixedSteps
-
-	// irqProg is the reusable step buffer the timer and device interrupt
-	// handlers are built into on every interrupt (the hypercall analogue
-	// is Env's program buffer). Safe to recycle because at most one
-	// program is in flight per CPU — a busy or stuck CPU refuses further
-	// interrupts — and an interrupted IRQ program is discarded by
-	// recovery, never resumed.
-	irqProg hypercall.Program
-
-	// irqPkts is the RX batch the NIC handler in irqProg is delivering;
-	// its post_nic_event steps index it through Step.Arg.
-	irqPkts []hw.Packet
 }
 
 // irqFixedSteps holds a CPU's cached fixed IRQ program steps (see the

@@ -74,7 +74,19 @@ type CycleCounters struct {
 // CPU is one simulated physical processor.
 type CPU struct {
 	ID int
+	cpuState
 
+	machine *Machine
+	// apicTag/perfTag and apicFn/perfFn are the timer-event tags and
+	// callbacks, precomputed in newCPU.
+	apicTag, perfTag string
+	apicFn, perfFn   simclock.Func
+}
+
+// cpuState is a CPU's architectural state, its pending vectors, and its
+// local APIC timer and performance counter. The timers' event handles are
+// clock objects, revived in place by the paired clock restore.
+type cpuState struct {
 	// Regs is the architectural register file. Values are symbolic (the
 	// simulation does not interpret machine code) but bit-flips in them
 	// drive the fault-manifestation model.
@@ -94,7 +106,6 @@ type CPU struct {
 	// code. The fault injector's second-level trigger counts these.
 	HypInstrs uint64
 
-	machine *Machine
 	apic    localAPIC
 	perf    perfCounter
 	pending []Vector
@@ -102,16 +113,14 @@ type CPU struct {
 
 func newCPU(m *Machine, id int) *CPU {
 	c := &CPU{ID: id, machine: m}
-	c.apic.cpu = c
-	c.perf.cpu = c
 	// Precompute the timer tags and fire callbacks once: arming happens on
 	// every timer reprogram (thousands of times per simulated second), and
 	// building a fmt.Sprintf tag or a fresh closure there would put the
 	// allocator on the simulation's hottest path.
-	c.apic.tag = fmt.Sprintf("apic-timer cpu%d", id)
-	c.apic.fire = c.apicFire
-	c.perf.tag = fmt.Sprintf("perf-nmi cpu%d", id)
-	c.perf.fire = c.perfFire
+	c.apicTag = fmt.Sprintf("apic-timer cpu%d", id)
+	c.apicFn = c.apicFire
+	c.perfTag = fmt.Sprintf("perf-nmi cpu%d", id)
+	c.perfFn = c.perfFire
 	return c
 }
 
@@ -122,12 +131,9 @@ func newCPU(m *Machine, id int) *CPU {
 // the window between the timer firing and being reprogrammed is the hazard
 // the "Reprogram hardware timer" enhancement closes (§V-A).
 type localAPIC struct {
-	cpu      *CPU
 	armed    bool
 	deadline time.Duration
 	event    *simclock.Event
-	tag      string
-	fire     simclock.Func
 }
 
 // ArmTimer programs the local APIC timer to fire at the absolute virtual
@@ -142,7 +148,7 @@ func (c *CPU) ArmTimer(deadline time.Duration) {
 	}
 	c.apic.armed = true
 	c.apic.deadline = deadline
-	c.apic.event = clk.At(deadline, c.apic.tag, c.apic.fire)
+	c.apic.event = clk.At(deadline, c.apicTag, c.apicFn)
 }
 
 // apicFire is the APIC timer expiry callback (precomputed in newCPU).
@@ -173,12 +179,9 @@ func (c *CPU) TimerArmed() bool { return c.apic.armed }
 // an NMI every 100 ms of unhalted cycles (paper §VI-B). In the simulation,
 // unhalted time approximates unhalted cycles.
 type perfCounter struct {
-	cpu     *CPU
 	period  time.Duration
 	running bool
 	event   *simclock.Event
-	tag     string
-	fire    simclock.Func
 }
 
 // StartPerfNMI arms the recurring performance-counter NMI with the given
@@ -204,7 +207,7 @@ func (c *CPU) StopPerfNMI() {
 func (c *CPU) PerfNMIRunning() bool { return c.perf.running }
 
 func (c *CPU) schedulePerfNMI() {
-	c.perf.event = c.machine.Clock.After(c.perf.period, c.perf.tag, c.perf.fire)
+	c.perf.event = c.machine.Clock.After(c.perf.period, c.perfTag, c.perfFn)
 }
 
 // perfFire is the perf-NMI expiry callback (precomputed in newCPU). It

@@ -52,20 +52,25 @@ type BlockDevice struct {
 	machine *Machine
 	svc     time.Duration
 
-	queue []BlockRequest // waiting requests, FIFO
-	cur   BlockRequest   // the request in service, valid while busy
-	busy  bool
-	// completed is the completion ring; spare is the buffer the last
-	// DrainCompletions handed out, swapped back in at the next drain
-	// (same ownership rule as NIC.DrainRx).
-	completed []BlockCompletion
-	spare     []BlockCompletion
+	blockState
+	// spare is the buffer the last DrainCompletions handed out, swapped
+	// back in at the next drain (same ownership rule as NIC.DrainRx).
+	spare []BlockCompletion
 
 	// completeFn is b.complete as a method value, taken once.
 	completeFn simclock.Func
 	// tags holds each owner's completion-event tag, formatted on the
 	// owner's first request.
 	tags map[int]string
+}
+
+// blockState is the device's queue, the request in service, the
+// completion ring and the counters.
+type blockState struct {
+	queue     []BlockRequest // waiting requests, FIFO
+	cur       BlockRequest   // the request in service, valid while busy
+	busy      bool
+	completed []BlockCompletion
 
 	// Stats
 	Submitted uint64
@@ -154,21 +159,27 @@ type NIC struct {
 	machine *Machine
 	lat     time.Duration
 
-	rxWire []Packet // injected, not yet arrived
-	txWire []Packet // transmitted, not yet at the sink
+	nicState
 	// rxArriveFn/txArriveFn are the wire-event callbacks as method
 	// values, taken once.
 	rxArriveFn simclock.Func
 	txArriveFn simclock.Func
 
-	// rxRing holds arrived, undrained packets. rxSpare is the buffer the
-	// last DrainRx handed out: the drained batch belongs to the draining
-	// CPU's in-flight IRQ program (hv's pc.irqPkts) until that program
-	// completes or recovery discards it, and IRQNIC stays in service for
-	// exactly that long, so the buffer is free again by the next drain.
-	rxRing  []Packet
+	// rxSpare is the buffer the last DrainRx handed out: the drained
+	// batch belongs to the draining CPU's in-flight IRQ program (hv's
+	// pc.irqPkts) until that program completes or recovery discards it,
+	// and IRQNIC stays in service for exactly that long, so the buffer is
+	// free again by the next drain.
 	rxSpare []Packet
 	txSink  func(Packet)
+}
+
+// nicState is the packets on both wires and in the RX ring (the clock
+// holds their wire events), and the counters.
+type nicState struct {
+	rxWire []Packet // injected, not yet arrived
+	txWire []Packet // transmitted, not yet at the sink
+	rxRing []Packet // arrived, undrained
 
 	// Stats
 	RxCount   uint64

@@ -43,7 +43,7 @@ type lineState struct {
 // reboot (Table IV discussion); NiLiHype keeps the table in place.
 type IOAPIC struct {
 	machine *Machine
-	lines   [numIRQLines + 1]lineState
+	ioapicState
 
 	// bootLines is the hypervisor's software copy of the redirection
 	// table, recorded once at the end of boot (the irq_desc bookkeeping a
@@ -53,6 +53,11 @@ type IOAPIC struct {
 	// snapshot is taken and never mutated afterwards, so it needs no
 	// snapshot coverage.
 	bootLines [numIRQLines + 1]lineState
+}
+
+// ioapicState is the live redirection table and its write counter.
+type ioapicState struct {
+	lines [numIRQLines + 1]lineState
 
 	// RedirWrites counts redirection-table writes since boot; ReHype's
 	// IO-APIC logging during normal operation mirrors these.

@@ -49,10 +49,11 @@ func newFixture(t *testing.T) *fixture {
 	// Domain 1 with one vCPU on cpu0 and frames [128,256).
 	obj := fx.heap.Alloc(2, "domain1")
 	fx.d1 = &dom.Domain{
-		ID: 1, Name: "app1", MemStart: 128, MemCount: 128, TotPages: 64,
+		ID: 1, Name: "app1", MemStart: 128, MemCount: 128,
 		Obj: obj, Events: evtchn.NewTable(1, 16),
 		GrantTab: grant.NewTable(1, 16), Maptrack: grant.NewMaptrack(1),
 	}
+	fx.d1.TotPages = 64
 	fx.d1.PageAllocLock = fx.heap.AddLock(obj, "page_alloc_lock")
 	fx.d1.GrantLock = fx.heap.AddLock(obj, "grant_lock")
 	fx.d1.VCPUs = append(fx.d1.VCPUs, fx.sch.AddVCPU(1, 0, 0))
@@ -429,7 +430,9 @@ func TestSchedOpYieldSwitches(t *testing.T) {
 	fx := newFixture(t)
 	// Two vCPUs on cpu0: d1v0 plus one more domain.
 	d2v := fx.sch.AddVCPU(2, 0, 0)
-	fx.doms.Insert(&dom.Domain{ID: 2, VCPUs: []*sched.VCPU{d2v}})
+	d2 := &dom.Domain{ID: 2}
+	d2.VCPUs = []*sched.VCPU{d2v}
+	fx.doms.Insert(d2)
 	fx.sch.BeginSwitch(0).Complete() // d1v0 running
 	call := &Call{Op: OpSchedOp, Dom: 1, Args: [4]uint64{SchedYield}}
 	fx.runAll(t, call)
@@ -460,7 +463,9 @@ func TestSchedOpBlockIdlesCPU(t *testing.T) {
 func TestSchedOpAbandonedMidSwitchLeavesInconsistency(t *testing.T) {
 	fx := newFixture(t)
 	d2v := fx.sch.AddVCPU(2, 0, 0)
-	fx.doms.Insert(&dom.Domain{ID: 2, VCPUs: []*sched.VCPU{d2v}})
+	d2 := &dom.Domain{ID: 2}
+	d2.VCPUs = []*sched.VCPU{d2v}
+	fx.doms.Insert(d2)
 	fx.sch.BeginSwitch(0).Complete()
 	call := &Call{Op: OpSchedOp, Dom: 1, Args: [4]uint64{SchedYield}}
 	idx := stepIndex(t, fx.env, call, "set_curr")

@@ -18,20 +18,25 @@
 //     truncate-on-restore leaves map buckets and slice capacity in place.
 //     A campaign's steady state re-records every run's journal without
 //     allocating.
-//   - Snapshot/restore-aware: Snapshot captures the boot-time lengths and
-//     the causal cursors; Restore truncates back, so a forked run assigns
+//   - Snapshot/restore-aware: Snapshot captures the boot-time events,
+//     strings and causal cursors; Restore cuts back, so a forked run assigns
 //     the same sequence numbers and intern IDs a cold boot would and the
 //     event stream is bit-identical either way.
 //   - Deterministic: the simulation is single-threaded and virtual-time
 //     driven, so sequence numbers, timestamps and links depend only on the
 //     seed.
 //
-// journal depends only on the standard library and internal/telemetry
-// (itself stdlib-only), so every layer of the simulator can import it
-// without cycles.
+// journal depends only on the standard library and internal/snap (itself
+// stdlib-only), so every layer of the simulator can import it without
+// cycles.
 package journal
 
-import "time"
+import (
+	"slices"
+	"time"
+
+	"nilihype/internal/snap"
+)
 
 // Kind classifies journal events — the stations of the recovery story.
 type Kind uint8
@@ -126,14 +131,22 @@ func UnpackAuditAux(aux uint64) (violations, repaired, sacrificed, escalations i
 // single-threaded like the simulation itself; campaign workers each own a
 // private instance (inside their hypervisor).
 type Journal struct {
+	journalState
+
+	// strIDs indexes strs; a restore cuts it back with the table.
+	strIDs map[string]uint32
+}
+
+// journalState is the event array, the intern table and the causal
+// cursors.
+type journalState struct {
 	events []Event
 
 	// String interning, mirroring telemetry's: IDs are assigned in
 	// first-use order (deterministic because the simulation is), and
 	// Restore truncates the table back so forked runs re-assign the same
 	// IDs a cold boot would.
-	strs   []string
-	strIDs map[string]uint32
+	strs []string
 
 	// Causal cursors: the Seqs the next event of each kind links back to.
 	lastFault   uint32
@@ -154,11 +167,8 @@ func New(capacity int) *Journal {
 	if capacity < 8 {
 		capacity = 8
 	}
-	j := &Journal{
-		events: make([]Event, 0, capacity),
-		strs:   make([]string, 0, 32),
-		strIDs: make(map[string]uint32, 32),
-	}
+	j := &Journal{journalState{events: make([]Event, 0, capacity), strs: make([]string, 0, 32)},
+		make(map[string]uint32, 32)}
 	// ID 0 is reserved so a zero Detail decodes to "".
 	j.strs = append(j.strs, "")
 	j.strIDs[""] = 0
@@ -331,47 +341,25 @@ func (j *Journal) Disposition(at time.Duration, status, reason string) {
 	})
 }
 
-// Snapshot is captured journal state for later Restore: the boot-time
-// lengths plus the causal cursors.
-type Snapshot struct {
-	events int
-	strs   int
-
-	lastFault   uint32
-	lastDetect  uint32
-	lastAttempt uint32
-	lastFail    uint32
-}
+// Snapshot is captured journal state for later Restore.
+type Snapshot struct{ journalState }
 
 // Snapshot captures the journal state. The campaign layer snapshots at
-// boot-complete (before any fault), so the captured lengths are the
-// pristine baseline every forked run truncates back to.
+// boot-complete (before any fault), so the captured events and intern
+// table are the pristine baseline every forked run truncates back to.
 func (j *Journal) Snapshot() *Snapshot {
-	return &Snapshot{
-		events:      len(j.events),
-		strs:        len(j.strs),
-		lastFault:   j.lastFault,
-		lastDetect:  j.lastDetect,
-		lastAttempt: j.lastAttempt,
-		lastFail:    j.lastFail,
-	}
+	s := j.journalState
+	s.events, s.strs = slices.Clone(s.events), slices.Clone(s.strs)
+	return &Snapshot{s}
 }
 
 // Restore rewinds to a snapshot taken on this instance without
-// allocating: the event array truncates in place and the intern table
-// deletes the entries interned since (map buckets and slice capacity stay,
-// so the next run re-interns into existing storage).
+// allocating: the event array and the intern table cut back in place (map
+// buckets and slice capacity stay, so the next run re-interns into
+// existing storage).
 func (j *Journal) Restore(s *Snapshot) {
-	j.events = j.events[:s.events]
-	for i := s.strs; i < len(j.strs); i++ {
-		delete(j.strIDs, j.strs[i])
-		j.strs[i] = ""
-	}
-	j.strs = j.strs[:s.strs]
-	j.lastFault = s.lastFault
-	j.lastDetect = s.lastDetect
-	j.lastAttempt = s.lastAttempt
-	j.lastFail = s.lastFail
+	j.journalState, j.events, j.strs = s.journalState,
+		snap.Slice(j.events, s.events), snap.Truncate(j.strs, j.strIDs, len(s.strs))
 }
 
 // itoa is a minimal integer formatter (keeps the name paths free of

@@ -52,8 +52,13 @@ const NoOwner = -1
 // lock's state machine, including the failure mode where the owner thread
 // is discarded while holding it.
 type Lock struct {
-	name  string
-	kind  Kind
+	name string
+	kind Kind
+	lockState
+}
+
+// lockState is the lock word and its counter.
+type lockState struct {
 	held  bool
 	owner int // CPU that holds it, NoOwner when free
 
@@ -125,14 +130,14 @@ func NewRegistry() *Registry {
 // NewStatic declares a static lock (the macro + linker-script path: the
 // lock lands in the iterable static-lock segment).
 func (r *Registry) NewStatic(name string) *Lock {
-	l := &Lock{name: name, kind: Static, owner: NoOwner}
+	l := &Lock{name: name, kind: Static, lockState: lockState{owner: NoOwner}}
 	r.static = append(r.static, l)
 	return l
 }
 
 // NewHeap declares a lock embedded in a heap object.
 func (r *Registry) NewHeap(name string) *Lock {
-	l := &Lock{name: name, kind: Heap, owner: NoOwner}
+	l := &Lock{name: name, kind: Heap, lockState: lockState{owner: NoOwner}}
 	r.heap = append(r.heap, l)
 	return l
 }

@@ -1,52 +1,29 @@
 package locking
 
-// lockState is one lock's captured word. The *Lock pointer is part of the
-// snapshot: locks are referenced from heap objects, domains, the scheduler
-// and the static segment, so restore revives the same objects in place.
-type lockState struct {
-	lock         *Lock
-	held         bool
-	owner        int
-	acquisitions uint64
+import "nilihype/internal/snap"
+
+// Snapshot captures both lock populations with each lock's state: the
+// static segment (fixed membership, mutable words) and the heap
+// population (mutable membership — locks are added and dropped with their
+// containing objects — in declaration order, which CorruptRandomHold's
+// victim selection depends on). Locks are referenced from heap objects,
+// domains, the scheduler and the static segment, so restore revives the
+// same objects in place.
+type Snapshot struct {
+	static, heap []snap.Obj[Lock, lockState]
 }
 
-// Snapshot captures both lock populations: the static segment (fixed
-// membership, mutable words) and the heap population (mutable membership —
-// locks are added and dropped with their containing objects — in
-// declaration order, which CorruptRandomHold's victim selection depends
-// on).
-type Snapshot struct {
-	static []lockState
-	heap   []lockState
-}
+func lockSt(l *Lock) *lockState { return &l.lockState }
 
 // Snapshot captures the registry.
 func (r *Registry) Snapshot() *Snapshot {
-	capture := func(locks []*Lock) []lockState {
-		out := make([]lockState, len(locks))
-		for i, l := range locks {
-			out[i] = lockState{lock: l, held: l.held, owner: l.owner, acquisitions: l.Acquisitions}
-		}
-		return out
-	}
-	return &Snapshot{static: capture(r.static), heap: capture(r.heap)}
+	return &Snapshot{snap.Save(r.static, lockSt), snap.Save(r.heap, lockSt)}
 }
 
 // Restore rewinds the registry: every snapshot lock regains its saved
-// word, and the heap population regains its exact saved order (locks
+// word, and both populations regain their exact saved order (locks
 // registered since the snapshot drop out).
 func (r *Registry) Restore(s *Snapshot) {
-	restore := func(dst []*Lock, saved []lockState) []*Lock {
-		dst = dst[:0]
-		for i := range saved {
-			st := &saved[i]
-			st.lock.held = st.held
-			st.lock.owner = st.owner
-			st.lock.Acquisitions = st.acquisitions
-			dst = append(dst, st.lock)
-		}
-		return dst
-	}
-	r.static = restore(r.static, s.static)
-	r.heap = restore(r.heap, s.heap)
+	r.static = snap.Revive(r.static, s.static, lockSt)
+	r.heap = snap.Revive(r.heap, s.heap, lockSt)
 }

@@ -21,7 +21,12 @@ func canaryFor(id uint64) uint64 { return id*objectCanarySalt ^ 0x5ca1ab1e }
 // spinlocks (registered with the lock registry as heap locks), mirroring
 // Xen structures such as struct domain.
 type Object struct {
-	ID    uint64
+	ID uint64
+	objectState
+}
+
+// objectState is an object's contents.
+type objectState struct {
 	Tag   string
 	Pages []int // frame indices backing the object
 
@@ -68,15 +73,22 @@ type Heap struct {
 
 	start, count int // frame range owned by the heap
 
-	free    []int // free frame indices (LIFO free list)
+	heapState
+	// objects is the live-object set; a snapshot saves it object by
+	// object.
 	objects map[uint64]*Object
-	nextID  uint64
 
 	// seen and seenOutside are ValidateFreeList's scratch: one bit per
 	// frame of the heap's own range, and the (rare) list entries that
 	// name a frame outside it.
 	seen        []uint64
 	seenOutside []int
+}
+
+// heapState is the allocator's free list and ID counter.
+type heapState struct {
+	free   []int // free frame indices (LIFO free list)
+	nextID uint64
 }
 
 // NewHeap builds a heap owning the frames [start, start+count) of ft.
@@ -125,7 +137,7 @@ func (h *Heap) Alloc(pages int, tag string) *Object {
 			return nil
 		}
 	}
-	o := &Object{ID: h.nextID, Tag: tag}
+	o := &Object{ID: h.nextID, objectState: objectState{Tag: tag}}
 	o.canary = canaryFor(o.ID)
 	h.nextID++
 	for i := 0; i < pages; i++ {

@@ -3,11 +3,14 @@ package mm
 import (
 	"slices"
 
-	"nilihype/internal/locking"
+	"nilihype/internal/snap"
 )
 
 // FrameTableSnapshot is a copy of the page frame descriptor table,
-// immutable once captured. It stores the segments the table had
+// immutable once captured. The frame table is the one component not
+// restored by assigning a state value back: at 8 GB it holds 2 M
+// descriptors, and its dirty-chunk overlay copies back only what a run
+// touched. It stores the segments the table had
 // materialized and leaves the rest nil, so it costs what boot wrote (one
 // 2 MB segment at 8 GB or 64 GB), not the size of memory. Restoring the
 // snapshot the table's dirty set is relative to — its base, see
@@ -86,47 +89,25 @@ func (ft *FrameTable) Restore(s *FrameTableSnapshot) {
 	ft.rebase(s)
 }
 
-// objectState is one live heap object's captured contents. The *Object
-// pointer is part of the snapshot: domains and other structures hold
-// references to their objects, so restore revives the same objects in
-// place.
-type objectState struct {
-	obj    *Object
-	tag    string
-	pages  []int
-	locks  []*locking.Lock
-	canary uint64
-}
-
-// HeapSnapshot captures the heap allocator: the free list in LIFO order,
-// the live-object set with each object's contents, and the ID counter.
+// HeapSnapshot captures the heap allocator: its state value and the
+// live-object set in ID order, each object with its contents. Domains and
+// other structures hold references to their objects, so restore revives
+// the same objects in place.
 type HeapSnapshot struct {
-	free    []int
-	objects []objectState
-	nextID  uint64
+	heapState
+	objects []snap.Obj[Object, objectState]
 }
 
-// Snapshot captures the heap state. Objects are saved in ID order so a
-// restore rebuilds the map deterministically (map iteration order is
-// irrelevant to behavior, but the snapshot itself should not depend on
-// it).
+// Snapshot captures the heap state.
 func (h *Heap) Snapshot() *HeapSnapshot {
-	s := &HeapSnapshot{
-		free:   append([]int(nil), h.free...),
-		nextID: h.nextID,
-	}
+	s := &HeapSnapshot{heapState: h.heapState}
+	s.free = slices.Clone(s.free)
 	for id := uint64(0); id < h.nextID; id++ {
-		o, ok := h.objects[id]
-		if !ok {
-			continue
+		if o, ok := h.objects[id]; ok {
+			st := o.objectState
+			st.Pages, st.locks = slices.Clone(st.Pages), slices.Clone(st.locks)
+			s.objects = append(s.objects, snap.Obj[Object, objectState]{P: o, S: st})
 		}
-		s.objects = append(s.objects, objectState{
-			obj:    o,
-			tag:    o.Tag,
-			pages:  append([]int(nil), o.Pages...),
-			locks:  append([]*locking.Lock(nil), o.locks...),
-			canary: o.canary,
-		})
 	}
 	return s
 }
@@ -138,19 +119,11 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 // corrupted, or mutated since — are revived in place with their saved
 // contents.
 func (h *Heap) Restore(s *HeapSnapshot) {
-	h.free = append(h.free[:0], s.free...)
-	h.nextID = s.nextID
-	for id := range h.objects {
-		delete(h.objects, id)
-	}
+	h.heapState, h.free = s.heapState, snap.Slice(h.free, s.free)
+	clear(h.objects)
 	for i := range s.objects {
-		st := &s.objects[i]
-		o := st.obj
-		o.Tag = st.tag
-		o.Pages = append(o.Pages[:0], st.pages...)
-		o.locks = append(o.locks[:0], st.locks...)
-		o.freed = false
-		o.canary = st.canary
+		o, st := s.objects[i].P, &s.objects[i].S
+		o.objectState, o.Pages, o.locks = *st, snap.Slice(o.Pages, st.Pages), snap.Slice(o.locks, st.locks)
 		h.objects[o.ID] = o
 	}
 }

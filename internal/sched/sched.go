@@ -56,7 +56,12 @@ const NoCPU = -1
 type VCPU struct {
 	Domain int
 	ID     int
+	vcpuState
+}
 
+// vcpuState is a vCPU's execution state and its redundant metadata
+// copies.
+type vcpuState struct {
 	// State is the scheduler-visible execution state.
 	State State
 
@@ -89,13 +94,18 @@ const initialCredit = 300
 
 // percpu is the scheduler's per-CPU structure.
 type percpu struct {
-	curr *VCPU // per-CPU copy: vCPU currently on this CPU (nil = idle)
-	runq []*VCPU
+	cpuState
 	lock *locking.Lock
 	// op is the storage BeginSwitch hands out: one switch is in flight
 	// per CPU (its steps run under the runqueue lock), so the record is
 	// reused rather than allocated per switch.
 	op SwitchOp
+}
+
+// cpuState is one CPU's current vCPU and runqueue.
+type cpuState struct {
+	curr *VCPU // per-CPU copy: vCPU currently on this CPU (nil = idle)
+	runq []*VCPU
 }
 
 // Scheduler is the credit scheduler across all physical CPUs.
@@ -130,15 +140,13 @@ func (s *Scheduler) RunqueueLock(cpu int) *locking.Lock { return s.cpus[cpu].loc
 // AddVCPU registers a new vCPU pinned to cpu (the paper pins each vCPU to
 // a distinct physical CPU, §VI-A) and enqueues it runnable.
 func (s *Scheduler) AddVCPU(domain, id, cpu int) *VCPU {
-	v := &VCPU{
-		Domain:       domain,
-		ID:           id,
+	v := &VCPU{Domain: domain, ID: id, vcpuState: vcpuState{
 		State:        Runnable,
 		Processor:    cpu,
 		RunningOn:    NoCPU,
 		Credit:       initialCredit,
 		ContextValid: true,
-	}
+	}}
 	s.vcpus = append(s.vcpus, v)
 	s.enqueue(cpu, v)
 	return v

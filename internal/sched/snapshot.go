@@ -1,80 +1,37 @@
 package sched
 
-import "nilihype/internal/hw"
+import (
+	"slices"
 
-// vcpuState is one vCPU's captured fields (Domain/ID are immutable).
-type vcpuState struct {
-	vcpu         *VCPU
-	state        State
-	processor    int
-	runningOn    int
-	context      [hw.NumRegs]uint64
-	contextValid bool
-	credit       int
-	queued       bool
-}
+	"nilihype/internal/snap"
+)
 
-// percpuState captures one per-CPU structure (the schedule lock pointer is
-// boot-time wiring and restored by the lock registry's own snapshot).
-type percpuState struct {
-	curr *VCPU
-	runq []*VCPU
-}
-
-// Snapshot captures the scheduler: the registered vCPU set in registration
-// order, every vCPU's redundant metadata copies, and the per-CPU current
-// pointers and runqueues.
+// Snapshot captures the scheduler: the registered vCPU set in
+// registration order with each vCPU's state, and every per-CPU state.
 type Snapshot struct {
-	vcpus []vcpuState
-	cpus  []percpuState
+	vcpus []snap.Obj[VCPU, vcpuState]
+	cpus  []cpuState
 }
+
+func vcpuSt(v *VCPU) *vcpuState { return &v.vcpuState }
 
 // Snapshot captures the scheduler state.
 func (s *Scheduler) Snapshot() *Snapshot {
-	snap := &Snapshot{
-		vcpus: make([]vcpuState, len(s.vcpus)),
-		cpus:  make([]percpuState, len(s.cpus)),
-	}
-	for i, v := range s.vcpus {
-		snap.vcpus[i] = vcpuState{
-			vcpu:         v,
-			state:        v.State,
-			processor:    v.Processor,
-			runningOn:    v.RunningOn,
-			context:      v.Context,
-			contextValid: v.ContextValid,
-			credit:       v.Credit,
-			queued:       v.queued,
-		}
-	}
+	out := &Snapshot{snap.Save(s.vcpus, vcpuSt), make([]cpuState, len(s.cpus))}
 	for c := range s.cpus {
-		snap.cpus[c] = percpuState{
-			curr: s.cpus[c].curr,
-			runq: append([]*VCPU(nil), s.cpus[c].runq...),
-		}
+		out.cpus[c] = s.cpus[c].cpuState
+		out.cpus[c].runq = slices.Clone(out.cpus[c].runq)
 	}
-	return snap
+	return out
 }
 
 // Restore rewinds the scheduler: the vCPU registration order, every
-// vCPU's fields, and every per-CPU curr/runqueue regain their saved
-// values. vCPUs registered after the snapshot drop out.
-func (s *Scheduler) Restore(snap *Snapshot) {
-	s.vcpus = s.vcpus[:0]
-	for i := range snap.vcpus {
-		st := &snap.vcpus[i]
-		v := st.vcpu
-		v.State = st.state
-		v.Processor = st.processor
-		v.RunningOn = st.runningOn
-		v.Context = st.context
-		v.ContextValid = st.contextValid
-		v.Credit = st.credit
-		v.queued = st.queued
-		s.vcpus = append(s.vcpus, v)
-	}
+// vCPU's state and every per-CPU state regain their saved values. vCPUs
+// registered after the snapshot drop out.
+func (s *Scheduler) Restore(saved *Snapshot) {
+	s.vcpus = snap.Revive(s.vcpus, saved.vcpus, vcpuSt)
 	for c := range s.cpus {
-		s.cpus[c].curr = snap.cpus[c].curr
-		s.cpus[c].runq = append(s.cpus[c].runq[:0], snap.cpus[c].runq...)
+		pc, st := &s.cpus[c], &saved.cpus[c]
+		pc.cpuState, pc.runq = *st, snap.Slice(pc.runq, st.runq)
 	}
 }

@@ -36,7 +36,10 @@ type Func func()
 // then is a harmless no-op; holding a handle across unrelated scheduling
 // activity and then cancelling it is not — drop handles when their events
 // fire (as the event's own callback is the natural place to do).
-type Event struct {
+type Event struct{ eventState }
+
+// eventState is all of an event: its schedule and its heap position.
+type eventState struct {
 	when time.Duration
 	seq  uint64
 	fn   Func
@@ -49,10 +52,16 @@ type Event struct {
 // Clock is a discrete-event virtual clock. It is not safe for concurrent
 // use; the whole simulation is single-threaded by design (determinism).
 type Clock struct {
+	clockState
+	queue eventQueue
+	free  []*Event
+}
+
+// clockState is the clock's mutable state apart from its queue, which a
+// snapshot saves event by event.
+type clockState struct {
 	now        time.Duration
 	seq        uint64
-	queue      eventQueue
-	free       []*Event
 	halted     bool
 	dispatched uint64
 	// highWater is the peak pending-event queue depth — a passive
@@ -83,7 +92,7 @@ func (c *Clock) alloc() *Event {
 		c.free = c.free[:n-1]
 		return e
 	}
-	return &Event{index: -1}
+	return &Event{eventState{index: -1}}
 }
 
 // recycle returns a fired or cancelled event to the free list; its fields

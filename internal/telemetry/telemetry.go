@@ -12,12 +12,18 @@
 // restores the telemetry state captured at boot, so forked runs produce
 // bit-identical metrics and flight-recorder contents to cold-booted ones.
 //
-// telemetry deliberately depends only on the standard library so that
-// every layer of the simulator (simclock, hw, hv, hypercall, sched,
-// detect, core, audit, campaign) can import it without cycles.
+// telemetry deliberately depends only on the standard library and the
+// dependency-free snapshot helpers (internal/snap), so that every layer
+// of the simulator (simclock, hw, hv, hypercall, sched, detect, core,
+// audit, campaign) can import it without cycles.
 package telemetry
 
-import "time"
+import (
+	"slices"
+	"time"
+
+	"nilihype/internal/snap"
+)
 
 // Counter identifies a pre-registered counter. Counters are plain uint64
 // adds — commutative and associative, so per-shard telemetry merges to the
@@ -184,10 +190,7 @@ func (id HistID) Name() string {
 // It is single-threaded like the simulation itself; campaign workers each
 // own a private instance.
 type Telemetry struct {
-	Counters [NumCounters]uint64
-	Gauges   [NumGauges]int64
-	Hists    [NumHists]Hist
-	Flight   Ring
+	telemetryState
 
 	// OpNames, when set (by hv at boot), names the per-op counter block
 	// and dispatch/complete flight events in exports.
@@ -195,13 +198,24 @@ type Telemetry struct {
 
 	now func() time.Duration
 
+	// strIDs indexes strs; a restore cuts it back with the table.
+	strIDs map[string]uint64
+}
+
+// telemetryState is the metrics, the flight recorder and the intern
+// table.
+type telemetryState struct {
+	Counters [NumCounters]uint64
+	Gauges   [NumGauges]int64
+	Hists    [NumHists]Hist
+	Flight   Ring
+
 	// String interning: flight events carry uint64 args, so variable
 	// strings (lock names, panic reasons, phase names) are stored once
-	// here and referenced by ID. The table is part of snapshots —
-	// restore truncates it back to its boot-time length so forked runs
-	// assign the same IDs a cold boot would.
-	strs   []string
-	strIDs map[string]uint64
+	// here and referenced by ID. Restore truncates the table back to its
+	// captured length so forked runs assign the same IDs a cold boot
+	// would.
+	strs []string
 }
 
 // New builds a telemetry instance whose flight recorder holds capacity
@@ -215,11 +229,8 @@ func New(capacity int, now func() time.Duration) *Telemetry {
 	for size < capacity {
 		size <<= 1
 	}
-	t := &Telemetry{
-		now:    now,
-		strIDs: make(map[string]uint64, 64),
-		strs:   make([]string, 0, 64),
-	}
+	t := &Telemetry{now: now, strIDs: make(map[string]uint64, 64)}
+	t.strs = make([]string, 0, 64)
 	t.Flight.buf = make([]Event, size)
 	t.Flight.mask = uint64(size - 1)
 	// ID 0 is reserved so a zero Arg decodes to "" rather than aliasing
@@ -313,45 +324,23 @@ func (t *Telemetry) RecordAt(at time.Duration, cpu int, code EventCode, arg uint
 }
 
 // Snapshot is captured telemetry state for later Restore.
-type Snapshot struct {
-	counters   [NumCounters]uint64
-	gauges     [NumGauges]int64
-	hists      [NumHists]Hist
-	flightBuf  []Event
-	flightNext uint64
-	strLen     int
-}
+type Snapshot struct{ telemetryState }
 
 // Snapshot captures the full telemetry state. The returned snapshot stays
 // valid for the life of the Telemetry and can be restored repeatedly.
 func (t *Telemetry) Snapshot() *Snapshot {
-	s := &Snapshot{
-		counters:   t.Counters,
-		gauges:     t.Gauges,
-		hists:      t.Hists,
-		flightNext: t.Flight.next,
-		strLen:     len(t.strs),
-		flightBuf:  make([]Event, len(t.Flight.buf)),
-	}
-	copy(s.flightBuf, t.Flight.buf)
-	return s
+	s := t.telemetryState
+	s.Flight.buf, s.strs = slices.Clone(s.Flight.buf), slices.Clone(s.strs)
+	return &Snapshot{s}
 }
 
 // Restore rewinds to a snapshot taken on this instance. It does not
-// allocate: arrays copy in place, and the intern table truncates back to
-// its captured length (deleting the map entries interned since), so the
-// next run re-assigns the same IDs from the same starting point.
+// allocate: the flight buffer copies in place, and the intern table
+// truncates back to its captured length, so the next run re-assigns the
+// same IDs from the same starting point.
 func (t *Telemetry) Restore(s *Snapshot) {
-	t.Counters = s.counters
-	t.Gauges = s.gauges
-	t.Hists = s.hists
-	copy(t.Flight.buf, s.flightBuf)
-	t.Flight.next = s.flightNext
-	for i := s.strLen; i < len(t.strs); i++ {
-		delete(t.strIDs, t.strs[i])
-		t.strs[i] = ""
-	}
-	t.strs = t.strs[:s.strLen]
+	t.telemetryState, t.Flight.buf, t.strs = s.telemetryState,
+		snap.Slice(t.Flight.buf, s.Flight.buf), snap.Truncate(t.strs, t.strIDs, len(s.strs))
 }
 
 // itoa is a minimal integer formatter (avoids strconv in name paths that

@@ -1,89 +1,36 @@
 package xentime
 
-import "time"
+import (
+	"maps"
 
-// timerState is one timer's captured fields (Name/CPU/Period/Fn and the
-// precomputed labels are immutable).
-type timerState struct {
-	timer    *Timer
-	deadline time.Duration
-	fires    uint64
-	active   bool
-	index    int
-}
+	"nilihype/internal/snap"
+)
 
-// Snapshot captures the timer subsystem: every per-CPU heap in slice
-// order, each timer's schedule, and the registered-timer set.
+// Snapshot captures the timer subsystem: the registered-timer set, and
+// every per-CPU heap in slice order with each timer's schedule.
 type Snapshot struct {
-	heaps [][]timerState
-	// all holds the registered set (includes inactive timers that are on
-	// no heap).
-	all []*Timer
+	subsystemState
+	heaps [][]snap.Obj[Timer, timerState]
 }
+
+func timerSt(t *Timer) *timerState { return &t.timerState }
 
 // Snapshot captures the subsystem state.
 func (s *Subsystem) Snapshot() *Snapshot {
-	snap := &Snapshot{heaps: make([][]timerState, len(s.heaps))}
-	for cpu := range s.heaps {
-		h := s.heaps[cpu]
-		states := make([]timerState, len(h))
-		for i, t := range h {
-			states[i] = timerState{timer: t, deadline: t.Deadline, fires: t.Fires, active: t.active, index: t.index}
-		}
-		snap.heaps[cpu] = states
+	out := &Snapshot{subsystemState{maps.Clone(s.all)}, make([][]snap.Obj[Timer, timerState], len(s.heaps))}
+	for cpu, h := range s.heaps {
+		out.heaps[cpu] = snap.Save(h, timerSt)
 	}
-	// Deterministic capture order for the registered set: heap membership
-	// first (slice order), then any inactive stragglers. Order only
-	// matters for reproducibility of the snapshot structure itself — the
-	// set is restored into a map.
-	seen := make(map[*Timer]bool, len(s.all))
-	for cpu := range snap.heaps {
-		for i := range snap.heaps[cpu] {
-			t := snap.heaps[cpu][i].timer
-			if _, ok := s.all[t]; ok && !seen[t] {
-				seen[t] = true
-				snap.all = append(snap.all, t)
-			}
-		}
-	}
-	for t := range s.all {
-		if !seen[t] {
-			snap.all = append(snap.all, t)
-		}
-	}
-	return snap
+	return out
 }
 
 // Restore rewinds the subsystem: every per-CPU heap regains its saved
 // slice order (the saved layout satisfied the heap property when captured,
 // so it still does), every snapshot timer regains its saved schedule, and
 // timers added after the snapshot drop out of the registered set.
-func (s *Subsystem) Restore(snap *Snapshot) {
+func (s *Subsystem) Restore(saved *Snapshot) {
 	for cpu := range s.heaps {
-		saved := snap.heaps[cpu]
-		prev := len(s.heaps[cpu])
-		h := s.heaps[cpu][:0]
-		for i := range saved {
-			st := &saved[i]
-			t := st.timer
-			t.Deadline = st.deadline
-			t.Fires = st.fires
-			t.active = st.active
-			t.index = st.index
-			h = append(h, t)
-		}
-		// Nil the vacated tail so timers dropped from the heap are not
-		// pinned by the backing array.
-		for i := len(h); i < prev; i++ {
-			s.heaps[cpu][:prev][i] = nil
-		}
-		s.heaps[cpu] = h
+		s.heaps[cpu] = snap.Revive(s.heaps[cpu], saved.heaps[cpu], timerSt)
 	}
-	for t := range s.all {
-		delete(s.all, t)
-	}
-	for _, t := range snap.all {
-		s.all[t] = struct{}{}
-	}
-	s.dueScratch = s.dueScratch[:0]
+	snap.Map(s.all, saved.all)
 }

@@ -37,22 +37,27 @@ type Func func()
 // Timer is one software timer. Recurring timers (Period > 0) re-arm
 // themselves when finished by the interrupt handler.
 type Timer struct {
-	Name     string
+	Name string
+	Fn   Func
+	timerState
+	// runLabel/rearmLabel are the per-timer step names the interrupt
+	// handler uses every expiration; precomputed so the handler builder
+	// does not concatenate strings per tick.
+	runLabel   string
+	rearmLabel string
+}
+
+// timerState is a timer's schedule; Readd moves a timer between CPUs.
+type timerState struct {
 	CPU      int
 	Deadline time.Duration
 	Period   time.Duration // 0 for one-shot
-	Fn       Func
 
 	// Fires counts completed expirations.
 	Fires uint64
 
 	active bool
 	index  int
-	// runLabel/rearmLabel are the per-timer step names the interrupt
-	// handler uses every expiration; precomputed so the handler builder
-	// does not concatenate strings per tick.
-	runLabel   string
-	rearmLabel string
 }
 
 // RunLabel returns the precomputed "run_timer:<name>" step label.
@@ -73,9 +78,7 @@ func (t *Timer) Recurring() bool { return t.Period > 0 }
 type Subsystem struct {
 	apic  Programmer
 	heaps []timerHeap
-	// all tracks every timer ever added and not stopped, including
-	// currently inactive ones; recovery's reactivation scan walks it.
-	all map[*Timer]struct{}
+	subsystemState
 	// dueScratch backs PopDue's result between calls.
 	dueScratch []*Timer
 	// recurScratch[cpu] backs queuedRecurringOn(cpu)'s result; one buffer
@@ -83,13 +86,21 @@ type Subsystem struct {
 	recurScratch [][]*Timer
 }
 
+// subsystemState is the registered-timer set. The heaps are saved timer
+// by timer.
+type subsystemState struct {
+	// all tracks every timer ever added and not stopped, including
+	// currently inactive ones; recovery's reactivation scan walks it.
+	all map[*Timer]struct{}
+}
+
 // NewSubsystem creates the subsystem for the given CPU count.
 func NewSubsystem(cpus int, apic Programmer) *Subsystem {
 	return &Subsystem{
-		apic:         apic,
-		heaps:        make([]timerHeap, cpus),
-		all:          make(map[*Timer]struct{}),
-		recurScratch: make([][]*Timer, cpus),
+		apic:           apic,
+		heaps:          make([]timerHeap, cpus),
+		subsystemState: subsystemState{make(map[*Timer]struct{})},
+		recurScratch:   make([][]*Timer, cpus),
 	}
 }
 
@@ -100,7 +111,7 @@ func (s *Subsystem) AddTimer(cpu int, name string, deadline, period time.Duratio
 	if cpu < 0 || cpu >= len(s.heaps) {
 		panic(fmt.Sprintf("xentime: bad cpu %d", cpu))
 	}
-	t := &Timer{Name: name, CPU: cpu, Deadline: deadline, Period: period, Fn: fn, active: true,
+	t := &Timer{Name: name, Fn: fn, timerState: timerState{CPU: cpu, Deadline: deadline, Period: period, active: true},
 		runLabel: "run_timer:" + name, rearmLabel: "rearm:" + name}
 	heap.Push(&s.heaps[cpu], t)
 	s.all[t] = struct{}{}
@@ -112,7 +123,7 @@ func (s *Subsystem) AddTimer(cpu int, name string, deadline, period time.Duratio
 // timer) keep one record — and its precomputed step labels — instead of
 // allocating a fresh Timer per set.
 func NewTimer(cpu int, name string, fn Func) *Timer {
-	return &Timer{Name: name, CPU: cpu, Fn: fn,
+	return &Timer{Name: name, Fn: fn, timerState: timerState{CPU: cpu},
 		runLabel: "run_timer:" + name, rearmLabel: "rearm:" + name}
 }
 
