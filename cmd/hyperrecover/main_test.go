@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nilihype/internal/campaign"
+	"nilihype/internal/cloc"
 	"nilihype/internal/core"
 	"nilihype/internal/guest"
 	"nilihype/internal/inject"
@@ -448,4 +449,42 @@ func parseOnly(args []string) error {
 		}
 	}
 	return fmt.Errorf("unknown subcommand %q", args[0])
+}
+
+// TestExperimentsE7MatchesTree: EXPERIMENTS.md's E7 table prints the
+// `hyperrecover loc` code-line counts of this tree, so it must equal a
+// count over the tree as it stands. A change that moves the counts fails
+// here until E7 is reprinted.
+func TestExperimentsE7MatchesTree(t *testing.T) {
+	root := filepath.Join("..", "..")
+	src, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, e7, ok := strings.Cut(string(src), "\n## E7 ")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no E7 section")
+	}
+	e7, _, _ = strings.Cut(e7, "\n## ")
+	rep, err := cloc.ScanTree(os.DirFS(root), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		prefix string
+		cat    cloc.Category
+	}{
+		{"| Normal-operation", cloc.NormalOperation},
+		{"| Recovery-only", cloc.RecoveryOnly},
+		{"| Substrate", cloc.Substrate},
+	} {
+		m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(row.prefix) + `.*\|\s*([\d,]+)\s*\|\s*$`).FindStringSubmatch(e7)
+		if m == nil {
+			t.Errorf("E7 has no %q row", row.prefix)
+			continue
+		}
+		if got, want := strings.ReplaceAll(m[1], ",", ""), fmt.Sprint(rep.PerCategory[row.cat].Code); got != want {
+			t.Errorf("E7 prints %s code lines for %s; the tree has %s", m[1], row.cat, want)
+		}
+	}
 }
